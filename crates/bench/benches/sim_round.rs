@@ -15,21 +15,20 @@
 //! n ∈ {100k, 1M} × {1, 8}, three samples per point. The wall-time
 //! columns of that grid are the engine's scaling curve.
 //!
-//! Every point is measured on both wire paths — `"engine": "boxed"` (the
-//! `Vec`-of-tuples arenas) and `"engine": "packed"` (the word-packed
-//! `MsgSlab` arenas) — so the JSON carries a packed-vs-boxed axis
-//! (`benchdiff --engines` renders it as a table). A counting global
-//! allocator additionally measures steady-state allocations-per-round on
-//! the `learn_graph` n=1000 single-worker points: two identically seeded
-//! runs capped inside the drain phase differ only by a window of rounds,
-//! so the allocation-count delta divided by the round delta is the
-//! per-round steady state, with all warm-up growth cancelled exactly.
+//! A counting global allocator additionally measures steady-state
+//! allocations-per-round on the `learn_graph` n=1000 single-worker
+//! point: two identically seeded runs capped inside the drain phase
+//! differ only by a window of rounds, so the allocation-count delta
+//! divided by the round delta is the per-round steady state, with all
+//! warm-up growth cancelled exactly. The top-level `"available_cores"`
+//! field records the machine, so a 1-CPU run is never read as a
+//! scaling curve.
 
 use congest_graph::generators;
 use congest_sim::algorithms::{LeaderElection, LearnGraph, LocalCutSolver, SampledMaxCut};
 use congest_sim::{
     CongestAlgorithm, NodeContext, NoopRoundObserver, PerfectLink, PhaseProfile, RoundOutcome,
-    SendBuf, ShardableAlgorithm, SimStats, Simulator, WireCodec,
+    SendBuf, ShardableAlgorithm, SimStats, Simulator,
 };
 use criterion::black_box;
 use rand::rngs::StdRng;
@@ -43,8 +42,7 @@ const SAMPLES: usize = 7;
 
 /// Pass-through allocator counting every allocation event (fresh
 /// allocations and reallocations; frees are not events). The counter is
-/// what the steady-state gate reads: a warm packed-path round performs
-/// zero of them.
+/// what the steady-state gate reads: a warm round performs zero of them.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
@@ -71,24 +69,6 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 fn alloc_events() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
-}
-
-/// The wire path a point was measured on: part of the entry identity.
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Boxed,
-    Packed,
-}
-
-impl Engine {
-    const ALL: [Engine; 2] = [Engine::Boxed, Engine::Packed];
-
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Boxed => "boxed",
-            Engine::Packed => "packed",
-        }
-    }
 }
 
 /// Transparent wrapper recording the largest inbox any node received in
@@ -164,7 +144,6 @@ impl<A: ShardableAlgorithm> ShardableAlgorithm for PeakInbox<A> {
 
 struct Entry {
     alg: &'static str,
-    engine: Engine,
     n: usize,
     edges: usize,
     /// Worker count of a sharded-engine point; `None` for the serial engine.
@@ -179,32 +158,21 @@ struct Entry {
 
 /// Median wall time of `SAMPLES` runs, each on a fresh identically-seeded
 /// algorithm instance; the executed work is identical across samples.
-fn measure<A, F>(
+fn measure<A: CongestAlgorithm, F: Fn() -> A>(
     alg: &'static str,
-    engine: Engine,
     g: &congest_graph::Graph,
     bandwidth: u64,
     quiescence: bool,
     max_rounds: u64,
     fresh: F,
-) -> Entry
-where
-    A: CongestAlgorithm,
-    A::Msg: WireCodec,
-    F: Fn() -> A,
-{
+) -> Entry {
     let mut times = Vec::with_capacity(SAMPLES);
     let mut last: Option<(SimStats, usize)> = None;
     for _ in 0..SAMPLES {
         let sim = Simulator::with_bandwidth(g, bandwidth).stop_on_quiescence(quiescence);
         let mut wrapped = PeakInbox::new(fresh());
         let start = Instant::now();
-        let stats = match engine {
-            Engine::Boxed => sim.run(&mut wrapped, max_rounds),
-            Engine::Packed => sim
-                .try_run_packed(&mut wrapped, max_rounds)
-                .expect("bench workloads are CONGEST-legal"),
-        };
+        let stats = sim.run(&mut wrapped, max_rounds);
         times.push(start.elapsed());
         black_box(&stats);
         last = Some((stats, wrapped.peak));
@@ -214,9 +182,8 @@ where
     let (stats, peak_inbox) = last.expect("SAMPLES > 0");
     let secs = wall.as_secs_f64().max(1e-9);
     println!(
-        "sim_round/{alg}/{eng}/n={n:<4} rounds: {rounds:>6}  bits: {bits:>9}  wall: {wall:>10.3?}  \
+        "sim_round/{alg}/n={n:<4} rounds: {rounds:>6}  bits: {bits:>9}  wall: {wall:>10.3?}  \
          rounds/s: {rps:>12.0}  bits/s: {bps:>14.0}  peak inbox: {peak_inbox}",
-        eng = engine.name(),
         n = g.num_nodes(),
         rounds = stats.rounds,
         bits = stats.total_bits,
@@ -225,7 +192,6 @@ where
     );
     Entry {
         alg,
-        engine,
         n: g.num_nodes(),
         edges: g.num_edges(),
         threads: None,
@@ -243,7 +209,6 @@ where
 #[allow(clippy::too_many_arguments)]
 fn measure_sharded<A: ShardableAlgorithm, F: Fn() -> A>(
     alg: &'static str,
-    engine: Engine,
     g: &congest_graph::Graph,
     bandwidth: u64,
     quiescence: bool,
@@ -253,7 +218,7 @@ fn measure_sharded<A: ShardableAlgorithm, F: Fn() -> A>(
     fresh: F,
 ) -> Entry
 where
-    A::Msg: WireCodec + Send,
+    A::Msg: Send,
 {
     let mut times = Vec::with_capacity(samples);
     let mut last: Option<(SimStats, usize)> = None;
@@ -263,11 +228,9 @@ where
             .with_jobs(threads);
         let mut wrapped = PeakInbox::new(fresh());
         let start = Instant::now();
-        let stats = match engine {
-            Engine::Boxed => sim.try_run_sharded(&mut wrapped, max_rounds),
-            Engine::Packed => sim.try_run_sharded_packed(&mut wrapped, max_rounds),
-        }
-        .expect("bench workloads are CONGEST-legal");
+        let stats = sim
+            .try_run_sharded(&mut wrapped, max_rounds)
+            .expect("bench workloads are CONGEST-legal");
         times.push(start.elapsed());
         black_box(&stats);
         last = Some((stats, wrapped.peak));
@@ -277,9 +240,8 @@ where
     let (stats, peak_inbox) = last.expect("samples > 0");
     let secs = wall.as_secs_f64().max(1e-9);
     println!(
-        "sim_round/{alg}/{eng}/n={n:<7}/threads={threads} rounds: {rounds:>6}  bits: {bits:>10}  \
+        "sim_round/{alg}/n={n:<7}/threads={threads} rounds: {rounds:>6}  bits: {bits:>10}  \
          wall: {wall:>10.3?}  rounds/s: {rps:>10.0}  peak inbox: {peak_inbox}",
-        eng = engine.name(),
         n = g.num_nodes(),
         rounds = stats.rounds,
         bits = stats.total_bits,
@@ -287,7 +249,6 @@ where
     );
     Entry {
         alg,
-        engine,
         n: g.num_nodes(),
         edges: g.num_edges(),
         threads: Some(threads),
@@ -301,14 +262,14 @@ where
 /// Steady-state allocations-per-round of a single-worker sharded
 /// `learn_graph` run, by the two-cap delta method: one run capped at
 /// `hi` rounds and one at `hi - WINDOW` execute byte-identical work up
-/// to the lower cap (same seeds, same engine), so subtracting their
+/// to the lower cap (same seeds), so subtracting their
 /// allocation counts cancels every warm-up allocation — thread spawns,
 /// arena growth, algorithm state doublings — exactly. What remains is
 /// the allocation traffic of `WINDOW` steady-state rounds. Both caps sit
 /// at ~3/4 of the run, inside the drain phase: edge discovery is long
 /// finished (no interning, no bitset growth) while every queue still has
 /// backlog, so all n nodes are still exercising the full wire path.
-fn steady_allocs_per_round(g: &congest_graph::Graph, engine: Engine) -> u64 {
+fn steady_allocs_per_round(g: &congest_graph::Graph) -> u64 {
     const WINDOW: u64 = 64;
     let n = g.num_nodes();
     let run = |cap: u64| -> (u64, u64) {
@@ -317,11 +278,9 @@ fn steady_allocs_per_round(g: &congest_graph::Graph, engine: Engine) -> u64 {
             .with_jobs(1);
         let mut alg = LearnGraph::new(n);
         let before = alloc_events();
-        let stats = match engine {
-            Engine::Boxed => sim.try_run_sharded(&mut alg, cap),
-            Engine::Packed => sim.try_run_sharded_packed(&mut alg, cap),
-        }
-        .expect("bench workloads are CONGEST-legal");
+        let stats = sim
+            .try_run_sharded(&mut alg, cap)
+            .expect("bench workloads are CONGEST-legal");
         (alloc_events() - before, stats.rounds)
     };
     // Find the quiescence round, then place the measurement window at
@@ -432,19 +391,22 @@ fn measure_profile_overhead(g: &congest_graph::Graph) -> ProfileOverhead {
     out
 }
 
-fn write_json(path: &str, entries: &[Entry], overhead: &ProfileOverhead) -> std::io::Result<()> {
+fn write_json(
+    path: &str,
+    cores: usize,
+    entries: &[Entry],
+    overhead: &ProfileOverhead,
+) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"sim_round\",")?;
+    writeln!(f, "  \"available_cores\": {cores},")?;
     writeln!(f, "  \"samples_per_point\": {SAMPLES},")?;
     writeln!(f, "  \"entries\": [")?;
     for (i, e) in entries.iter().enumerate() {
         let secs = e.wall.as_secs_f64().max(1e-9);
         writeln!(f, "    {{")?;
         writeln!(f, "      \"alg\": \"{}\",", e.alg)?;
-        // Part of the entry identity: the same workload on the boxed and
-        // the packed wire path is a comparison axis, not one entry.
-        writeln!(f, "      \"engine\": \"{}\",", e.engine.name())?;
         writeln!(f, "      \"n\": {},", e.n)?;
         if let Some(t) = e.threads {
             // Part of the entry identity: the same workload at different
@@ -472,8 +434,8 @@ fn write_json(path: &str, entries: &[Entry], overhead: &ProfileOverhead) -> std:
             e.stats.messages as f64 / secs
         )?;
         if let Some(a) = e.allocs_per_round {
-            // Gated exactly: the packed path's steady state is
-            // allocation-free and must stay that way.
+            // Gated exactly: the engine's steady state is allocation-free
+            // and must stay that way.
             writeln!(f, "      \"allocs_per_round\": {a},")?;
         }
         writeln!(f, "      \"peak_inbox\": {}", e.peak_inbox)?;
@@ -498,7 +460,8 @@ fn write_json(path: &str, entries: &[Entry], overhead: &ProfileOverhead) -> std:
 }
 
 fn main() {
-    println!("== group: sim_round (simulator hot-path throughput) ==");
+    let cores = congest_par::max_jobs();
+    println!("== group: sim_round (simulator hot-path throughput, available cores: {cores}) ==");
     let mut entries = Vec::new();
 
     // Whole-graph learning (the O(m + D) generic exact algorithm): the
@@ -508,17 +471,9 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(1000 + i as u64);
         let p = 6.0 / (n as f64 - 1.0);
         let g = generators::connected_gnp(n, p, &mut rng);
-        for engine in Engine::ALL {
-            entries.push(measure(
-                "learn_graph",
-                engine,
-                &g,
-                64,
-                true,
-                1_000_000,
-                || LearnGraph::new(n),
-            ));
-        }
+        entries.push(measure("learn_graph", &g, 64, true, 1_000_000, || {
+            LearnGraph::new(n)
+        }));
     }
 
     // Theorem 2.9 sampled max-cut (local-search root solver so larger n
@@ -527,65 +482,43 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(2000 + i as u64);
         let p = 6.0 / (n as f64 - 1.0);
         let g = generators::connected_gnp(n, p, &mut rng);
-        for engine in Engine::ALL {
-            entries.push(measure(
-                "maxcut_sampling",
-                engine,
-                &g,
-                96,
-                false,
-                1_000_000,
-                || SampledMaxCut::new(n, 0.5, LocalCutSolver::LocalSearch, 42),
-            ));
-        }
+        entries.push(measure("maxcut_sampling", &g, 96, false, 1_000_000, || {
+            SampledMaxCut::new(n, 0.5, LocalCutSolver::LocalSearch, 42)
+        }));
     }
 
     // Sharded-engine scaling: the same seeded workload replayed across a
-    // threads axis. Counters are byte-identical across worker counts and
-    // engines (the equivalence pinned by tests/sharded_trace.rs and
-    // tests/packed_equivalence.rs), so only wall time moves along the
-    // curve. Rounds are capped — the curve measures steady-state round
+    // threads axis. Counters are byte-identical across worker counts (the
+    // equivalence pinned by tests/sharded_trace.rs), so only wall time
+    // moves along the curve. Rounds are capped — the curve measures steady-state round
     // throughput, not time-to-convergence.
     for (i, n) in [1_000usize, 10_000].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(3000 + i as u64);
         let p = 6.0 / (n as f64 - 1.0);
         let g = generators::connected_gnp(n, p, &mut rng);
         for threads in [1usize, 2, 4, 8] {
-            for engine in Engine::ALL {
-                entries.push(measure_sharded(
-                    "learn_graph",
-                    engine,
-                    &g,
-                    64,
-                    true,
-                    64,
-                    threads,
-                    3,
-                    || LearnGraph::new(n),
-                ));
-            }
+            entries.push(measure_sharded(
+                "learn_graph",
+                &g,
+                64,
+                true,
+                64,
+                threads,
+                3,
+                || LearnGraph::new(n),
+            ));
         }
-        // Steady-state allocations-per-round on the single-worker point,
-        // both engines (the n=10k twin would take minutes per cap run
-        // for the same per-round answer).
+        // Steady-state allocations-per-round on the single-worker point
+        // (the n=10k twin would take minutes per cap run for the same
+        // per-round answer).
         if n == 1_000 {
-            for engine in Engine::ALL {
-                let allocs = steady_allocs_per_round(&g, engine);
-                println!(
-                    "sim_round/learn_graph/{eng}/n={n}/threads=1 steady-state allocs/round: {allocs}",
-                    eng = engine.name(),
-                );
-                let entry = entries
-                    .iter_mut()
-                    .find(|e| {
-                        e.alg == "learn_graph"
-                            && e.engine == engine
-                            && e.n == n
-                            && e.threads == Some(1)
-                    })
-                    .expect("grid entry exists");
-                entry.allocs_per_round = Some(allocs);
-            }
+            let allocs = steady_allocs_per_round(&g);
+            println!("sim_round/learn_graph/n={n}/threads=1 steady-state allocs/round: {allocs}");
+            let entry = entries
+                .iter_mut()
+                .find(|e| e.alg == "learn_graph" && e.n == n && e.threads == Some(1))
+                .expect("grid entry exists");
+            entry.allocs_per_round = Some(allocs);
         }
     }
 
@@ -596,19 +529,16 @@ fn main() {
         let g = generators::cycle_plus_diameters(n);
         let cap = if n >= 1_000_000 { 8 } else { 32 };
         for threads in [1usize, 8] {
-            for engine in Engine::ALL {
-                entries.push(measure_sharded(
-                    "leader",
-                    engine,
-                    &g,
-                    24,
-                    true,
-                    cap,
-                    threads,
-                    3,
-                    || LeaderElection::new(n),
-                ));
-            }
+            entries.push(measure_sharded(
+                "leader",
+                &g,
+                24,
+                true,
+                cap,
+                threads,
+                3,
+                || LeaderElection::new(n),
+            ));
         }
     }
 
@@ -623,7 +553,7 @@ fn main() {
     println!();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_round.json");
-    match write_json(out, &entries, &overhead) {
+    match write_json(out, cores, &entries, &overhead) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
     }

@@ -2,35 +2,27 @@
 //!
 //! ```text
 //! benchdiff <baseline.json> <fresh.json> [--noise 0.15]
-//! benchdiff --engines <bench.json>
 //! ```
 //!
 //! Diffs a freshly generated `BENCH_*.json` against the committed
 //! baseline (see `congest_bench::regress` for the rules: exact equality
 //! on deterministic counters, median-normalized wall-time ratios against
 //! a noise band). Prints the full comparison table and exits 1
-//! on any regression, so CI can gate on it directly:
+//! on any regression, so CI can gate on it directly (a document that
+//! does not parse — malformed JSON, or two entries with one id — exits
+//! 1 too):
 //!
 //! ```text
 //! cargo bench -p congest-bench --bench sim_round
 //! benchdiff baseline/BENCH_sim_round.json BENCH_sim_round.json
 //! ```
-//!
-//! `--engines` reads a single document with a packed-vs-boxed `engine`
-//! axis (`BENCH_sim_round.json`) and prints the wire-path comparison
-//! table — wall times and speedups of each paired workload, plus the
-//! steady-state allocations-per-round where measured. Exits 1 when the
-//! file has no engine axis, so CI notices a silently dropped axis.
 
 use std::process::ExitCode;
 
-use congest_bench::regress::{compare, engine_comparison, BenchDoc, DEFAULT_NOISE_BAND};
+use congest_bench::regress::{compare, BenchDoc, DEFAULT_NOISE_BAND};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: benchdiff <baseline.json> <fresh.json> [--noise <band, e.g. 0.15>]\n\
-                benchdiff --engines <bench.json>"
-    );
+    eprintln!("usage: benchdiff <baseline.json> <fresh.json> [--noise <band, e.g. 0.15>]");
     ExitCode::from(2)
 }
 
@@ -41,28 +33,6 @@ fn load(path: &str) -> Result<BenchDoc, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--engines") {
-        let (Some(path), None) = (args.get(1), args.get(2)) else {
-            return usage();
-        };
-        let doc = match load(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match engine_comparison(&doc) {
-            Some(table) => {
-                print!("{table}");
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("benchdiff: {path} has no packed-vs-boxed engine axis");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let (Some(base_path), Some(fresh_path)) = (args.first(), args.get(1)) else {
         return usage();
     };

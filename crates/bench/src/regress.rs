@@ -27,7 +27,9 @@
 //! Derived rates (`*_per_sec`, `speedup`, `*_rate`, `*_pct`) are
 //! recomputable from the other columns and are ignored. Missing or extra
 //! entries are hard failures: a shrunken suite must not pass the gate by
-//! comparing nothing.
+//! comparing nothing. For the same reason two entries with one id are a
+//! parse error — otherwise the later one would silently shadow the
+//! earlier in the id maps [`compare`] matches on.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -56,7 +58,8 @@ pub struct BenchEntry {
 pub struct BenchDoc {
     /// The reporter's name (top-level `"bench"` field).
     pub name: String,
-    /// Entries in file order.
+    /// Entries in file order; ids are unique ([`BenchDoc::parse`]
+    /// rejects a duplicate).
     pub entries: Vec<BenchEntry>,
 }
 
@@ -68,11 +71,7 @@ const EXCLUDED_COUNTERS: &[&str] = &["jobs", "memo_hits", "memo_misses", "availa
 /// counts forms a scaling curve of distinct entries. Likewise
 /// `adversary` (`BENCH_faults.json`): the same `(alg, n)` point under
 /// the i.i.d. sweep and under the worst-case search are two workloads.
-/// `engine` (`BENCH_sim_round.json`, string-valued in practice and then
-/// already identity) keys the packed-vs-boxed wire-path axis — crucially
-/// it keeps the packed entries' exactly-gated `allocs_per_round` from
-/// ever being compared against a boxed twin.
-const ID_FIELDS: &[&str] = &["n", "k_input", "threads", "adversary", "engine"];
+const ID_FIELDS: &[&str] = &["n", "k_input", "threads", "adversary"];
 
 fn is_wall_field(name: &str) -> bool {
     name.ends_with("_micros")
@@ -99,6 +98,7 @@ impl BenchDoc {
             .and_then(JsonValue::as_array)
             .ok_or("missing top-level \"entries\" array")?;
         let mut entries = Vec::with_capacity(raw.len());
+        let mut seen = BTreeSet::new();
         for (i, item) in raw.iter().enumerate() {
             let members = item
                 .as_object()
@@ -131,8 +131,12 @@ impl BenchDoc {
             if id_parts.is_empty() {
                 return Err(format!("entry {i} has no identity fields"));
             }
+            let id = id_parts.join("/");
+            if !seen.insert(id.clone()) {
+                return Err(format!("entry {i} duplicates the id {id}"));
+            }
             entries.push(BenchEntry {
-                id: id_parts.join("/"),
+                id,
                 counters,
                 walls,
             });
@@ -312,78 +316,6 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, noise_band: f64) -> Regres
     }
 }
 
-/// Renders the packed-vs-boxed wire-path comparison from one bench
-/// document: every entry pair whose identities differ only in the
-/// `engine` segment becomes one row of boxed wall time, packed wall
-/// time, and the boxed/packed speedup. Returns `None` when the document
-/// has no such pairs (it has no engine axis).
-pub fn engine_comparison(doc: &BenchDoc) -> Option<String> {
-    let swap_engine = |id: &str| -> Option<String> {
-        let mut swapped = false;
-        let parts: Vec<&str> = id
-            .split('/')
-            .map(|seg| {
-                if seg == "packed" {
-                    swapped = true;
-                    "boxed"
-                } else {
-                    seg
-                }
-            })
-            .collect();
-        swapped.then(|| parts.join("/"))
-    };
-    let by_id: BTreeMap<&str, &BenchEntry> =
-        doc.entries.iter().map(|e| (e.id.as_str(), e)).collect();
-    let mut out = String::new();
-    let mut rows = 0usize;
-    for packed in &doc.entries {
-        let Some(boxed) = swap_engine(&packed.id).and_then(|id| by_id.get(id.as_str()).copied())
-        else {
-            continue;
-        };
-        let workload = packed.id.replace("/packed", "");
-        for (key, p) in &packed.walls {
-            let Some(b) = boxed.walls.get(key) else {
-                continue;
-            };
-            if rows == 0 {
-                let _ = writeln!(
-                    out,
-                    "bench {}: packed vs boxed wire path (speedup = boxed/packed)",
-                    doc.name
-                );
-                let _ = writeln!(
-                    out,
-                    "  {:<44} {:>14} {:>14} {:>9}",
-                    "workload", "boxed µs", "packed µs", "speedup"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "  {workload:<44} {b:>14.0} {p:>14.0} {speedup:>8.2}x",
-                speedup = b / p.max(1.0),
-            );
-            rows += 1;
-        }
-        let (pa, ba) = (
-            packed.counters.get("allocs_per_round"),
-            boxed.counters.get("allocs_per_round"),
-        );
-        if pa.is_some() || ba.is_some() {
-            let fmt = |v: Option<&u64>| v.map_or_else(|| "-".to_string(), u64::to_string);
-            let _ = writeln!(
-                out,
-                "  {:<44} {:>14} {:>14}",
-                format!("{workload} (steady allocs/round)"),
-                fmt(ba),
-                fmt(pa),
-            );
-        }
-    }
-    (rows > 0).then_some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,68 +379,54 @@ mod tests {
     }
 
     #[test]
-    fn engine_is_identity_and_allocs_per_round_is_gated_exactly() {
+    fn allocs_per_round_is_gated_exactly() {
         let text = r#"{
             "bench": "sim_round",
             "entries": [
-                {"alg": "learn_graph", "engine": "boxed", "n": 1000, "threads": 1,
-                 "rounds": 64, "allocs_per_round": 7, "wall_micros": 84000},
-                {"alg": "learn_graph", "engine": "packed", "n": 1000, "threads": 1,
-                 "rounds": 64, "allocs_per_round": 0, "wall_micros": 21000}
+                {"alg": "learn_graph", "n": 1000, "threads": 1,
+                 "rounds": 64, "allocs_per_round": 0, "wall_micros": 48000},
+                {"alg": "learn_graph", "n": 1000, "threads": 2,
+                 "rounds": 64, "wall_micros": 51000}
             ]
         }"#;
         let doc = BenchDoc::parse(text).expect("parses");
-        // The same workload on the two wire paths must stay two entries.
-        assert_eq!(doc.entries[0].id, "learn_graph/boxed/n=1000/threads=1");
-        assert_eq!(doc.entries[1].id, "learn_graph/packed/n=1000/threads=1");
-        assert_eq!(doc.entries[1].counters.get("allocs_per_round"), Some(&0));
+        assert_eq!(doc.entries[0].id, "learn_graph/n=1000/threads=1");
+        assert_eq!(doc.entries[0].counters.get("allocs_per_round"), Some(&0));
         let report = compare(&doc, &doc, DEFAULT_NOISE_BAND);
         assert!(!report.is_regression(), "{}", report.render());
 
-        // A packed path that starts allocating in steady state is a hard
+        // An engine that starts allocating in steady state is a hard
         // failure, however fast it still is.
         let mut fresh = doc.clone();
-        fresh.entries[1]
+        fresh.entries[0]
             .counters
-            .insert("allocs_per_round".to_string(), 2);
+            .insert("allocs_per_round".to_string(), 1);
         let report = compare(&doc, &fresh, DEFAULT_NOISE_BAND);
         assert!(report.is_regression());
         assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("packed") && f.contains("allocs_per_round")),
+            report.failures.iter().any(|f| f.contains("threads=1")
+                && f.contains("allocs_per_round")
+                && f.contains("0 -> 1")),
             "{:?}",
             report.failures
         );
     }
 
     #[test]
-    fn engine_comparison_pairs_entries_across_the_engine_segment() {
+    fn duplicate_entry_ids_are_a_parse_error() {
+        // Two rows collapsing onto one id would let the later one shadow
+        // the earlier in `compare`, and a regression on the shadowed row
+        // would pass unseen.
         let text = r#"{
             "bench": "sim_round",
             "entries": [
-                {"alg": "learn_graph", "engine": "boxed", "n": 1000, "threads": 1,
-                 "rounds": 64, "allocs_per_round": 7, "wall_micros": 84000},
-                {"alg": "learn_graph", "engine": "packed", "n": 1000, "threads": 1,
-                 "rounds": 64, "allocs_per_round": 0, "wall_micros": 21000},
-                {"alg": "maxcut_sampling", "engine": "boxed", "n": 32,
-                 "rounds": 83, "wall_micros": 150}
+                {"alg": "leader", "n": 10, "rounds": 5, "wall_micros": 100},
+                {"alg": "leader", "n": 10, "rounds": 7, "wall_micros": 100}
             ]
         }"#;
-        let doc = BenchDoc::parse(text).expect("parses");
-        let table = engine_comparison(&doc).expect("has an engine axis");
-        // One paired workload; the unpaired boxed-only entry is skipped.
-        assert!(table.contains("learn_graph/n=1000/threads=1"), "{table}");
-        assert!(table.contains("4.00x"), "{table}");
-        assert!(!table.contains("maxcut_sampling"), "{table}");
-
-        // No engine axis at all -> no table.
-        let plain = BenchDoc::parse(
-            r#"{"bench": "x", "entries": [{"alg": "a", "n": 1, "wall_micros": 10}]}"#,
-        )
-        .expect("parses");
-        assert_eq!(engine_comparison(&plain), None);
+        let err = BenchDoc::parse(text).expect_err("duplicate ids rejected");
+        assert!(err.contains("leader/n=10"), "{err}");
+        assert!(err.contains("entry 1"), "{err}");
     }
 
     #[test]

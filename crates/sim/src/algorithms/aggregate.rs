@@ -12,7 +12,6 @@
 use congest_graph::{NodeId, Weight};
 
 use crate::bits::{mag_bits, value_bits};
-use crate::slab::{SlabReader, SlabWriter, WireCodec};
 use crate::{CongestAlgorithm, NodeContext, RoundOutcome, SendBuf, ShardableAlgorithm};
 
 /// Messages of the aggregation algorithm.
@@ -26,62 +25,6 @@ pub enum AggMsg {
     Partial(Weight),
     /// The final total, broadcast down the tree.
     Total(Weight),
-}
-
-/// Wire layout: the two-bit variant tag rides in `aux` (0 = depth,
-/// 1 = child, 2 = partial, 3 = total); depth payloads are `d` in the
-/// metered width minus the tag, value payloads are a sign bit plus the
-/// magnitude (the sign is simulator framing — the model prices
-/// magnitudes, see [`crate::bits::value_bits`]).
-impl WireCodec for AggMsg {
-    fn width_bits(&self) -> u64 {
-        match *self {
-            AggMsg::Depth(d) => 2 + mag_bits(d as u64),
-            AggMsg::Child => 2,
-            AggMsg::Partial(w) | AggMsg::Total(w) => value_bits(w),
-        }
-    }
-
-    fn encode_into(&self, w: &mut SlabWriter<'_>) -> u16 {
-        match *self {
-            AggMsg::Depth(d) => {
-                w.put(d as u64, mag_bits(d as u64) as u32);
-                0
-            }
-            AggMsg::Child => 1,
-            AggMsg::Partial(v) | AggMsg::Total(v) => {
-                let mag = v.unsigned_abs();
-                w.put(u64::from(v < 0), 1);
-                w.put(mag, mag_bits(mag) as u32);
-                if matches!(self, AggMsg::Partial(_)) {
-                    2
-                } else {
-                    3
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut SlabReader<'_>, width: u64, aux: u16) -> Self {
-        match aux {
-            0 => AggMsg::Depth(r.take(width as u32 - 2) as usize),
-            1 => AggMsg::Child,
-            tag => {
-                let neg = r.take(1) == 1;
-                let mag = r.take(width as u32 - 2);
-                let v = if neg {
-                    (mag as Weight).wrapping_neg()
-                } else {
-                    mag as Weight
-                };
-                if tag == 2 {
-                    AggMsg::Partial(v)
-                } else {
-                    AggMsg::Total(v)
-                }
-            }
-        }
-    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -145,8 +88,15 @@ impl CongestAlgorithm for AggregateSum {
     type Msg = AggMsg;
     type Output = Weight;
 
+    /// A two-bit variant tag plus the magnitude of the depth or value.
+    /// The model prices magnitudes, so a value's sign is not metered
+    /// ([`value_bits`] includes the tag).
     fn message_bits(msg: &AggMsg) -> u64 {
-        msg.width_bits()
+        match *msg {
+            AggMsg::Depth(d) => 2 + mag_bits(d as u64),
+            AggMsg::Child => 2,
+            AggMsg::Partial(w) | AggMsg::Total(w) => value_bits(w),
+        }
     }
 
     fn init(&mut self, node: NodeId, ctx: &NodeContext<'_>) -> Vec<(NodeId, AggMsg)> {
@@ -324,5 +274,62 @@ mod tests {
         let (alg, _) = run(&g, vec![1; 20]);
         assert_eq!(alg.total(0), Some(20));
         assert_eq!(alg.total(19), Some(20));
+    }
+
+    /// `AggMsg` width = two tag bits plus the magnitude of the depth or
+    /// value (the sign is not metered), at the boundaries and on
+    /// corrupted payloads (a flip of bit `bit % 8`).
+    #[test]
+    fn message_bits_pins_at_boundaries() {
+        for &(d, bits) in &[
+            (0usize, 3u64),
+            (1, 3),
+            (2, 4),
+            (255, 10),
+            (256, 11),
+            (usize::MAX, 66),
+        ] {
+            assert_eq!(
+                AggregateSum::message_bits(&AggMsg::Depth(d)),
+                bits,
+                "depth {d}"
+            );
+        }
+        assert_eq!(AggregateSum::message_bits(&AggMsg::Child), 2);
+        for &(w, bits) in &[
+            (0 as Weight, 3u64),
+            (1, 3),
+            (-1, 3),
+            (2, 4),
+            (256, 11),
+            (-256, 11),
+            (Weight::MAX, 65),
+            (Weight::MIN, 66),
+        ] {
+            assert_eq!(
+                AggregateSum::message_bits(&AggMsg::Partial(w)),
+                bits,
+                "partial {w}"
+            );
+            assert_eq!(
+                AggregateSum::message_bits(&AggMsg::Total(w)),
+                bits,
+                "total {w}"
+            );
+        }
+        assert_eq!(
+            AggregateSum::corrupt(&AggMsg::Depth(0), 8),
+            Some(AggMsg::Depth(1))
+        );
+        assert_eq!(AggregateSum::corrupt(&AggMsg::Child, 0), None);
+        let flipped =
+            AggregateSum::corrupt(&AggMsg::Partial(Weight::MIN), 0).expect("values corrupt");
+        assert_eq!(flipped, AggMsg::Partial(Weight::MIN + 1));
+        assert_eq!(AggregateSum::message_bits(&flipped), 65);
+        assert_eq!(
+            AggregateSum::corrupt(&AggMsg::Total(-1), 1),
+            Some(AggMsg::Total(-3))
+        );
+        assert_eq!(AggregateSum::message_bits(&AggMsg::Total(-3)), 4);
     }
 }

@@ -7,7 +7,6 @@
 use congest_graph::NodeId;
 
 use crate::bits::mag_bits;
-use crate::slab::{SlabReader, SlabWriter, WireCodec};
 use crate::{CongestAlgorithm, NodeContext, RoundOutcome, SendBuf, ShardableAlgorithm};
 
 /// BFS-tree construction from a designated root. After the run each node
@@ -28,36 +27,6 @@ pub enum BfsMsg {
     Depth(usize),
     /// "You are my parent."
     Child,
-}
-
-/// Wire layout: the variant tag rides in `aux` (0 = depth, 1 = child);
-/// a depth announcement's payload is `d` in its metered width minus the
-/// one-bit tag, a child notice has no payload.
-impl WireCodec for BfsMsg {
-    fn width_bits(&self) -> u64 {
-        match self {
-            BfsMsg::Depth(d) => 1 + mag_bits(*d as u64),
-            BfsMsg::Child => 1,
-        }
-    }
-
-    fn encode_into(&self, w: &mut SlabWriter<'_>) -> u16 {
-        match self {
-            BfsMsg::Depth(d) => {
-                w.put(*d as u64, mag_bits(*d as u64) as u32);
-                0
-            }
-            BfsMsg::Child => 1,
-        }
-    }
-
-    fn decode(r: &mut SlabReader<'_>, width: u64, aux: u16) -> Self {
-        if aux == 1 {
-            BfsMsg::Child
-        } else {
-            BfsMsg::Depth(r.take(width as u32 - 1) as usize)
-        }
-    }
 }
 
 impl BfsTree {
@@ -97,8 +66,13 @@ impl CongestAlgorithm for BfsTree {
     type Msg = BfsMsg;
     type Output = (Option<NodeId>, usize);
 
+    /// A one-bit variant tag, plus the depth's magnitude for an
+    /// announcement.
     fn message_bits(msg: &BfsMsg) -> u64 {
-        msg.width_bits()
+        match msg {
+            BfsMsg::Depth(d) => 1 + mag_bits(*d as u64),
+            BfsMsg::Child => 1,
+        }
     }
 
     fn init(&mut self, node: NodeId, ctx: &NodeContext<'_>) -> Vec<(NodeId, BfsMsg)> {
@@ -250,5 +224,34 @@ mod tests {
         sim.run(&mut alg, 50);
         assert_eq!(alg.output(iso), None);
         assert_eq!(alg.depth(2), Some(2));
+    }
+
+    /// `BfsMsg` width = one tag bit, plus `mag_bits(d)` for a depth, at
+    /// the boundaries and on corrupted depths (a flip of bit `bit % 8`).
+    #[test]
+    fn message_bits_pins_at_boundaries() {
+        for &(d, bits) in &[
+            (0usize, 2u64),
+            (1, 2),
+            (2, 3),
+            (255, 9),
+            (256, 10),
+            (usize::MAX, 65),
+        ] {
+            assert_eq!(BfsTree::message_bits(&BfsMsg::Depth(d)), bits, "depth {d}");
+        }
+        assert_eq!(BfsTree::message_bits(&BfsMsg::Child), 1);
+        assert_eq!(
+            BfsTree::corrupt(&BfsMsg::Depth(0), 0),
+            Some(BfsMsg::Depth(1))
+        );
+        assert_eq!(
+            BfsTree::corrupt(&BfsMsg::Depth(256), 8),
+            Some(BfsMsg::Depth(257))
+        );
+        let flipped = BfsTree::corrupt(&BfsMsg::Depth(255), 7).expect("depths corrupt");
+        assert_eq!(flipped, BfsMsg::Depth(127));
+        assert_eq!(BfsTree::message_bits(&flipped), 8);
+        assert_eq!(BfsTree::corrupt(&BfsMsg::Child, 3), None);
     }
 }

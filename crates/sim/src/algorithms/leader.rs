@@ -158,4 +158,27 @@ mod tests {
         assert_eq!(alg.leader(0), 0);
         assert_eq!(alg.leader(a), a.min(b));
     }
+
+    /// Widths at zero, one, powers of two and the extreme identifier,
+    /// plus the corrupted identifiers (a flip of bit `bit % 8`).
+    #[test]
+    fn message_bits_pins_at_boundaries() {
+        for &(id, bits) in &[
+            (0usize, 1u64),
+            (1, 1),
+            (2, 2),
+            (255, 8),
+            (256, 9),
+            (usize::MAX, 64),
+        ] {
+            assert_eq!(LeaderElection::message_bits(&id), bits, "id {id}");
+        }
+        assert_eq!(LeaderElection::corrupt(&0, 0), Some(1));
+        assert_eq!(LeaderElection::corrupt(&255, 15), Some(127));
+        assert_eq!(
+            LeaderElection::corrupt(&usize::MAX, 8),
+            Some(usize::MAX - 1)
+        );
+        assert_eq!(LeaderElection::message_bits(&127), 7);
+    }
 }

@@ -364,4 +364,20 @@ mod tests {
         assert_eq!(donor.known_count(0), 2);
         assert_eq!(donor.known_count(4), 2);
     }
+
+    /// `EdgeMsg` width = `id_bits(u) + id_bits(v) + mag_bits(|w|)`, at
+    /// the boundaries and on corrupted weights (a flip of bit `bit % 8`).
+    #[test]
+    fn message_bits_pins_at_boundaries() {
+        assert_eq!(LearnGraph::message_bits(&(0, 1, 1)), 3);
+        assert_eq!(LearnGraph::message_bits(&(1, 2, -1)), 4);
+        assert_eq!(LearnGraph::message_bits(&(3, 5, 0)), 6);
+        assert_eq!(LearnGraph::message_bits(&(256, 255, 2)), 19);
+        let extreme = (usize::MAX, usize::MAX, Weight::MIN);
+        assert_eq!(LearnGraph::message_bits(&extreme), 192);
+        let corrupted = LearnGraph::corrupt(&extreme, 8).expect("weights corrupt");
+        assert_eq!(corrupted, (usize::MAX, usize::MAX, Weight::MIN + 1));
+        assert_eq!(LearnGraph::message_bits(&corrupted), 191);
+        assert_eq!(LearnGraph::corrupt(&(3, 5, 0), 2), Some((3, 5, 4)));
+    }
 }

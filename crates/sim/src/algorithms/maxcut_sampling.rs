@@ -19,7 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::bits::{id_bits, mag_bits};
-use crate::slab::{SlabReader, SlabWriter, WireCodec};
 use crate::{CongestAlgorithm, NodeContext, RoundOutcome, SendBuf};
 
 /// How the root solves max-cut on the sampled subgraph.
@@ -46,95 +45,6 @@ pub enum McMsg {
     Assign(NodeId, bool),
     /// Downcast: the sampled optimum `c*_p`.
     CutValue(Weight),
-}
-
-/// Wire layout: `aux` carries a three-bit variant tag (0 = depth,
-/// 1 = child, 2 = edge, 3 = up-done, 4 = assign, 5 = cut-value) and, for
-/// edge upcasts, the two endpoint widths (6 bits each, values
-/// `width - 1`). Payloads use the metered widths; weight sign bits are
-/// simulator framing on top of the metered magnitude, never charged.
-impl WireCodec for McMsg {
-    fn width_bits(&self) -> u64 {
-        3 + match *self {
-            McMsg::Depth(d) => id_bits(d as u64),
-            McMsg::Child => 0,
-            McMsg::Edge(u, v, w) => {
-                id_bits(u as u64) + id_bits(v as u64) + id_bits(w.unsigned_abs())
-            }
-            McMsg::UpDone => 0,
-            McMsg::Assign(v, _) => id_bits(v as u64) + 1,
-            McMsg::CutValue(c) => id_bits(c.unsigned_abs()),
-        }
-    }
-
-    fn encode_into(&self, w: &mut SlabWriter<'_>) -> u16 {
-        match *self {
-            McMsg::Depth(d) => {
-                w.put(d as u64, mag_bits(d as u64) as u32);
-                0
-            }
-            McMsg::Child => 1,
-            McMsg::Edge(u, v, wt) => {
-                let wu = id_bits(u as u64) as u32;
-                let wv = id_bits(v as u64) as u32;
-                let mag = wt.unsigned_abs();
-                w.put(u as u64, wu);
-                w.put(v as u64, wv);
-                w.put(u64::from(wt < 0), 1);
-                w.put(mag, mag_bits(mag) as u32);
-                (2 | ((wu - 1) << 3) | ((wv - 1) << 9)) as u16
-            }
-            McMsg::UpDone => 3,
-            McMsg::Assign(v, side) => {
-                w.put(v as u64, id_bits(v as u64) as u32);
-                w.put(u64::from(side), 1);
-                4
-            }
-            McMsg::CutValue(c) => {
-                let mag = c.unsigned_abs();
-                w.put(u64::from(c < 0), 1);
-                w.put(mag, mag_bits(mag) as u32);
-                5
-            }
-        }
-    }
-
-    fn decode(r: &mut SlabReader<'_>, width: u64, aux: u16) -> Self {
-        let payload = width as u32 - 3;
-        match aux & 7 {
-            0 => McMsg::Depth(r.take(payload) as usize),
-            1 => McMsg::Child,
-            2 => {
-                let wu = u32::from((aux >> 3) & 63) + 1;
-                let wv = u32::from((aux >> 9) & 63) + 1;
-                let u = r.take(wu) as NodeId;
-                let v = r.take(wv) as NodeId;
-                let neg = r.take(1) == 1;
-                let mag = r.take(payload - wu - wv);
-                let w = if neg {
-                    (mag as Weight).wrapping_neg()
-                } else {
-                    mag as Weight
-                };
-                McMsg::Edge(u, v, w)
-            }
-            3 => McMsg::UpDone,
-            4 => {
-                let v = r.take(payload - 1) as NodeId;
-                McMsg::Assign(v, r.take(1) == 1)
-            }
-            _ => {
-                let neg = r.take(1) == 1;
-                let mag = r.take(payload);
-                let c = if neg {
-                    (mag as Weight).wrapping_neg()
-                } else {
-                    mag as Weight
-                };
-                McMsg::CutValue(c)
-            }
-        }
-    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -246,8 +156,18 @@ impl CongestAlgorithm for SampledMaxCut {
     type Msg = McMsg;
     type Output = (bool, f64);
 
+    /// A three-bit variant tag plus the variant's payload.
     fn message_bits(msg: &McMsg) -> u64 {
-        msg.width_bits()
+        3 + match *msg {
+            McMsg::Depth(d) => id_bits(d as u64),
+            McMsg::Child => 0,
+            McMsg::Edge(u, v, w) => {
+                id_bits(u as u64) + id_bits(v as u64) + id_bits(w.unsigned_abs())
+            }
+            McMsg::UpDone => 0,
+            McMsg::Assign(v, _) => id_bits(v as u64) + 1,
+            McMsg::CutValue(c) => id_bits(c.unsigned_abs()),
+        }
     }
 
     fn init(&mut self, node: NodeId, ctx: &NodeContext<'_>) -> Vec<(NodeId, McMsg)> {
@@ -492,5 +412,42 @@ mod tests {
         for v in 1..12 {
             assert_eq!(alg.estimate(v), Some(est0));
         }
+    }
+
+    /// `McMsg` width = three tag bits plus the variant's payload, at the
+    /// boundaries and on corrupted payloads (a flip of bit `bit % 8`, or
+    /// of the side).
+    #[test]
+    fn message_bits_pins_at_boundaries() {
+        let bits = SampledMaxCut::message_bits;
+        assert_eq!(bits(&McMsg::Depth(0)), 4);
+        assert_eq!(bits(&McMsg::Depth(1)), 4);
+        assert_eq!(bits(&McMsg::Depth(256)), 12);
+        assert_eq!(bits(&McMsg::Depth(usize::MAX)), 67);
+        assert_eq!(bits(&McMsg::Child), 3);
+        assert_eq!(bits(&McMsg::UpDone), 3);
+        assert_eq!(bits(&McMsg::Edge(0, 1, 0)), 6);
+        assert_eq!(bits(&McMsg::Edge(2, 255, -1)), 14);
+        assert_eq!(bits(&McMsg::Edge(usize::MAX, 0, Weight::MIN)), 132);
+        assert_eq!(bits(&McMsg::Assign(0, true)), 5);
+        assert_eq!(bits(&McMsg::Assign(256, false)), 13);
+        assert_eq!(bits(&McMsg::Assign(usize::MAX, true)), 68);
+        assert_eq!(bits(&McMsg::CutValue(0)), 4);
+        assert_eq!(bits(&McMsg::CutValue(-2)), 5);
+        assert_eq!(bits(&McMsg::CutValue(Weight::MIN)), 67);
+
+        let corrupt = SampledMaxCut::corrupt;
+        assert_eq!(corrupt(&McMsg::Depth(255), 7), Some(McMsg::Depth(127)));
+        assert_eq!(bits(&McMsg::Depth(127)), 10);
+        let edge = corrupt(&McMsg::Edge(usize::MAX, 0, Weight::MIN), 8).expect("weights corrupt");
+        assert_eq!(edge, McMsg::Edge(usize::MAX, 0, Weight::MIN + 1));
+        assert_eq!(bits(&edge), 131);
+        assert_eq!(
+            corrupt(&McMsg::Assign(256, false), 5),
+            Some(McMsg::Assign(256, true))
+        );
+        assert_eq!(corrupt(&McMsg::CutValue(0), 2), Some(McMsg::CutValue(4)));
+        assert_eq!(corrupt(&McMsg::Child, 0), None);
+        assert_eq!(corrupt(&McMsg::UpDone, 0), None);
     }
 }

@@ -3,11 +3,12 @@
 //! Historically every CONGEST-model violation was an `assert!` deep in the
 //! simulator — a single malformed send crashed the whole process. The
 //! fallible entry points ([`crate::Simulator::try_run`],
-//! [`crate::Simulator::try_run_observed`], [`crate::Simulator::try_run_with`])
-//! surface the same violations as [`SimError`] values instead; the
-//! panicking [`crate::Simulator::run`] survives as a thin compatibility
-//! wrapper whose panic payload is exactly the [`SimError`] display string,
-//! so tooling that greps for the `CONGEST violation` prefix keeps working.
+//! [`crate::Simulator::try_run_with`], [`crate::Simulator::try_run_profiled`]
+//! and their sharded twins) surface the same violations as [`SimError`]
+//! values instead; the panicking [`crate::Simulator::run`] survives as a
+//! thin compatibility wrapper whose panic payload is exactly the
+//! [`SimError`] display string, so tooling that greps for the
+//! `CONGEST violation` prefix keeps working.
 
 use std::fmt;
 

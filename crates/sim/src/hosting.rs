@@ -22,7 +22,6 @@ use congest_graph::{Graph, NodeId};
 
 use crate::bits::id_bits;
 use crate::error::HostingError;
-use crate::slab::{SlabReader, SlabWriter, WireCodec};
 use crate::{CongestAlgorithm, NodeContext, RoundOutcome};
 
 /// The assignment of reduced-graph vertices to host vertices.
@@ -126,36 +125,6 @@ pub struct HostedMsg<M> {
     pub to: NodeId,
     /// The inner payload.
     pub inner: M,
-}
-
-/// Wire layout: two 6-bit length fields (`wf-1`, `wt-1` — endpoint ids
-/// are 1..=64 bits wide), the routing header `from`/`to` in those widths,
-/// then the inner payload. The hosted `aux` word is the inner codec's
-/// `aux` verbatim, and the inner width is recovered as the metered width
-/// minus the two header widths — the 12 length bits are physical framing
-/// (covered by word-alignment slack), never metered.
-impl<M: WireCodec> WireCodec for HostedMsg<M> {
-    fn width_bits(&self) -> u64 {
-        id_bits(self.from as u64) + id_bits(self.to as u64) + self.inner.width_bits()
-    }
-
-    fn encode_into(&self, w: &mut SlabWriter<'_>) -> u16 {
-        let (wf, wt) = (id_bits(self.from as u64), id_bits(self.to as u64));
-        w.put(wf - 1, 6);
-        w.put(wt - 1, 6);
-        w.put(self.from as u64, wf as u32);
-        w.put(self.to as u64, wt as u32);
-        self.inner.encode_into(w)
-    }
-
-    fn decode(r: &mut SlabReader<'_>, width: u64, aux: u16) -> Self {
-        let wf = r.take(6) + 1;
-        let wt = r.take(6) + 1;
-        let from = r.take(wf as u32) as NodeId;
-        let to = r.take(wt as u32) as NodeId;
-        let inner = M::decode(r, width - wf - wt, aux);
-        HostedMsg { from, to, inner }
-    }
 }
 
 /// Runs an algorithm written for `mapping.reduced()` on the host graph.

@@ -11,9 +11,16 @@
 //! metered, so benches can compare measured costs against the bounds.
 //!
 //! The engine enforces the model: messages may only travel along graph
-//! edges and may not exceed the configured bandwidth. The `try_run`
-//! entry points surface violations as typed [`SimError`]s; the classic
-//! `run` entry points panic with the same messages for convenience.
+//! edges and may not exceed the configured bandwidth. Every message is
+//! metered at its exact [`CongestAlgorithm::message_bits`] width, on its
+//! own edge, in its own round. [`Simulator`] has seven run methods: the
+//! fallible serial [`Simulator::try_run`], [`Simulator::try_run_with`]
+//! (observer + link layer) and [`Simulator::try_run_profiled`] (plus a
+//! [`PhaseProfile`]); their sharded twins [`Simulator::try_run_sharded`]
+//! and [`Simulator::try_run_sharded_with`] for [`ShardableAlgorithm`]s;
+//! and the classic [`Simulator::run`] / [`Simulator::run_observed`],
+//! which panic with the same messages the fallible methods return as
+//! typed [`SimError`]s.
 //!
 //! A pluggable [`LinkLayer`] sits *below* the model checks and can drop,
 //! corrupt, duplicate, delay, or throttle messages and crash-stop nodes —
@@ -38,7 +45,6 @@ mod model;
 pub mod observer;
 pub mod profile;
 mod shard;
-pub mod slab;
 
 pub use certify::{ProtocolFailure, SelfCertify};
 pub use error::{HostingError, SimError};
@@ -50,7 +56,6 @@ pub use model::{
 pub use observer::{NoopRoundObserver, RoundDelta, RoundObserver, TraceObserver};
 pub use profile::{Phase, PhaseProfile};
 pub use shard::{ShardSafeLink, ShardableAlgorithm};
-pub use slab::{MsgSlab, SlabEntry, SlabReader, SlabWriter, WireCodec};
 
 // Re-exported so sharded-run callers can consume the returned worker
 // utilization without depending on `congest-par` directly.

@@ -7,7 +7,6 @@ use crate::error::SimError;
 use crate::link::{FaultCounters, FaultEvent, FaultKind, LinkFate, LinkLayer, PerfectLink};
 use crate::observer::{RoundDelta, RoundObserver};
 use crate::profile::{Phase, PhaseProfile};
-use crate::slab::{PackedArena, WireCodec};
 
 /// The default CONGEST bandwidth: `2·⌈log₂ n⌉ + 16` bits per edge per
 /// round — enough for a constant number of identifiers plus tags, the
@@ -258,70 +257,31 @@ impl<M> Default for SendBuf<M> {
     }
 }
 
-/// The engine's in-flight/delivery buffer abstraction: the boxed arena
-/// ([`BoxedArena`], per-destination `Vec<(NodeId, Msg)>` buffers — the
-/// historical representation) and the word-packed slab arena
-/// ([`crate::slab::PackedArena`]) implement the same staging protocol,
-/// so one generic engine drives both byte-identically.
+/// The engine's in-flight/delivery buffer: one `Vec` of `(sender,
+/// message)` tuples per destination, double-buffered across rounds.
 ///
 /// Protocol per dispatched message: `stage` appends the message and
 /// returns its metered width; the caller then meters and asks the link
 /// layer for a fate, and on a non-delivery fate rolls the entry back
 /// with `unstage` (always the most recently staged entry). `push`
 /// appends without width accounting (matured delays, sharded round-
-/// barrier handoff). `begin_delivery` runs once per round after the
-/// in-flight/delivery swap, before any `inbox` call.
-pub(crate) trait MsgArena<A: CongestAlgorithm> {
-    /// An empty arena for `n` nodes.
-    fn with_nodes(n: usize) -> Self;
-
-    /// Appends a message and returns its metered width. `hint` is the
-    /// [`SendBuf`] width hint (`0` = unknown, compute it).
-    fn stage(&mut self, to: NodeId, from: NodeId, msg: A::Msg, hint: u64) -> u64;
-
-    /// Removes and returns the most recently staged message (fault-path
-    /// rollback for drops, delays, and corruption rewrites).
-    fn unstage(&mut self, to: NodeId) -> A::Msg;
-
-    /// Appends a message without metering bookkeeping.
-    fn push(&mut self, to: NodeId, from: NodeId, msg: A::Msg);
-
-    /// True when no messages are buffered.
-    fn all_empty(&self) -> bool;
-
-    /// Round-barrier hook run after this arena becomes the delivery
-    /// arena, before the first `inbox` call (the packed arena's
-    /// counting sort into per-destination runs; no-op for boxed).
-    fn begin_delivery(&mut self) {}
-
-    /// Node `v`'s inbox in arrival order. `scratch` is a reusable
-    /// decode buffer; the boxed arena ignores it and returns its own
-    /// slice zero-copy.
-    fn inbox<'s>(
-        &'s self,
-        v: NodeId,
-        scratch: &'s mut Vec<(NodeId, A::Msg)>,
-    ) -> &'s [(NodeId, A::Msg)];
-
-    /// Empties the arena, keeping capacity.
-    fn clear(&mut self);
-}
-
-/// The historical typed in-flight representation: one `Vec` of
-/// `(sender, message)` tuples per destination.
+/// barrier handoff).
 pub(crate) struct BoxedArena<A: CongestAlgorithm> {
     bufs: Vec<Vec<(NodeId, A::Msg)>>,
 }
 
-impl<A: CongestAlgorithm> MsgArena<A> for BoxedArena<A> {
-    fn with_nodes(n: usize) -> Self {
+impl<A: CongestAlgorithm> BoxedArena<A> {
+    /// An empty arena for `n` nodes.
+    pub(crate) fn with_nodes(n: usize) -> Self {
         BoxedArena {
             bufs: vec![Vec::new(); n],
         }
     }
 
+    /// Appends a message and returns its metered width. `hint` is the
+    /// [`SendBuf`] width hint (`0` = unknown, compute it).
     #[inline]
-    fn stage(&mut self, to: NodeId, from: NodeId, msg: A::Msg, hint: u64) -> u64 {
+    pub(crate) fn stage(&mut self, to: NodeId, from: NodeId, msg: A::Msg, hint: u64) -> u64 {
         let bits = if hint != 0 {
             debug_assert_eq!(hint, A::message_bits(&msg), "bad SendBuf width hint");
             hint
@@ -332,30 +292,32 @@ impl<A: CongestAlgorithm> MsgArena<A> for BoxedArena<A> {
         bits
     }
 
+    /// Removes and returns the most recently staged message (fault-path
+    /// rollback for drops, delays, and corruption rewrites).
     #[inline]
-    fn unstage(&mut self, to: NodeId) -> A::Msg {
+    pub(crate) fn unstage(&mut self, to: NodeId) -> A::Msg {
         self.bufs[to].pop().expect("unstage from empty buffer").1
     }
 
+    /// Appends a message without metering bookkeeping.
     #[inline]
-    fn push(&mut self, to: NodeId, from: NodeId, msg: A::Msg) {
+    pub(crate) fn push(&mut self, to: NodeId, from: NodeId, msg: A::Msg) {
         self.bufs[to].push((from, msg));
     }
 
-    fn all_empty(&self) -> bool {
+    /// True when no messages are buffered.
+    pub(crate) fn all_empty(&self) -> bool {
         self.bufs.iter().all(Vec::is_empty)
     }
 
+    /// Node `v`'s inbox in arrival order.
     #[inline]
-    fn inbox<'s>(
-        &'s self,
-        v: NodeId,
-        _scratch: &'s mut Vec<(NodeId, A::Msg)>,
-    ) -> &'s [(NodeId, A::Msg)] {
+    pub(crate) fn inbox(&self, v: NodeId) -> &[(NodeId, A::Msg)] {
         &self.bufs[v]
     }
 
-    fn clear(&mut self) {
+    /// Empties the arena, keeping capacity.
+    pub(crate) fn clear(&mut self) {
         for b in &mut self.bufs {
             b.clear();
         }
@@ -492,13 +454,10 @@ impl RoundEdges {
 /// `bits_per_edge` map is rebuilt once at finalization), inbox arenas are
 /// swapped rather than reallocated, and duplicate-send detection is an
 /// epoch-stamped array instead of a per-dispatch scan.
-struct Engine<'a, A: CongestAlgorithm, O, L, B> {
+struct Engine<'a, A: CongestAlgorithm, O, L> {
     /// Messages to deliver next round, staged per destination. Swapped
     /// with the caller's delivery arena each round; capacities persist.
-    /// Either a [`BoxedArena`] (typed tuples) or a
-    /// [`crate::slab::PackedArena`] (word-packed slab) — the engine is
-    /// generic over the representation and byte-identical across both.
-    in_flight: B,
+    in_flight: BoxedArena<A>,
     /// Delayed messages as `(rounds_remaining, to, from, msg)`; matured
     /// into `in_flight` after each delivery swap.
     delayed: Vec<(u64, NodeId, NodeId, A::Msg)>,
@@ -528,7 +487,7 @@ struct Engine<'a, A: CongestAlgorithm, O, L, B> {
     prof: Option<&'a mut PhaseProfile>,
 }
 
-impl<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer, B: MsgArena<A>> Engine<'_, A, O, L, B> {
+impl<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer> Engine<'_, A, O, L> {
     /// Whether the profiler is attached *and* sampling the current round.
     #[inline]
     fn prof_sampling(&self) -> bool {
@@ -679,13 +638,13 @@ impl<'g> Simulator<'g> {
     }
 
     /// Sets the worker count used by the sharded entry points
-    /// (`try_run_sharded`, `try_run_sharded_observed`,
-    /// `try_run_sharded_with`, `try_run_sharded_profiled`): the node set is
-    /// split into `jobs` contiguous shards, one worker thread per shard.
-    /// `0` means one shard per available core; the default is `1` (serial
-    /// execution on the calling thread, no threads spawned). The sharded
-    /// engine produces byte-identical `SimStats` and observer callbacks at
-    /// every worker count — the knob only changes wall-clock time.
+    /// ([`Simulator::try_run_sharded`], [`Simulator::try_run_sharded_with`]):
+    /// the node set is split into `jobs` contiguous shards, one worker
+    /// thread per shard. `0` means one shard per available core; the
+    /// default is `1` (serial execution on the calling thread, no threads
+    /// spawned). The sharded engine produces byte-identical `SimStats`
+    /// and observer callbacks at every worker count — the knob only
+    /// changes wall-clock time.
     ///
     /// The serial entry points (`run`, `try_run`, ...) ignore this knob.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
@@ -773,16 +732,6 @@ impl<'g> Simulator<'g> {
         )
     }
 
-    /// Fallible twin of [`Simulator::run_observed`].
-    pub fn try_run_observed<A: CongestAlgorithm, O: RoundObserver>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> Result<SimStats, SimError> {
-        self.try_run_with(alg, max_rounds, observer, &mut PerfectLink)
-    }
-
     /// The full engine: runs `alg` with a [`RoundObserver`] and a
     /// [`LinkLayer`] deciding the fate of every message. With
     /// [`PerfectLink`] the execution is bit-for-bit identical to
@@ -798,86 +747,7 @@ impl<'g> Simulator<'g> {
         observer: &mut O,
         link: &mut L,
     ) -> Result<SimStats, SimError> {
-        self.try_run_inner::<A, O, L, BoxedArena<A>>(alg, max_rounds, observer, link, None)
-    }
-
-    /// Runs `alg` on the word-packed slab engine (see [`crate::slab`]):
-    /// in-flight messages live in a flat word-aligned arena instead of
-    /// per-destination `Vec`s of typed tuples, metered widths come from
-    /// the [`WireCodec`] encoding, and steady-state rounds allocate
-    /// nothing. `SimStats`, traces, errors, and budget outcomes are
-    /// byte-identical to [`Simulator::try_run`].
-    pub fn try_run_packed<A>(&self, alg: &mut A, max_rounds: u64) -> Result<SimStats, SimError>
-    where
-        A: CongestAlgorithm,
-        A::Msg: WireCodec,
-    {
-        self.try_run_packed_with(
-            alg,
-            max_rounds,
-            &mut crate::observer::NoopRoundObserver,
-            &mut PerfectLink,
-        )
-    }
-
-    /// Packed twin of [`Simulator::try_run_observed`]. The observer sees
-    /// the same callbacks as on the boxed path; per-round edge deltas are
-    /// accumulated from the slab's metering, no per-message decode.
-    pub fn try_run_packed_observed<A, O>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> Result<SimStats, SimError>
-    where
-        A: CongestAlgorithm,
-        A::Msg: WireCodec,
-        O: RoundObserver,
-    {
-        self.try_run_packed_with(alg, max_rounds, observer, &mut PerfectLink)
-    }
-
-    /// Packed twin of [`Simulator::try_run_with`]: full engine on the
-    /// slab wire path, with fault fates applied to slab entries in place
-    /// (metered before the fate, exactly like the boxed path).
-    pub fn try_run_packed_with<A, O, L>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-    ) -> Result<SimStats, SimError>
-    where
-        A: CongestAlgorithm,
-        A::Msg: WireCodec,
-        O: RoundObserver,
-        L: LinkLayer,
-    {
-        self.try_run_inner::<A, O, L, PackedArena<A::Msg>>(alg, max_rounds, observer, link, None)
-    }
-
-    /// Packed twin of [`Simulator::try_run_profiled`].
-    pub fn try_run_packed_profiled<A, O, L>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-        profile: &mut PhaseProfile,
-    ) -> Result<SimStats, SimError>
-    where
-        A: CongestAlgorithm,
-        A::Msg: WireCodec,
-        O: RoundObserver,
-        L: LinkLayer,
-    {
-        self.try_run_inner::<A, O, L, PackedArena<A::Msg>>(
-            alg,
-            max_rounds,
-            observer,
-            link,
-            Some(profile),
-        )
+        self.try_run_inner(alg, max_rounds, observer, link, None)
     }
 
     /// Like [`Simulator::try_run_with`], with phase-level profiling: wall
@@ -894,10 +764,10 @@ impl<'g> Simulator<'g> {
         link: &mut L,
         profile: &mut PhaseProfile,
     ) -> Result<SimStats, SimError> {
-        self.try_run_inner::<A, O, L, BoxedArena<A>>(alg, max_rounds, observer, link, Some(profile))
+        self.try_run_inner(alg, max_rounds, observer, link, Some(profile))
     }
 
-    fn try_run_inner<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer, B: MsgArena<A>>(
+    fn try_run_inner<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
         &self,
         alg: &mut A,
         max_rounds: u64,
@@ -916,8 +786,8 @@ impl<'g> Simulator<'g> {
         let mut halted = vec![false; n];
         link.on_run_start(n);
         let round_edges = observer.wants_edge_traffic().then(|| RoundEdges::new(m));
-        let mut eng: Engine<'_, A, O, L, B> = Engine {
-            in_flight: B::with_nodes(n),
+        let mut eng: Engine<'_, A, O, L> = Engine {
+            in_flight: BoxedArena::with_nodes(n),
             delayed: Vec::new(),
             delayed_spare: Vec::new(),
             stats: SimStats::default(),
@@ -936,11 +806,10 @@ impl<'g> Simulator<'g> {
         // delivery step, read as this round's inboxes, then cleared (the
         // per-node capacities survive, so steady-state rounds allocate
         // nothing).
-        let mut deliveries: B = B::with_nodes(n);
+        let mut deliveries: BoxedArena<A> = BoxedArena::with_nodes(n);
         // Reusable send buffer filled by `round_into` and drained by
-        // `dispatch`, plus the packed arena's inbox decode buffer.
+        // `dispatch`.
         let mut sendbuf: SendBuf<A::Msg> = SendBuf::new();
-        let mut scratch: Vec<(NodeId, A::Msg)> = Vec::new();
         let mut outcome: Option<RunOutcome> = None;
         // The init burst is profiled as round 0: `init` calls count as
         // compute, their dispatches as meter/link-fate.
@@ -957,7 +826,7 @@ impl<'g> Simulator<'g> {
             for (to, msg) in out {
                 sendbuf.push(to, msg);
             }
-            self.dispatch::<A, O, L, B>(&mut eng, v, &mut sendbuf, 0)?;
+            self.dispatch(&mut eng, v, &mut sendbuf, 0)?;
         }
         let ep_t0 = init_sampled.then(Instant::now);
         eng.flush_round(0);
@@ -1011,7 +880,7 @@ impl<'g> Simulator<'g> {
                     eng.prof_add(Phase::Compute, t0);
                     any |= !sendbuf.is_empty();
                     let event_round = eng.stats.rounds + 1;
-                    self.dispatch::<A, O, L, B>(&mut eng, v, &mut sendbuf, event_round)?;
+                    self.dispatch(&mut eng, v, &mut sendbuf, event_round)?;
                     match action {
                         RoundOutcome::Halt => halted[v] = true,
                         RoundOutcome::Aborted => {
@@ -1035,7 +904,6 @@ impl<'g> Simulator<'g> {
             }
             let t0 = sampled.then(Instant::now);
             std::mem::swap(&mut eng.in_flight, &mut deliveries);
-            deliveries.begin_delivery();
             eng.mature_delays();
             eng.prof_add(Phase::Deliver, t0);
             for v in 0..n {
@@ -1045,11 +913,11 @@ impl<'g> Simulator<'g> {
                     continue;
                 }
                 let t0 = sampled.then(Instant::now);
-                let inbox = deliveries.inbox(v, &mut scratch);
+                let inbox = deliveries.inbox(v);
                 let action = alg.round_into(v, &ctx, round, inbox, &mut sendbuf);
                 eng.prof_add(Phase::Compute, t0);
                 let event_round = eng.stats.rounds + 1;
-                self.dispatch::<A, O, L, B>(&mut eng, v, &mut sendbuf, event_round)?;
+                self.dispatch(&mut eng, v, &mut sendbuf, event_round)?;
                 match action {
                     RoundOutcome::Halt => halted[v] = true,
                     RoundOutcome::Aborted => {
@@ -1092,9 +960,9 @@ impl<'g> Simulator<'g> {
     /// bit budget ends the run. Both delivery paths (ordinary and
     /// quiescence-probe) funnel through here so the invariants live in one
     /// place.
-    fn round_epilogue<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer, B: MsgArena<A>>(
+    fn round_epilogue<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
         &self,
-        eng: &mut Engine<'_, A, O, L, B>,
+        eng: &mut Engine<'_, A, O, L>,
         round: &mut usize,
         node_abort: Option<NodeId>,
     ) -> Option<RunOutcome> {
@@ -1121,16 +989,15 @@ impl<'g> Simulator<'g> {
     /// mask a CONGEST violation and a lost message still cost its sender
     /// the bits.
     ///
-    /// Each message is *staged* into the in-flight arena first (on the
-    /// packed path this is the slab encode, and where the metered width
-    /// comes from); fates are then applied to the staged entry in place —
-    /// delivery keeps it, drops/delays/corruption roll it back with
-    /// `unstage` (corruption re-stages the perturbed payload), duplication
-    /// stages a second copy. The observable ordering — model checks,
-    /// meter, fate — is unchanged from the historical per-`Vec` path.
-    fn dispatch<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer, B: MsgArena<A>>(
+    /// Each message is *staged* into the in-flight arena first; fates are
+    /// then applied to the staged entry in place — delivery keeps it,
+    /// drops/delays/corruption roll it back with `unstage` (corruption
+    /// re-stages the perturbed payload), duplication stages a second
+    /// copy. The observable ordering is model checks, then meter, then
+    /// fate.
+    fn dispatch<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
         &self,
-        eng: &mut Engine<'_, A, O, L, B>,
+        eng: &mut Engine<'_, A, O, L>,
         from: NodeId,
         out: &mut SendBuf<A::Msg>,
         round: u64,

@@ -294,7 +294,7 @@ mod tests {
         let sim = Simulator::new(&g);
         let mut obs = TraceObserver::new(MemoryRecorder::new());
         let stats = sim
-            .try_run_observed(&mut AbortingFlood, 50, &mut obs)
+            .try_run_with(&mut AbortingFlood, 50, &mut obs, &mut crate::PerfectLink)
             .unwrap();
         assert_eq!(stats.outcome, crate::RunOutcome::NodeAborted(1));
         let mem = obs.into_recorder();

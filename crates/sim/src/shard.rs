@@ -52,7 +52,6 @@
 //! nodes the serial engine would not have reached).
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use congest_graph::{NodeId, NodePartition};
 use congest_par::{resolve_jobs, with_shards, PoolStats, ShardHandle};
@@ -60,12 +59,10 @@ use congest_par::{resolve_jobs, with_shards, PoolStats, ShardHandle};
 use crate::error::SimError;
 use crate::link::{FaultEvent, FaultKind, LinkFate, LinkLayer, PerfectLink};
 use crate::model::{
-    BoxedArena, CongestAlgorithm, MsgArena, NodeContext, RoundEdges, RoundOutcome, RoundTraffic,
-    RunOutcome, SendBuf, SimStats, Simulator,
+    BoxedArena, CongestAlgorithm, NodeContext, RoundEdges, RoundOutcome, RoundTraffic, RunOutcome,
+    SendBuf, SimStats, Simulator,
 };
 use crate::observer::{NoopRoundObserver, RoundDelta, RoundObserver};
-use crate::profile::{Phase, PhaseProfile};
-use crate::slab::{MsgSlab, PackedArena, WireCodec};
 
 /// A [`CongestAlgorithm`] whose all-nodes state can be split into
 /// contiguous node-range shards and merged back.
@@ -123,87 +120,10 @@ enum ShardTask {
 /// A batch of staged sends `(from, to, msg)` bound for one shard.
 type SendBatch<M> = Vec<(NodeId, NodeId, M)>;
 
-/// Ties a sharded engine variant to its wire representation: the inbox
-/// arena behind each shard's double buffer, and the cross-shard staging
-/// batch handed over at the round barrier. The boxed wire stages typed
-/// tuples and installs them one by one; the packed wire stages into a
-/// [`MsgSlab`] and installs it with one bulk entry block copy
-/// ([`MsgSlab::append_from`]) — no decode at the barrier.
-pub(crate) trait ShardWire<A: CongestAlgorithm> {
-    /// Per-shard inbox arena (globally indexed, like the serial engine).
-    type Arena: MsgArena<A> + Send;
-    /// Per-`(src-shard, dst-shard)` staging batch.
-    type Batch: Default + Send;
-
-    /// Appends one fated send to a staging batch. `width` is the
-    /// metered width when the dispatch loop already computed it, `0`
-    /// when unknown (corruption rewrites); the boxed wire ignores it.
-    fn batch_push(batch: &mut Self::Batch, from: NodeId, to: NodeId, msg: A::Msg, width: u64);
-
-    /// Number of sends staged in a batch.
-    fn batch_len(batch: &Self::Batch) -> usize;
-
-    /// Moves a batch into the arena in staging order, keeping the
-    /// batch's capacity for reuse.
-    fn batch_install(batch: &mut Self::Batch, arena: &mut Self::Arena);
-}
-
-/// The boxed (typed-tuple) sharded wire — the historical representation.
-pub(crate) struct BoxedWire;
-
-impl<A: CongestAlgorithm> ShardWire<A> for BoxedWire
-where
-    A::Msg: Send,
-{
-    type Arena = BoxedArena<A>;
-    type Batch = SendBatch<A::Msg>;
-
-    #[inline]
-    fn batch_push(batch: &mut Self::Batch, from: NodeId, to: NodeId, msg: A::Msg, _width: u64) {
-        batch.push((from, to, msg));
-    }
-
-    fn batch_len(batch: &Self::Batch) -> usize {
-        batch.len()
-    }
-
-    fn batch_install(batch: &mut Self::Batch, arena: &mut Self::Arena) {
-        for (from, to, msg) in batch.drain(..) {
-            arena.push(to, from, msg);
-        }
-    }
-}
-
-/// The word-packed sharded wire: slab staging batches, bulk slab
-/// handoff at the barrier, slab-backed inbox arenas.
-pub(crate) struct PackedWire;
-
-impl<A: CongestAlgorithm> ShardWire<A> for PackedWire
-where
-    A::Msg: WireCodec + Send,
-{
-    type Arena = PackedArena<A::Msg>;
-    type Batch = MsgSlab;
-
-    #[inline]
-    fn batch_push(batch: &mut Self::Batch, from: NodeId, to: NodeId, msg: A::Msg, width: u64) {
-        batch.push_hinted(from, to, &msg, width);
-    }
-
-    fn batch_len(batch: &Self::Batch) -> usize {
-        batch.len()
-    }
-
-    fn batch_install(batch: &mut Self::Batch, arena: &mut Self::Arena) {
-        arena.absorb_slab(batch);
-        batch.clear();
-    }
-}
-
 /// All state owned by one shard: its node range, its slice of the
 /// algorithm, a link clone, double-buffered inbox arenas for its own
 /// nodes, staging batches toward every shard, and shard-local meters.
-struct ShardState<A: CongestAlgorithm, L, W: ShardWire<A>> {
+struct ShardState<A: CongestAlgorithm, L> {
     lo: NodeId,
     hi: NodeId,
     alg: A,
@@ -211,14 +131,11 @@ struct ShardState<A: CongestAlgorithm, L, W: ShardWire<A>> {
     task: ShardTask,
     /// Inbox arena for the *next* delivery, globally indexed. Swapped
     /// with `deliveries` each round; capacities persist.
-    in_flight: W::Arena,
+    in_flight: BoxedArena<A>,
     /// This round's inboxes after the swap, cleared at step end.
-    deliveries: W::Arena,
+    deliveries: BoxedArena<A>,
     /// Reusable per-shard send buffer handed to `round_into`.
     sendbuf: SendBuf<A::Msg>,
-    /// Reusable inbox decode buffer (packed arenas decode into it; the
-    /// boxed arena hands out its own slices and ignores it).
-    scratch: Vec<(NodeId, A::Msg)>,
     /// Matured delayed messages `(to, from, msg)` for this shard's nodes,
     /// installed by the coordinator, merged ahead of all staged sends
     /// (the serial engine matures delays into `in_flight` before the
@@ -226,10 +143,10 @@ struct ShardState<A: CongestAlgorithm, L, W: ShardWire<A>> {
     matured_in: Vec<(NodeId, NodeId, A::Msg)>,
     /// Staged inbound sends, one batch per source shard, installed by
     /// the coordinator at the previous barrier.
-    stage_in: Vec<W::Batch>,
+    stage_in: Vec<SendBatch<A::Msg>>,
     /// Staged outbound sends, one batch per destination shard, collected
     /// by the coordinator at the barrier.
-    stage_out: Vec<W::Batch>,
+    stage_out: Vec<SendBatch<A::Msg>>,
     /// Sends the link delayed: `(rounds, to, from, msg)`, appended to the
     /// coordinator's global delay queue at the barrier.
     stage_delay: Vec<(u64, NodeId, NodeId, A::Msg)>,
@@ -273,7 +190,7 @@ struct SharedCtx<'a> {
     bandwidth: u64,
 }
 
-impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, W> {
+impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         lo: NodeId,
@@ -292,13 +209,12 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
             alg,
             link,
             task: ShardTask::Idle,
-            in_flight: W::Arena::with_nodes(n),
-            deliveries: W::Arena::with_nodes(n),
+            in_flight: BoxedArena::with_nodes(n),
+            deliveries: BoxedArena::with_nodes(n),
             sendbuf: SendBuf::new(),
-            scratch: Vec::new(),
             matured_in: Vec::new(),
-            stage_in: std::iter::repeat_with(W::Batch::default).take(k).collect(),
-            stage_out: std::iter::repeat_with(W::Batch::default).take(k).collect(),
+            stage_in: vec![Vec::new(); k],
+            stage_out: vec![Vec::new(); k],
             stage_delay: Vec::new(),
             faults: Vec::new(),
             newly_halted: 0,
@@ -347,16 +263,13 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
         for (to, from, msg) in self.matured_in.drain(..) {
             self.in_flight.push(to, from, msg);
         }
-        for src in 0..self.stage_in.len() {
-            // Split borrow: staged messages move from one field into another.
-            let mut staged = std::mem::take(&mut self.stage_in[src]);
-            W::batch_install(&mut staged, &mut self.in_flight);
-            self.stage_in[src] = staged;
+        for staged in &mut self.stage_in {
+            for (from, to, msg) in staged.drain(..) {
+                self.in_flight.push(to, from, msg);
+            }
         }
         std::mem::swap(&mut self.in_flight, &mut self.deliveries);
-        self.deliveries.begin_delivery();
         let mut sendbuf = std::mem::take(&mut self.sendbuf);
-        let mut scratch = std::mem::take(&mut self.scratch);
         for v in self.lo..self.hi {
             let i = v - lo;
             if self.halted[i] {
@@ -364,11 +277,13 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
                 // nodes are dropped; the sender already paid the bits.
                 continue;
             }
-            let action = {
-                let inbox = self.deliveries.inbox(v, &mut scratch);
-                self.alg
-                    .round_into(v, &shared.ctx, round, inbox, &mut sendbuf)
-            };
+            let action = self.alg.round_into(
+                v,
+                &shared.ctx,
+                round,
+                self.deliveries.inbox(v),
+                &mut sendbuf,
+            );
             self.any_out |= !sendbuf.is_empty();
             if let Err(e) = self.dispatch(shared, v, &mut sendbuf, event_round) {
                 self.error = Some(e);
@@ -388,7 +303,6 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
             }
         }
         self.sendbuf = sendbuf;
-        self.scratch = scratch;
         self.deliveries.clear();
     }
 
@@ -432,7 +346,7 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
             let dst = shared.part.shard_of(to);
             match self.link.fate(round, from, to, bits) {
                 LinkFate::Deliver | LinkFate::Delay { rounds: 0 } => {
-                    W::batch_push(&mut self.stage_out[dst], from, to, msg, bits);
+                    self.stage_out[dst].push((from, to, msg));
                 }
                 LinkFate::Drop => {
                     self.faults.push(FaultEvent {
@@ -484,7 +398,7 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
                         detail: u64::from(bit),
                     });
                     if let Some(corrupted) = A::corrupt(&msg, bit) {
-                        W::batch_push(&mut self.stage_out[dst], from, to, corrupted, 0);
+                        self.stage_out[dst].push((from, to, corrupted));
                     }
                 }
                 LinkFate::Duplicate => {
@@ -498,8 +412,8 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
                     });
                     // The extra copy is real traffic on the wire.
                     self.meter(eid, bits);
-                    W::batch_push(&mut self.stage_out[dst], from, to, msg.clone(), bits);
-                    W::batch_push(&mut self.stage_out[dst], from, to, msg, bits);
+                    self.stage_out[dst].push((from, to, msg.clone()));
+                    self.stage_out[dst].push((from, to, msg));
                 }
                 LinkFate::Delay { rounds } => {
                     self.faults.push(FaultEvent {
@@ -531,14 +445,13 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink, W: ShardWire<A>> ShardState<A, L, 
 
 /// The coordinator side of a sharded run: global delay queue, stats
 /// under construction, cross-shard staging in transit, and the
-/// observer/link/profiler hooks. Lives on the driver thread; touches
-/// shard state only under the pool's per-shard locks, between steps.
-struct Coordinator<'a, 'g, A: CongestAlgorithm, O, L, W: ShardWire<A>> {
+/// observer/link hooks. Lives on the calling thread; touches shard state
+/// only under the pool's per-shard locks, between steps.
+struct Coordinator<'a, 'g, A: CongestAlgorithm, O, L> {
     sim: &'a Simulator<'g>,
     shared: &'a SharedCtx<'a>,
     observer: &'a mut O,
     link: &'a mut L,
-    prof: Option<&'a mut PhaseProfile>,
     k: usize,
     n: usize,
     max_rounds: u64,
@@ -552,7 +465,7 @@ struct Coordinator<'a, 'g, A: CongestAlgorithm, O, L, W: ShardWire<A>> {
     matured: Vec<Vec<(NodeId, NodeId, A::Msg)>>,
     matured_total: usize,
     /// Collected `stage_out` batches, `pending[src][dst]`, in transit.
-    pending: Vec<Vec<W::Batch>>,
+    pending: Vec<Vec<SendBatch<A::Msg>>>,
     pending_total: usize,
     /// Messages currently staged in shard `stage_in`/`matured_in` —
     /// the sharded equivalent of "`in_flight` is non-empty".
@@ -565,59 +478,21 @@ struct Coordinator<'a, 'g, A: CongestAlgorithm, O, L, W: ShardWire<A>> {
     round_map: HashMap<(NodeId, NodeId), u64>,
 }
 
-impl<'a, 'g, A, O, L, W> Coordinator<'a, 'g, A, O, L, W>
+impl<'a, 'g, A, O, L> Coordinator<'a, 'g, A, O, L>
 where
     A: ShardableAlgorithm,
     A::Msg: Send,
     O: RoundObserver,
     L: ShardSafeLink,
-    W: ShardWire<A>,
 {
-    fn begin_round(&mut self, round: u64) -> bool {
-        match self.prof.as_deref_mut() {
-            Some(p) => p.begin_round(round),
-            None => false,
-        }
-    }
-
-    fn prof_add(&mut self, phase: Phase, t0: Option<Instant>) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.add(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    fn prof_add_n(&mut self, phase: Phase, t0: Option<Instant>, calls: u64) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.add_n(phase, t0.elapsed().as_nanos() as u64, calls);
-        }
-    }
-
-    fn note_round(&mut self, t0: Option<Instant>) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.note_round(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// The full run loop, executed as the pool driver.
-    fn run(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L, W>>) -> RunResult {
-        // Init burst, profiled as round 0. Sharded profiling is coarser
-        // than serial: the whole parallel step is attributed to `compute`
-        // (per-message meter/link_fate segments are not separable across
-        // threads), maturation/installation to `deliver`, and the barrier
-        // drain plus flush to `epilogue`.
-        let init_sampled = self.begin_round(0);
-        let init_t0 = init_sampled.then(Instant::now);
+    fn run(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>) -> RunResult {
         for s in 0..self.k {
             handle.lock(s).task = ShardTask::Init;
         }
-        let t0 = init_sampled.then(Instant::now);
         handle.step();
-        self.prof_add_n(Phase::Compute, t0, self.n as u64);
-        let ep0 = init_sampled.then(Instant::now);
         self.collect_barrier(handle)?;
         self.flush_round(0);
-        self.prof_add(Phase::Epilogue, ep0);
-        self.note_round(init_t0);
         let mut outcome: Option<RunOutcome> = None;
         if self.sim.budget_exceeded(&self.stats) {
             outcome = Some(RunOutcome::BitBudget);
@@ -630,8 +505,6 @@ where
                 outcome = Some(RunOutcome::RoundBudget);
                 break;
             }
-            let sampled = self.begin_round(self.stats.rounds + 1);
-            let round_t0 = sampled.then(Instant::now);
             self.apply_crashes(handle, round as u64);
             if self.halted_count == self.n {
                 outcome = Some(RunOutcome::Halted);
@@ -639,24 +512,17 @@ where
             }
             let was_quiet = self.staged_total == 0 && self.delayed.is_empty();
             let probe = was_quiet && self.sim.stop_on_quiescence && round > 0;
-            let t0 = sampled.then(Instant::now);
             self.mature_delays();
-            self.prof_add(Phase::Deliver, t0);
             for s in 0..self.k {
                 handle.lock(s).task = ShardTask::Round {
                     round,
                     event_round: self.stats.rounds + 1,
                 };
             }
-            let active = (self.n - self.halted_count) as u64;
-            let t0 = sampled.then(Instant::now);
             handle.step();
             self.staged_total = 0;
-            self.prof_add_n(Phase::Compute, t0, active);
-            let ep0 = sampled.then(Instant::now);
             let any_out = self.collect_barrier(handle)?;
             outcome = self.round_epilogue(&mut round);
-            self.prof_add(Phase::Epilogue, ep0);
             if probe
                 && outcome.is_none()
                 && !any_out
@@ -666,11 +532,8 @@ where
                 outcome = Some(RunOutcome::Quiescent);
             }
             if outcome.is_none() {
-                let t0 = sampled.then(Instant::now);
                 self.install(handle);
-                self.prof_add(Phase::Deliver, t0);
             }
-            self.note_round(round_t0);
         }
         Ok(outcome)
     }
@@ -678,7 +541,7 @@ where
     /// Crash-stops scheduled nodes, exactly like the serial engine:
     /// driven on the coordinator's link instance in round order, fault
     /// events emitted before any of the round's dispatch faults.
-    fn apply_crashes(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L, W>>, round: u64) {
+    fn apply_crashes(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>, round: u64) {
         for v in self.link.crashes_at(round) {
             if v >= self.n {
                 continue;
@@ -713,7 +576,7 @@ where
     /// lowest shard's error.
     fn collect_barrier(
         &mut self,
-        handle: &mut ShardHandle<'_, ShardState<A, L, W>>,
+        handle: &mut ShardHandle<'_, ShardState<A, L>>,
     ) -> Result<bool, SimError> {
         let mut err: Option<(usize, SimError)> = None;
         for s in 0..self.k {
@@ -770,7 +633,7 @@ where
         }
         for row in &self.pending {
             for cell in row {
-                pending_total += W::batch_len(cell);
+                pending_total += cell.len();
             }
         }
         self.stats.messages += messages;
@@ -801,13 +664,13 @@ where
 
     /// Hands the collected staging over to the destination shards for
     /// the next round's merge.
-    fn install(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L, W>>) {
+    fn install(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>) {
         for t in 0..self.k {
             let mut sh = handle.lock(t);
             debug_assert!(sh.matured_in.is_empty());
             std::mem::swap(&mut sh.matured_in, &mut self.matured[t]);
             for s in 0..self.k {
-                debug_assert_eq!(W::batch_len(&sh.stage_in[s]), 0);
+                debug_assert!(sh.stage_in[s].is_empty());
                 std::mem::swap(&mut sh.stage_in[s], &mut self.pending[s][t]);
             }
         }
@@ -863,23 +726,6 @@ impl<'g> Simulator<'g> {
             .map(|(stats, _)| stats)
     }
 
-    /// Sharded twin of [`Simulator::try_run_observed`]. Observer
-    /// callbacks fire on the calling thread in the serial order.
-    pub fn try_run_sharded_observed<A, O>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> Result<SimStats, SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: Send,
-        O: RoundObserver,
-    {
-        self.try_run_sharded_with(alg, max_rounds, observer, &mut PerfectLink)
-            .map(|(stats, _)| stats)
-    }
-
     /// Sharded twin of [`Simulator::try_run_with`], additionally
     /// returning the pool's per-worker utilization counters.
     ///
@@ -899,134 +745,13 @@ impl<'g> Simulator<'g> {
         O: RoundObserver,
         L: ShardSafeLink,
     {
-        self.try_run_sharded_inner::<A, O, L, BoxedWire>(alg, max_rounds, observer, link, None)
-    }
-
-    /// Sharded twin of [`Simulator::try_run_profiled`]. Attribution is
-    /// coarser than serial: the whole parallel step counts as `compute`
-    /// (per-message `meter`/`link_fate` segments are not separable
-    /// across worker threads and stay zero), staging transfer as
-    /// `deliver`, and the barrier drain plus flush as `epilogue`.
-    pub fn try_run_sharded_profiled<A, O, L>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-        profile: &mut PhaseProfile,
-    ) -> Result<(SimStats, PoolStats), SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: Send,
-        O: RoundObserver,
-        L: ShardSafeLink,
-    {
-        self.try_run_sharded_inner::<A, O, L, BoxedWire>(
-            alg,
-            max_rounds,
-            observer,
-            link,
-            Some(profile),
-        )
-    }
-
-    /// Packed sharded twin of [`Simulator::try_run_sharded`]: per-shard
-    /// word-packed slab arenas with bulk slab handoff at the round
-    /// barrier. Byte-identical to both the boxed sharded and the serial
-    /// engines at every worker count.
-    pub fn try_run_sharded_packed<A>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-    ) -> Result<SimStats, SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: WireCodec + Send,
-    {
-        self.try_run_sharded_packed_with(alg, max_rounds, &mut NoopRoundObserver, &mut PerfectLink)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Packed sharded twin of [`Simulator::try_run_sharded_observed`].
-    pub fn try_run_sharded_packed_observed<A, O>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> Result<SimStats, SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: WireCodec + Send,
-        O: RoundObserver,
-    {
-        self.try_run_sharded_packed_with(alg, max_rounds, observer, &mut PerfectLink)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Packed sharded twin of [`Simulator::try_run_sharded_with`].
-    pub fn try_run_sharded_packed_with<A, O, L>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-    ) -> Result<(SimStats, PoolStats), SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: WireCodec + Send,
-        O: RoundObserver,
-        L: ShardSafeLink,
-    {
-        self.try_run_sharded_inner::<A, O, L, PackedWire>(alg, max_rounds, observer, link, None)
-    }
-
-    /// Packed sharded twin of [`Simulator::try_run_sharded_profiled`].
-    pub fn try_run_sharded_packed_profiled<A, O, L>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-        profile: &mut PhaseProfile,
-    ) -> Result<(SimStats, PoolStats), SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: WireCodec + Send,
-        O: RoundObserver,
-        L: ShardSafeLink,
-    {
-        self.try_run_sharded_inner::<A, O, L, PackedWire>(
-            alg,
-            max_rounds,
-            observer,
-            link,
-            Some(profile),
-        )
-    }
-
-    fn try_run_sharded_inner<A, O, L, W>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-        prof: Option<&mut PhaseProfile>,
-    ) -> Result<(SimStats, PoolStats), SimError>
-    where
-        A: ShardableAlgorithm,
-        A::Msg: Send,
-        O: RoundObserver,
-        L: ShardSafeLink,
-        W: ShardWire<A>,
-    {
-        let run_t0 = prof.is_some().then(Instant::now);
         let n = self.graph.num_nodes();
         let m = self.csr.num_edges();
         let k = resolve_jobs(self.jobs).min(n.max(1));
         let part = self.csr.partition(k);
         link.on_run_start(n);
         let wants_edges = observer.wants_edge_traffic();
-        let shards: Vec<ShardState<A, L, W>> = (0..k)
+        let shards: Vec<ShardState<A, L>> = (0..k)
             .map(|s| {
                 let r = part.range(s);
                 ShardState::new(
@@ -1051,12 +776,11 @@ impl<'g> Simulator<'g> {
             },
             bandwidth: self.bandwidth,
         };
-        let mut coord: Coordinator<'_, 'g, A, O, L, W> = Coordinator {
+        let mut coord: Coordinator<'_, 'g, A, O, L> = Coordinator {
             sim: self,
             shared: &shared,
             observer,
             link,
-            prof,
             k,
             n,
             max_rounds,
@@ -1066,9 +790,7 @@ impl<'g> Simulator<'g> {
             delayed_spare: Vec::new(),
             matured: vec![Vec::new(); k],
             matured_total: 0,
-            pending: (0..k)
-                .map(|_| std::iter::repeat_with(W::Batch::default).take(k).collect())
-                .collect(),
+            pending: vec![vec![Vec::new(); k]; k],
             pending_total: 0,
             staged_total: 0,
             node_abort: None,
@@ -1079,7 +801,7 @@ impl<'g> Simulator<'g> {
         let (run_res, shards_back, pool) = with_shards(
             k,
             shards,
-            |_s, shard: &mut ShardState<A, L, W>| shard.run_step(&shared),
+            |_s, shard: &mut ShardState<A, L>| shard.run_step(&shared),
             |handle| coord.run(handle),
         );
         let outcome_opt = match run_res {
@@ -1096,7 +818,6 @@ impl<'g> Simulator<'g> {
         // Fold the shard-local dense meters into the public per-edge map
         // (an edge metered by both endpoint shards sums, once per
         // direction — identical totals to the serial accumulator).
-        let t0 = run_t0.map(|_| Instant::now());
         let mut touched = vec![false; m];
         let mut bits = vec![0u64; m];
         for sh in &shards_back {
@@ -1116,7 +837,6 @@ impl<'g> Simulator<'g> {
         }
         let mut stats = std::mem::take(&mut coord.stats);
         stats.bits_per_edge = map;
-        coord.prof_add(Phase::Epilogue, t0);
         let mut outcome = outcome_opt.unwrap_or(RunOutcome::RoundBudget);
         // A run that used its whole round budget but ended with every
         // node halted converged; report it as such.
@@ -1125,9 +845,6 @@ impl<'g> Simulator<'g> {
         }
         stats.outcome = outcome;
         coord.observer.on_done(&stats);
-        if let (Some(t0), Some(p)) = (run_t0, coord.prof.as_deref_mut()) {
-            p.note_run(t0.elapsed().as_nanos() as u64);
-        }
         for sh in shards_back {
             alg.absorb_shard(sh.alg, sh.lo, sh.hi);
         }
