@@ -695,7 +695,32 @@ mod tests {
 #[cfg(test)]
 mod large_tests {
     use super::*;
-    use congest_solvers::mis::max_weight_independent_set;
+    use congest_solvers::mis::{max_weight_independent_set_with_stats, SetSolution};
+    use congest_solvers::SearchStats;
+
+    /// Solves `g` exactly, checks the returned witness against the graph,
+    /// and pins the branch-and-bound counters (wall time zeroed): a change
+    /// to the search tree must show up here, not only as a new time.
+    fn solve_checked(g: &Graph, pinned: SearchStats) -> Weight {
+        let (SetSolution { weight, vertices }, mut stats) =
+            max_weight_independent_set_with_stats(g);
+        assert!(g.is_independent_set(&vertices));
+        assert_eq!(g.node_set_weight(&vertices), weight);
+        stats.elapsed_micros = 0;
+        assert_eq!(stats, pinned);
+        weight
+    }
+
+    fn pinned(nodes: u64, prunes: u64, backtracks: u64, incumbents: u64) -> SearchStats {
+        SearchStats {
+            nodes,
+            prunes,
+            backtracks,
+            incumbents,
+            bound_cutoffs: prunes,
+            ..SearchStats::default()
+        }
+    }
 
     /// With the 256-vertex MWIS engine, larger ℓ instances are exactly
     /// decidable and the measured ratio approaches 7/8 from above.
@@ -706,10 +731,10 @@ mod large_tests {
         let mut hitx = BitString::zeros(4);
         hitx.set_pair(2, 1, 1, true);
         let g = fam.build(&hitx, &hitx);
-        let yes = max_weight_independent_set(&g).weight;
+        let yes = solve_checked(&g, pinned(410_176, 410_160, 6, 6));
         assert_eq!(yes, fam.yes_weight()); // 8·5 + 4 = 44
         let g0 = fam.build(&BitString::zeros(4), &BitString::ones(4));
-        let no = max_weight_independent_set(&g0).weight;
+        let no = solve_checked(&g0, pinned(410_200, 410_183, 6, 7));
         assert!(no <= fam.no_weight()); // ≤ 7·5 + 4 = 39
         let ratio = no as f64 / yes as f64;
         assert!(ratio <= 39.0 / 44.0 + 1e-9, "ratio {ratio}");

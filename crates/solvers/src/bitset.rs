@@ -1,12 +1,14 @@
-//! Fixed-width (`u128`) vertex-set helpers shared by the exact solvers.
+//! Vertex-set bitmasks shared by the exact solvers.
 //!
-//! Every exact solver in this crate targets the paper's constructions,
-//! which stay below 128 vertices for the parameters we verify; the
-//! `u128` representation keeps the branch-and-bound inner loops branch-free.
+//! The dominating-set search, the Held–Karp DP and the brute-force
+//! checkers use one `u128` mask per vertex and stop at 128 vertices. The
+//! MIS/clique and Hamiltonian search engines use [`Words<W>`], `W` 64-bit
+//! words fixed at compile time, and reach 256 vertices: the larger
+//! code-gadget and Lemma 2.2 reduction graphs exceed 128.
 
 use congest_graph::{DiGraph, Graph};
 
-/// Maximum supported vertex count for bitmask solvers.
+/// Maximum vertex count of the `u128` mask helpers.
 pub const MAX_N: usize = 128;
 
 /// Adjacency of an undirected graph as one `u128` mask per vertex.
@@ -126,113 +128,6 @@ mod tests {
         let (out, inm) = directed_masks(&g);
         assert_eq!(out[0], 0b010);
         assert_eq!(inm[1], 0b101);
-    }
-}
-
-/// A 256-bit vertex set (`Copy`, branch-free ops) for solvers whose
-/// instances exceed 128 vertices — e.g. Hamiltonicity on the undirected
-/// reduction graphs of Lemma 2.2, which triple the vertex count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct B256(pub [u64; 4]);
-
-impl B256 {
-    /// The empty set.
-    pub const EMPTY: B256 = B256([0; 4]);
-
-    /// The set `{0, …, n-1}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 256`.
-    pub fn full(n: usize) -> B256 {
-        assert!(n <= 256, "B256 supports at most 256 vertices");
-        let mut w = [0u64; 4];
-        for (i, word) in w.iter_mut().enumerate() {
-            let lo = i * 64;
-            if n >= lo + 64 {
-                *word = u64::MAX;
-            } else if n > lo {
-                *word = (1u64 << (n - lo)) - 1;
-            }
-        }
-        B256(w)
-    }
-
-    /// The singleton `{v}`.
-    pub fn bit(v: usize) -> B256 {
-        let mut w = [0u64; 4];
-        w[v / 64] = 1u64 << (v % 64);
-        B256(w)
-    }
-
-    /// Whether `v` is in the set.
-    #[cfg(test)]
-    pub fn get(&self, v: usize) -> bool {
-        (self.0[v / 64] >> (v % 64)) & 1 == 1
-    }
-
-    /// Inserts `v`.
-    pub fn set(&mut self, v: usize) {
-        self.0[v / 64] |= 1u64 << (v % 64);
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
-    /// Set union.
-    #[cfg(test)]
-    pub fn or(&self, o: &B256) -> B256 {
-        B256([
-            self.0[0] | o.0[0],
-            self.0[1] | o.0[1],
-            self.0[2] | o.0[2],
-            self.0[3] | o.0[3],
-        ])
-    }
-
-    /// Set intersection.
-    pub fn and(&self, o: &B256) -> B256 {
-        B256([
-            self.0[0] & o.0[0],
-            self.0[1] & o.0[1],
-            self.0[2] & o.0[2],
-            self.0[3] & o.0[3],
-        ])
-    }
-
-    /// Set difference `self ∖ o`.
-    pub fn and_not(&self, o: &B256) -> B256 {
-        B256([
-            self.0[0] & !o.0[0],
-            self.0[1] & !o.0[1],
-            self.0[2] & !o.0[2],
-            self.0[3] & !o.0[3],
-        ])
-    }
-
-    /// Number of elements.
-    #[cfg(test)]
-    pub fn count(&self) -> u32 {
-        self.0.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Iterates elements in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let words = self.0;
-        (0..4).flat_map(move |i| {
-            let mut w = words[i];
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(i * 64 + b)
-                }
-            })
-        })
     }
 }
 
@@ -426,6 +321,7 @@ mod words_tests {
     #[test]
     fn generic_ops_match_the_wide_set() {
         let mut s = Words::<1>::EMPTY;
+        assert!(s.is_empty());
         s.set(3);
         s.set(42);
         assert!(s.get(42) && !s.get(41));
@@ -448,29 +344,9 @@ mod words_tests {
         assert_eq!(Words::<3>::full(130).count(), 130);
         assert!(!t.intersects(&Words::bit(63)));
         assert!(t.intersects(&Words::bit(64)));
-    }
-}
-
-#[cfg(test)]
-mod b256_tests {
-    use super::B256;
-
-    #[test]
-    fn basic_ops() {
-        let mut s = B256::EMPTY;
-        s.set(3);
-        s.set(130);
-        assert!(s.get(130));
-        assert!(!s.get(131));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 130]);
-        let f = B256::full(200);
-        assert_eq!(f.count(), 200);
-        assert!(f.get(199));
-        assert!(!f.get(200));
-        assert_eq!(f.and_not(&s).count(), 198);
-        assert_eq!(f.and(&s), s);
-        assert_eq!(s.or(&B256::bit(7)).count(), 3);
-        assert!(B256::EMPTY.is_empty());
+        assert!(!t.is_empty());
+        t.clear(64);
+        t.clear(130);
+        assert!(t.is_empty() && t.first().is_none());
     }
 }

@@ -1,15 +1,21 @@
 //! Exact maximum (weight) independent set, maximum clique and minimum
 //! vertex cover.
 //!
-//! The engine is a Tomita-style branch-and-bound maximum *weight* clique
-//! solver with a greedy-coloring upper bound; MWIS runs it on the
-//! complement graph. These decide the MaxIS predicates of the paper's
-//! Section 4.1 families (≈ 90–110 vertices, small independence number)
-//! in milliseconds.
+//! One engine serves every entry point: a Tomita-style branch-and-bound
+//! maximum *weight* clique search with a greedy-coloring upper bound,
+//! monomorphized over the vertex-set word count (`Words<W>`, so up to
+//! 256 vertices). MWIS runs it on the complement graph, one connected
+//! component at a time. It decides the MaxIS predicates of the paper's
+//! Section 4.1 code gadgets (68–176 vertices, small independence number).
+//!
+//! Each search node colors its candidate set one class at a time with
+//! word-wide set operations and writes the resulting order onto a scratch
+//! stack shared by the whole search, so expanding a node allocates
+//! nothing.
 
 use congest_graph::{Graph, NodeId, Weight};
 
-use crate::bitset::{adjacency_masks, full_mask, iter_bits, mask_to_vec};
+use crate::bitset::{adjacency_masks, iter_bits, Words};
 use crate::stats::{timed, SearchStats};
 
 /// Result of an exact independent-set/clique computation.
@@ -21,226 +27,53 @@ pub struct SetSolution {
     pub vertices: Vec<NodeId>,
 }
 
-struct Search<'a> {
-    adj: &'a [u128],
+struct Search<'a, const W: usize> {
+    adj: &'a [Words<W>],
     w: &'a [Weight],
     best: Weight,
-    best_set: u128,
+    best_set: Words<W>,
     stats: SearchStats,
+    /// The color orders of the nodes on the current search path, as
+    /// `(vertex, bound)` pairs: each [`Search::expand`] pushes its own
+    /// and truncates them on return.
+    order: Vec<(usize, Weight)>,
 }
 
-impl Search<'_> {
-    /// Greedy coloring of the candidate set; returns vertices ordered by
-    /// color class together with the cumulative class-max-weight bound at
-    /// each position.
-    fn color_order(&self, p: u128) -> (Vec<usize>, Vec<Weight>) {
-        let mut classes: Vec<u128> = Vec::new();
-        let mut class_max: Vec<Weight> = Vec::new();
-        for v in iter_bits(p) {
-            let mut placed = false;
-            for (ci, class) in classes.iter_mut().enumerate() {
-                if *class & self.adj[v] == 0 {
-                    *class |= 1 << v;
-                    class_max[ci] = class_max[ci].max(self.w[v]);
-                    placed = true;
-                    break;
+impl<const W: usize> Search<'_, W> {
+    /// Pushes a greedy coloring of the candidate set `p`: the vertices by
+    /// color class, each with the sum of the class-max weights up to and
+    /// including its class. A class starts at the smallest uncolored
+    /// vertex and repeatedly takes the smallest candidate not adjacent to
+    /// any member so far, so the classes, and their ascending member
+    /// order, are exactly those of first-fit coloring in vertex order.
+    fn push_coloring(&mut self, mut p: Words<W>) {
+        let mut bound = 0;
+        while !p.is_empty() {
+            let class_start = self.order.len();
+            let mut class_max = 0;
+            let mut candidates = p;
+            // Every candidate below word `i` is already taken or removed,
+            // so the scan walks the words once instead of searching for
+            // the smallest candidate afresh, which costs twice as much
+            // per node.
+            for i in 0..W {
+                while candidates.0[i] != 0 {
+                    let v = i * 64 + candidates.0[i].trailing_zeros() as usize;
+                    candidates = candidates.and_not(&self.adj[v]);
+                    candidates.clear(v);
+                    p.clear(v);
+                    class_max = class_max.max(self.w[v]);
+                    self.order.push((v, 0));
                 }
             }
-            if !placed {
-                classes.push(1 << v);
-                class_max.push(self.w[v]);
+            bound += class_max;
+            for entry in &mut self.order[class_start..] {
+                entry.1 = bound;
             }
         }
-        let mut order = Vec::new();
-        let mut bounds = Vec::new();
-        let mut acc = 0;
-        for (ci, class) in classes.iter().enumerate() {
-            acc += class_max[ci];
-            for v in iter_bits(*class) {
-                order.push(v);
-                bounds.push(acc);
-            }
-        }
-        (order, bounds)
     }
 
-    fn expand(&mut self, r: u128, r_weight: Weight, p: u128) {
-        self.stats.nodes += 1;
-        if p == 0 {
-            if r_weight > self.best {
-                self.best = r_weight;
-                self.best_set = r;
-                self.stats.incumbents += 1;
-            }
-            return;
-        }
-        let (order, bounds) = self.color_order(p);
-        let mut p = p;
-        for i in (0..order.len()).rev() {
-            if r_weight + bounds[i] <= self.best {
-                // Every remaining candidate is bounded away.
-                self.stats.prunes += 1;
-                self.stats.bound_cutoffs += 1;
-                return;
-            }
-            let v = order[i];
-            self.expand(r | (1 << v), r_weight + self.w[v], p & self.adj[v]);
-            p &= !(1u128 << v);
-        }
-        self.stats.backtracks += 1;
-    }
-}
-
-/// Exact maximum weight clique on an adjacency-mask graph.
-///
-/// # Panics
-///
-/// Panics if any weight is negative (positive weights are assumed by the
-/// bound; the paper's constructions use positive weights throughout).
-pub fn max_weight_clique_masks(adj: &[u128], w: &[Weight]) -> (Weight, u128) {
-    let (weight, set, _) = max_weight_clique_masks_with_stats(adj, w);
-    (weight, set)
-}
-
-/// [`max_weight_clique_masks`] plus the branch-and-bound effort counters.
-///
-/// # Panics
-///
-/// Panics if any weight is negative.
-pub fn max_weight_clique_masks_with_stats(
-    adj: &[u128],
-    w: &[Weight],
-) -> (Weight, u128, SearchStats) {
-    assert!(w.iter().all(|&x| x >= 0), "weights must be nonnegative");
-    let n = adj.len();
-    let ((best, best_set), stats) = timed(|| {
-        let mut s = Search {
-            adj,
-            w,
-            best: 0,
-            best_set: 0,
-            stats: SearchStats::default(),
-        };
-        s.expand(0, 0, full_mask(n));
-        ((s.best, s.best_set), s.stats)
-    });
-    (best, best_set, stats)
-}
-
-/// Exact maximum weight clique of `g` under its node weights.
-pub fn max_weight_clique(g: &Graph) -> SetSolution {
-    let adj = adjacency_masks(g);
-    let w: Vec<Weight> = (0..g.num_nodes()).map(|v| g.node_weight(v)).collect();
-    let (weight, set) = max_weight_clique_masks(&adj, &w);
-    SetSolution {
-        weight,
-        vertices: mask_to_vec(set),
-    }
-}
-
-/// Exact maximum weight independent set of `g` under its node weights
-/// (clique in the complement). Dispatches to a 128-bit mask engine for
-/// `n ≤ 128` and a 256-bit engine for `128 < n ≤ 256` (used by the
-/// larger Figure 4 code-gadget instances).
-pub fn max_weight_independent_set(g: &Graph) -> SetSolution {
-    let n = g.num_nodes();
-    if n > 128 {
-        return max_weight_independent_set_256(g);
-    }
-    max_weight_independent_set_with_stats(g).0
-}
-
-/// [`max_weight_independent_set`] plus the branch-and-bound effort
-/// counters. Dispatches like the plain variant: 128-bit engine for
-/// `n ≤ 128`, 256-bit engine above.
-///
-/// # Panics
-///
-/// Panics if the graph has more than 256 vertices or negative weights.
-pub fn max_weight_independent_set_with_stats(g: &Graph) -> (SetSolution, SearchStats) {
-    let n = g.num_nodes();
-    if n > 128 {
-        return max_weight_independent_set_256_with_stats(g);
-    }
-    let adj = adjacency_masks(g);
-    let full = full_mask(n);
-    let comp: Vec<u128> = (0..n).map(|v| full & !adj[v] & !(1u128 << v)).collect();
-    let w: Vec<Weight> = (0..n).map(|v| g.node_weight(v)).collect();
-    assert!(w.iter().all(|&x| x >= 0), "weights must be nonnegative");
-    // Independence decomposes over connected components of `g`: run the
-    // complement-clique search per component (the candidate set stays
-    // inside the component because every future candidate set is an
-    // intersection with it).
-    let components = crate::bitset::components_u128(&adj);
-    timed(|| {
-        let mut total = SetSolution {
-            weight: 0,
-            vertices: Vec::new(),
-        };
-        let mut stats = SearchStats::default();
-        if components.len() > 1 {
-            stats.components += components.len() as u64;
-        }
-        for c in &components {
-            let mut s = Search {
-                adj: &comp,
-                w: &w,
-                best: 0,
-                best_set: 0,
-                stats: SearchStats::default(),
-            };
-            s.expand(0, 0, *c);
-            stats.absorb(&s.stats);
-            total.weight += s.best;
-            total.vertices.extend(mask_to_vec(s.best_set));
-        }
-        total.vertices.sort_unstable();
-        (total, stats)
-    })
-}
-
-struct Search256<'a> {
-    adj: &'a [crate::bitset::B256],
-    w: &'a [Weight],
-    best: Weight,
-    best_set: crate::bitset::B256,
-    stats: SearchStats,
-}
-
-impl Search256<'_> {
-    fn color_order(&self, p: crate::bitset::B256) -> (Vec<usize>, Vec<Weight>) {
-        use crate::bitset::B256;
-        let mut classes: Vec<B256> = Vec::new();
-        let mut class_max: Vec<Weight> = Vec::new();
-        for v in p.iter() {
-            let mut placed = false;
-            for (ci, class) in classes.iter_mut().enumerate() {
-                if class.and(&self.adj[v]).is_empty() {
-                    class.set(v);
-                    class_max[ci] = class_max[ci].max(self.w[v]);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                classes.push(B256::bit(v));
-                class_max.push(self.w[v]);
-            }
-        }
-        let mut order = Vec::new();
-        let mut bounds = Vec::new();
-        let mut acc = 0;
-        for (ci, class) in classes.iter().enumerate() {
-            acc += class_max[ci];
-            for v in class.iter() {
-                order.push(v);
-                bounds.push(acc);
-            }
-        }
-        (order, bounds)
-    }
-
-    fn expand(&mut self, r: crate::bitset::B256, r_weight: Weight, p: crate::bitset::B256) {
+    fn expand(&mut self, r: Words<W>, r_weight: Weight, mut p: Words<W>) {
         self.stats.nodes += 1;
         if p.is_empty() {
             if r_weight > self.best {
@@ -250,101 +83,168 @@ impl Search256<'_> {
             }
             return;
         }
-        let (order, bounds) = self.color_order(p);
-        let mut p = p;
-        for i in (0..order.len()).rev() {
-            if r_weight + bounds[i] <= self.best {
+        let base = self.order.len();
+        self.push_coloring(p);
+        for i in (base..self.order.len()).rev() {
+            let (v, bound) = self.order[i];
+            if r_weight + bound <= self.best {
+                // Every remaining candidate is bounded away.
                 self.stats.prunes += 1;
                 self.stats.bound_cutoffs += 1;
+                self.order.truncate(base);
                 return;
             }
-            let v = order[i];
-            let mut r2 = r;
-            r2.set(v);
-            self.expand(r2, r_weight + self.w[v], p.and(&self.adj[v]));
-            p = p.and_not(&crate::bitset::B256::bit(v));
+            let mut rv = r;
+            rv.set(v);
+            self.expand(rv, r_weight + self.w[v], p.and(&self.adj[v]));
+            p.clear(v);
         }
         self.stats.backtracks += 1;
+        self.order.truncate(base);
     }
 }
 
-/// MWIS for graphs of up to 256 vertices (256-bit mask clique search on
-/// the complement).
+/// Maximum weight clique of `g` under the weights `w`, or with
+/// `complement` the maximum weight independent set: a clique of the
+/// complement, searched one connected component of `g` at a time (every
+/// later candidate set is an intersection with the component, so the
+/// search never leaves it).
+fn search<const W: usize>(g: &Graph, w: &[Weight], complement: bool) -> (SetSolution, SearchStats) {
+    let n = g.num_nodes();
+    let full = Words::<W>::full(n);
+    let mut adj = vec![Words::<W>::EMPTY; n];
+    for (u, v, _) in g.edges() {
+        adj[u].set(v);
+        adj[v].set(u);
+    }
+    let roots = if complement {
+        for (v, a) in adj.iter_mut().enumerate() {
+            *a = full.and_not(a);
+            a.clear(v);
+        }
+        let (label, count) = g.connected_components();
+        let mut comps = vec![Words::EMPTY; count];
+        for (v, &c) in label.iter().enumerate() {
+            comps[c].set(v);
+        }
+        comps
+    } else {
+        vec![full]
+    };
+    timed(|| {
+        let mut s = Search {
+            adj: &adj,
+            w,
+            best: 0,
+            best_set: Words::EMPTY,
+            stats: SearchStats::default(),
+            order: Vec::new(),
+        };
+        let mut total = SetSolution {
+            weight: 0,
+            vertices: Vec::new(),
+        };
+        for root in &roots {
+            s.best = 0;
+            s.best_set = Words::EMPTY;
+            s.expand(Words::EMPTY, 0, *root);
+            total.weight += s.best;
+            total.vertices.extend(s.best_set.iter());
+        }
+        total.vertices.sort_unstable();
+        if roots.len() > 1 {
+            s.stats.components = roots.len() as u64;
+        }
+        (total, s.stats)
+    })
+}
+
+/// Dispatches [`search`] on the word count `⌈n / 64⌉`.
+///
+/// # Panics
+///
+/// Panics if the graph has more than 256 vertices or a weight is
+/// negative (the bound assumes nonnegative weights; the paper's
+/// constructions use positive weights throughout).
+fn solve(g: &Graph, w: &[Weight], complement: bool) -> (SetSolution, SearchStats) {
+    let n = g.num_nodes();
+    assert!(
+        n <= 256,
+        "MIS and clique solvers support at most 256 vertices"
+    );
+    assert!(w.iter().all(|&x| x >= 0), "weights must be nonnegative");
+    match n.div_ceil(64).max(1) {
+        1 => search::<1>(g, w, complement),
+        2 => search::<2>(g, w, complement),
+        3 => search::<3>(g, w, complement),
+        _ => search::<4>(g, w, complement),
+    }
+}
+
+fn node_weights(g: &Graph) -> Vec<Weight> {
+    (0..g.num_nodes()).map(|v| g.node_weight(v)).collect()
+}
+
+/// Exact maximum weight clique of `g` under its node weights.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than 256 vertices or negative weights.
-pub fn max_weight_independent_set_256(g: &Graph) -> SetSolution {
-    max_weight_independent_set_256_with_stats(g).0
+pub fn max_weight_clique(g: &Graph) -> SetSolution {
+    solve(g, &node_weights(g), false).0
 }
 
-/// [`max_weight_independent_set_256`] plus the branch-and-bound effort
+/// Exact maximum weight independent set of `g` under its node weights
+/// (clique in the complement).
+///
+/// # Panics
+///
+/// Panics if the graph has more than 256 vertices or negative weights.
+pub fn max_weight_independent_set(g: &Graph) -> SetSolution {
+    max_weight_independent_set_with_stats(g).0
+}
+
+/// [`max_weight_independent_set`] plus the branch-and-bound effort
 /// counters.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than 256 vertices or negative weights.
-pub fn max_weight_independent_set_256_with_stats(g: &Graph) -> (SetSolution, SearchStats) {
-    use crate::bitset::B256;
-    let n = g.num_nodes();
-    assert!(n <= 256, "256-bit MWIS limited to 256 vertices");
-    let w: Vec<Weight> = (0..n).map(|v| g.node_weight(v)).collect();
-    assert!(w.iter().all(|&x| x >= 0), "weights must be nonnegative");
-    // Complement adjacency.
-    let mut adj = vec![B256::EMPTY; n];
-    for (u, v, _) in g.edges() {
-        adj[u].set(v);
-        adj[v].set(u);
-    }
-    let full = B256::full(n);
-    let comp: Vec<B256> = (0..n)
-        .map(|v| full.and_not(&adj[v]).and_not(&B256::bit(v)))
-        .collect();
-    timed(|| {
-        let mut s = Search256 {
-            adj: &comp,
-            w: &w,
-            best: 0,
-            best_set: B256::EMPTY,
-            stats: SearchStats::default(),
-        };
-        s.expand(B256::EMPTY, 0, full);
-        (
-            SetSolution {
-                weight: s.best,
-                vertices: s.best_set.iter().collect(),
-            },
-            s.stats,
-        )
-    })
+pub fn max_weight_independent_set_with_stats(g: &Graph) -> (SetSolution, SearchStats) {
+    solve(g, &node_weights(g), true)
+}
+
+/// A maximum (cardinality) independent set, ignoring node weights.
+fn max_independent_set(g: &Graph) -> SetSolution {
+    solve(g, &vec![1; g.num_nodes()], true).0
 }
 
 /// The independence number `α(G)` (cardinality, ignoring node weights).
+///
+/// # Panics
+///
+/// Panics if the graph has more than 256 vertices.
 pub fn independence_number(g: &Graph) -> usize {
-    let n = g.num_nodes();
-    let adj = adjacency_masks(g);
-    let full = full_mask(n);
-    let comp: Vec<u128> = (0..n).map(|v| full & !adj[v] & !(1u128 << v)).collect();
-    let w = vec![1 as Weight; n];
-    max_weight_clique_masks(&comp, &w).0 as usize
+    max_independent_set(g).weight as usize
+}
+
+/// The vertices outside `mis`, in ascending order.
+fn complement_of(g: &Graph, mis: &SetSolution) -> Vec<NodeId> {
+    let mut in_is = vec![false; g.num_nodes()];
+    for &v in &mis.vertices {
+        in_is[v] = true;
+    }
+    (0..g.num_nodes()).filter(|&v| !in_is[v]).collect()
 }
 
 /// An optimal (cardinality) minimum vertex cover: the complement of a
 /// maximum independent set.
+///
+/// # Panics
+///
+/// Panics if the graph has more than 256 vertices.
 pub fn min_vertex_cover(g: &Graph) -> SetSolution {
-    let n = g.num_nodes();
-    let mut in_is = vec![false; n];
-    let mis = {
-        let mut h = g.clone();
-        for v in 0..n {
-            h.set_node_weight(v, 1);
-        }
-        max_weight_independent_set(&h)
-    };
-    for &v in &mis.vertices {
-        in_is[v] = true;
-    }
-    let vertices: Vec<NodeId> = (0..n).filter(|&v| !in_is[v]).collect();
+    let vertices = complement_of(g, &max_independent_set(g));
     SetSolution {
         weight: vertices.len() as Weight,
         vertices,
@@ -353,14 +253,12 @@ pub fn min_vertex_cover(g: &Graph) -> SetSolution {
 
 /// An optimal minimum *weight* vertex cover: the complement of a maximum
 /// weight independent set (LP-duality-free classic identity).
+///
+/// # Panics
+///
+/// Panics if the graph has more than 256 vertices or negative weights.
 pub fn min_weight_vertex_cover(g: &Graph) -> SetSolution {
-    let n = g.num_nodes();
-    let mis = max_weight_independent_set(g);
-    let mut in_is = vec![false; n];
-    for &v in &mis.vertices {
-        in_is[v] = true;
-    }
-    let vertices: Vec<NodeId> = (0..n).filter(|&v| !in_is[v]).collect();
+    let vertices = complement_of(g, &max_weight_independent_set(g));
     SetSolution {
         weight: vertices.iter().map(|&v| g.node_weight(v)).sum(),
         vertices,
@@ -459,19 +357,55 @@ mod tests {
         assert_eq!(vs, vec![2, 3]);
     }
 
+    /// The engine's answer and every counter, for both MWIS and clique,
+    /// are independent of the word count it runs at, so the `⌈n / 64⌉`
+    /// dispatch is only a choice of speed.
     #[test]
-    fn wide_engine_matches_narrow_engine() {
-        let mut rng = StdRng::seed_from_u64(14);
-        for _ in 0..10 {
-            let mut g = generators::gnp(18, 0.3, &mut rng);
-            for v in 0..18 {
-                g.set_node_weight(v, rng.gen_range(1..9));
-            }
-            let narrow = max_weight_independent_set(&g);
-            let wide = max_weight_independent_set_256(&g);
-            assert_eq!(narrow.weight, wide.weight);
-            assert!(g.is_independent_set(&wide.vertices));
+    fn every_word_count_gives_the_same_search() {
+        fn run<const W: usize>(g: &Graph, w: &[Weight], mis: bool) -> (SetSolution, SearchStats) {
+            let (sol, mut stats) = search::<W>(g, w, mis);
+            stats.elapsed_micros = 0;
+            (sol, stats)
         }
+        let mut rng = StdRng::seed_from_u64(14);
+        for (n, p) in [(18, 0.3), (18, 0.1), (40, 0.2), (64, 0.15), (64, 0.5)] {
+            for _ in 0..4 {
+                let mut g = generators::gnp(n, p, &mut rng);
+                for v in 0..n {
+                    g.set_node_weight(v, rng.gen_range(1..9));
+                }
+                let w = node_weights(&g);
+                for mis in [true, false] {
+                    let one = run::<1>(&g, &w, mis);
+                    let set = &one.0.vertices;
+                    if mis {
+                        assert!(g.is_independent_set(set));
+                    } else {
+                        assert!(set
+                            .iter()
+                            .all(|&u| set.iter().all(|&v| u == v || g.has_edge(u, v))));
+                    }
+                    assert_eq!(g.node_set_weight(set), one.0.weight);
+                    assert_eq!(run::<2>(&g, &w, mis), one);
+                    assert_eq!(run::<3>(&g, &w, mis), one);
+                    assert_eq!(run::<4>(&g, &w, mis), one);
+                }
+            }
+        }
+    }
+
+    /// Above 128 vertices the cardinality and clique entry points run
+    /// the same engine as weighted MWIS; on a cycle and a clique the
+    /// coloring bound is tight, so the searches are short.
+    #[test]
+    fn every_entry_point_takes_up_to_256_vertices() {
+        let cycle = generators::cycle(130);
+        assert_eq!(independence_number(&cycle), 65);
+        assert_eq!(min_vertex_cover(&cycle).weight, 65);
+        let complete = generators::complete(200);
+        assert_eq!(max_weight_clique(&complete).weight, 200);
+        assert_eq!(independence_number(&complete), 1);
+        assert_eq!(min_weight_vertex_cover(&complete).weight, 199);
     }
 
     #[test]
