@@ -11,7 +11,10 @@
 //!
 //! Every non-wall column is deterministic — sweeps and searches are
 //! seeded end to end — so the gate pins `caught`/`exhausted`/`evals`/…
-//! exactly, and only the `wall_micros` columns ride the noise band.
+//! exactly, and only the `wall_micros` columns ride the noise band. The
+//! top-level `"available_cores"` field records the machine (the sweeps
+//! run on every core), so a 1-CPU run is never read against a many-core
+//! one.
 
 use congest_faults::{
     adversarial_search, run_sweep, AdversaryConfig, FaultBudget, FaultPlan, RetryPolicy,
@@ -139,10 +142,11 @@ fn measure_search<A: SelfCertify>(
     }
 }
 
-fn write_json(path: &str, entries: &[Entry]) -> std::io::Result<()> {
+fn write_json(path: &str, cores: usize, entries: &[Entry]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"fault_sweep\",")?;
+    writeln!(f, "  \"available_cores\": {cores},")?;
     writeln!(f, "  \"samples_per_point\": {SAMPLES},")?;
     writeln!(f, "  \"entries\": [")?;
     for (i, e) in entries.iter().enumerate() {
@@ -162,7 +166,11 @@ fn write_json(path: &str, entries: &[Entry]) -> std::io::Result<()> {
 }
 
 fn main() {
-    println!("== group: fault_sweep (robustness sweeps and adversarial search) ==");
+    let cores = congest_par::max_jobs();
+    println!(
+        "== group: fault_sweep (robustness sweeps and adversarial search, available cores: \
+         {cores}) =="
+    );
     let mut entries = Vec::new();
 
     // Monte-Carlo i.i.d. sweeps: fixed seeded plans, folded counters.
@@ -188,7 +196,7 @@ fn main() {
     println!();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    match write_json(out, &entries) {
+    match write_json(out, cores, &entries) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
     }

@@ -146,7 +146,7 @@ struct Entry {
     alg: &'static str,
     n: usize,
     edges: usize,
-    /// Worker count of a sharded-engine point; `None` for the serial engine.
+    /// Worker count of a sharded-engine point; `None` for a serial (one-shard) run.
     threads: Option<usize>,
     wall: Duration,
     stats: SimStats,

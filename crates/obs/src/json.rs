@@ -44,11 +44,20 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             at: self.pos,
@@ -131,15 +140,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
-                            at: self.pos,
-                            message: "invalid UTF-8".into(),
-                        })?;
-                    let c = rest.chars().next().expect("non-empty by match");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the input, which is valid UTF-8.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -214,10 +224,7 @@ impl<'a> Parser<'a> {
 ///
 /// Keys may appear in any order; unknown top-level keys are rejected.
 pub fn parse_record(line: &str) -> Result<Record, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(line);
     let mut rec = Record::new("", "");
     p.expect(b'{')?;
     let mut first = true;
@@ -409,10 +416,7 @@ impl<'a> Parser<'a> {
 /// This is the reader for nested documents ([`parse_record`] stays the
 /// strict fast path for JSONL trace lines).
 pub fn parse_value(text: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -523,5 +527,28 @@ mod tests {
         assert!(parse_value("[] trailing").is_err());
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse_value(&deep).is_err(), "depth limit enforced");
+    }
+
+    /// String scanning is linear: a 1 MiB value of mixed ASCII,
+    /// multi-byte characters and escapes parses through both entry
+    /// points well inside the budget (a per-character rescan of the rest
+    /// of the input takes minutes on it).
+    #[test]
+    fn mebibyte_strings_parse_in_linear_time() {
+        let chunk = "plain ascii π ✓ \"quoted\" back\\slash\ttab ";
+        let long = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(long.len() >= 1 << 20);
+        let rec = Record::new("t", "e").with("s", long.as_str());
+        let line = rec.to_json();
+        let t0 = std::time::Instant::now();
+        assert_eq!(parse_record(&line).expect("parses"), rec);
+        let doc = parse_value(&line).expect("parses");
+        let fields = doc.get("fields").expect("fields object");
+        assert_eq!(
+            fields.get("s").and_then(JsonValue::as_str),
+            Some(long.as_str())
+        );
+        let took = t0.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "1 MiB string took {took:?}");
     }
 }

@@ -13,14 +13,18 @@
 //! The engine enforces the model: messages may only travel along graph
 //! edges and may not exceed the configured bandwidth. Every message is
 //! metered at its exact [`CongestAlgorithm::message_bits`] width, on its
-//! own edge, in its own round. [`Simulator`] has seven run methods: the
-//! fallible serial [`Simulator::try_run`], [`Simulator::try_run_with`]
-//! (observer + link layer) and [`Simulator::try_run_profiled`] (plus a
-//! [`PhaseProfile`]); their sharded twins [`Simulator::try_run_sharded`]
-//! and [`Simulator::try_run_sharded_with`] for [`ShardableAlgorithm`]s;
-//! and the classic [`Simulator::run`] / [`Simulator::run_observed`],
-//! which panic with the same messages the fallible methods return as
-//! typed [`SimError`]s.
+//! own edge, in its own round. [`Simulator`] has seven run methods over
+//! one engine, which splits the nodes into contiguous shards and steps
+//! them in synchronous rounds: the fallible serial [`Simulator::try_run`],
+//! [`Simulator::try_run_with`] (observer + link layer) and
+//! [`Simulator::try_run_profiled`] (plus a [`PhaseProfile`]) are its
+//! one-shard case, run on the calling thread with the caller's algorithm
+//! and link borrowed in place; their sharded twins
+//! [`Simulator::try_run_sharded`] and [`Simulator::try_run_sharded_with`]
+//! spread [`ShardableAlgorithm`]s over worker threads with byte-identical
+//! results; and the classic [`Simulator::run`] /
+//! [`Simulator::run_observed`] panic with the same messages the fallible
+//! methods return as typed [`SimError`]s.
 //!
 //! A pluggable [`LinkLayer`] sits *below* the model checks and can drop,
 //! corrupt, duplicate, delay, or throttle messages and crash-stop nodes —

@@ -1,12 +1,13 @@
 use std::collections::HashMap;
-use std::time::Instant;
 
-use congest_graph::{Csr, EdgeId, Graph, NodeId};
+use congest_graph::{Csr, Graph, NodeId};
 
 use crate::error::SimError;
-use crate::link::{FaultCounters, FaultEvent, FaultKind, LinkFate, LinkLayer, PerfectLink};
-use crate::observer::{RoundDelta, RoundObserver};
-use crate::profile::{Phase, PhaseProfile};
+use crate::link::{FaultCounters, LinkLayer, PerfectLink};
+use crate::observer::RoundObserver;
+#[cfg(test)]
+use crate::profile::Phase;
+use crate::profile::PhaseProfile;
 
 /// The default CONGEST bandwidth: `2·⌈log₂ n⌉ + 16` bits per edge per
 /// round — enough for a constant number of identifiers plus tags, the
@@ -195,8 +196,9 @@ pub trait CongestAlgorithm {
     fn output(&self, node: NodeId) -> Option<Self::Output>;
 
     /// Applies a single-bit perturbation to a message in transit, for
-    /// fault injection ([`LinkFate::Corrupt`]). `bit` is a free index the
-    /// implementation maps onto its payload (typically `bit % width`).
+    /// fault injection ([`crate::LinkFate::Corrupt`]). `bit` is a free
+    /// index the implementation maps onto its payload (typically
+    /// `bit % width`).
     ///
     /// Returning `None` — the default — declares the message type opaque
     /// to corruption; the fault layer then loses the message instead
@@ -254,73 +256,6 @@ impl<M> SendBuf<M> {
 impl<M> Default for SendBuf<M> {
     fn default() -> Self {
         SendBuf::new()
-    }
-}
-
-/// The engine's in-flight/delivery buffer: one `Vec` of `(sender,
-/// message)` tuples per destination, double-buffered across rounds.
-///
-/// Protocol per dispatched message: `stage` appends the message and
-/// returns its metered width; the caller then meters and asks the link
-/// layer for a fate, and on a non-delivery fate rolls the entry back
-/// with `unstage` (always the most recently staged entry). `push`
-/// appends without width accounting (matured delays, sharded round-
-/// barrier handoff).
-pub(crate) struct BoxedArena<A: CongestAlgorithm> {
-    bufs: Vec<Vec<(NodeId, A::Msg)>>,
-}
-
-impl<A: CongestAlgorithm> BoxedArena<A> {
-    /// An empty arena for `n` nodes.
-    pub(crate) fn with_nodes(n: usize) -> Self {
-        BoxedArena {
-            bufs: vec![Vec::new(); n],
-        }
-    }
-
-    /// Appends a message and returns its metered width. `hint` is the
-    /// [`SendBuf`] width hint (`0` = unknown, compute it).
-    #[inline]
-    pub(crate) fn stage(&mut self, to: NodeId, from: NodeId, msg: A::Msg, hint: u64) -> u64 {
-        let bits = if hint != 0 {
-            debug_assert_eq!(hint, A::message_bits(&msg), "bad SendBuf width hint");
-            hint
-        } else {
-            A::message_bits(&msg)
-        };
-        self.bufs[to].push((from, msg));
-        bits
-    }
-
-    /// Removes and returns the most recently staged message (fault-path
-    /// rollback for drops, delays, and corruption rewrites).
-    #[inline]
-    pub(crate) fn unstage(&mut self, to: NodeId) -> A::Msg {
-        self.bufs[to].pop().expect("unstage from empty buffer").1
-    }
-
-    /// Appends a message without metering bookkeeping.
-    #[inline]
-    pub(crate) fn push(&mut self, to: NodeId, from: NodeId, msg: A::Msg) {
-        self.bufs[to].push((from, msg));
-    }
-
-    /// True when no messages are buffered.
-    pub(crate) fn all_empty(&self) -> bool {
-        self.bufs.iter().all(Vec::is_empty)
-    }
-
-    /// Node `v`'s inbox in arrival order.
-    #[inline]
-    pub(crate) fn inbox(&self, v: NodeId) -> &[(NodeId, A::Msg)] {
-        &self.bufs[v]
-    }
-
-    /// Empties the arena, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        for b in &mut self.bufs {
-            b.clear();
-        }
     }
 }
 
@@ -400,193 +335,6 @@ impl SimStats {
     }
 }
 
-/// Per-round per-edge traffic accumulator, allocated only when the
-/// observer asks for edge deltas.
-///
-/// Bits live in a dense edge-id-indexed array; `stamp[e] == epoch` marks
-/// entries valid for the current round, so clearing between rounds is a
-/// counter bump plus a walk of the (usually short) `touched` list — never
-/// an `O(m)` reset. The `HashMap` the observer sees ([`RoundDelta`]'s
-/// public type) is rebuilt from `touched` once per flush: one hash insert
-/// per *touched edge* per round instead of one per message.
-pub(crate) struct RoundEdges {
-    /// Bits metered this round, valid only where `stamp[e] == epoch`.
-    pub(crate) bits: Vec<u64>,
-    /// Round-epoch stamp per edge id.
-    pub(crate) stamp: Vec<u64>,
-    /// Edge ids metered this round, in first-touch order.
-    pub(crate) touched: Vec<EdgeId>,
-    /// The observer-facing view, rebuilt at each flush and then cleared.
-    pub(crate) map: HashMap<(NodeId, NodeId), u64>,
-    /// Current round epoch (starts at 1 so a zeroed `stamp` is invalid).
-    pub(crate) epoch: u64,
-}
-
-impl RoundEdges {
-    pub(crate) fn new(m: usize) -> Self {
-        RoundEdges {
-            bits: vec![0; m],
-            stamp: vec![0; m],
-            touched: Vec::new(),
-            map: HashMap::new(),
-            epoch: 1,
-        }
-    }
-
-    pub(crate) fn meter(&mut self, eid: EdgeId, bits: u64) {
-        let i = eid as usize;
-        if self.stamp[i] == self.epoch {
-            self.bits[i] += bits;
-        } else {
-            self.stamp[i] = self.epoch;
-            self.bits[i] = bits;
-            self.touched.push(eid);
-        }
-    }
-}
-
-/// Mutable run state threaded through the engine: in-flight and delayed
-/// messages, the stats under construction, dense per-edge meters, and the
-/// observer/link hooks.
-///
-/// All hot-path state is flat and reused across rounds: per-edge bit
-/// totals are `Vec<u64>` indexed by CSR [`EdgeId`] (the public
-/// `bits_per_edge` map is rebuilt once at finalization), inbox arenas are
-/// swapped rather than reallocated, and duplicate-send detection is an
-/// epoch-stamped array instead of a per-dispatch scan.
-struct Engine<'a, A: CongestAlgorithm, O, L> {
-    /// Messages to deliver next round, staged per destination. Swapped
-    /// with the caller's delivery arena each round; capacities persist.
-    in_flight: BoxedArena<A>,
-    /// Delayed messages as `(rounds_remaining, to, from, msg)`; matured
-    /// into `in_flight` after each delivery swap.
-    delayed: Vec<(u64, NodeId, NodeId, A::Msg)>,
-    /// Spare buffer swapped with `delayed` by [`Engine::mature_delays`].
-    delayed_spare: Vec<(u64, NodeId, NodeId, A::Msg)>,
-    stats: SimStats,
-    /// Total bits per edge, indexed by CSR edge id.
-    edge_bits: Vec<u64>,
-    /// Whether an edge was ever metered. A zero-bit message still creates
-    /// a `bits_per_edge` entry, exactly like the historical per-message
-    /// `HashMap` accounting.
-    edge_touched: Vec<bool>,
-    /// Per-round edge traffic, collected only when the observer asks.
-    round_edges: Option<RoundEdges>,
-    /// `seen[v] == seen_epoch` marks `v` as already targeted within the
-    /// current dispatch call (duplicate-send detection).
-    seen: Vec<u64>,
-    seen_epoch: u64,
-    /// (messages, bits) totals at the end of the previous round.
-    prev: (u64, u64),
-    csr: &'a Csr,
-    observer: &'a mut O,
-    link: &'a mut L,
-    /// Phase profiler, when the caller asked for one. `None` keeps the
-    /// hot path allocation- and clock-free; `Some` costs one branch per
-    /// round outside sampled rounds (see [`PhaseProfile`]).
-    prof: Option<&'a mut PhaseProfile>,
-}
-
-impl<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer> Engine<'_, A, O, L> {
-    /// Whether the profiler is attached *and* sampling the current round.
-    #[inline]
-    fn prof_sampling(&self) -> bool {
-        self.prof.as_deref().is_some_and(PhaseProfile::sampling)
-    }
-
-    /// Attributes the time since `t0` (when timing was on) to `phase`.
-    #[inline]
-    fn prof_add(&mut self, phase: Phase, t0: Option<Instant>) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.add(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Accounts one message crossing edge `eid` in the global stats.
-    fn meter(&mut self, eid: EdgeId, bits: u64) {
-        self.stats.messages += 1;
-        self.stats.total_bits += bits;
-        let i = eid as usize;
-        self.edge_bits[i] += bits;
-        self.edge_touched[i] = true;
-        if let Some(re) = self.round_edges.as_mut() {
-            re.meter(eid, bits);
-        }
-    }
-
-    /// Counts an injected fault and reports it to the observer.
-    fn fault(&mut self, ev: FaultEvent) {
-        self.stats.faults.bump(ev.kind);
-        self.observer.on_fault(&ev);
-    }
-
-    /// Closes out one round: appends the timeline entry, hands the
-    /// observer its [`RoundDelta`], and resets the per-round edge meters.
-    fn flush_round(&mut self, round: u64) {
-        let messages = self.stats.messages - self.prev.0;
-        let bits = self.stats.total_bits - self.prev.1;
-        self.prev = (self.stats.messages, self.stats.total_bits);
-        self.stats.round_timeline.push(RoundTraffic {
-            round,
-            messages,
-            bits,
-        });
-        let edge_bits = match self.round_edges.as_mut() {
-            None => None,
-            Some(re) => {
-                for &eid in &re.touched {
-                    re.map
-                        .insert(self.csr.endpoints(eid), re.bits[eid as usize]);
-                }
-                Some(&re.map)
-            }
-        };
-        self.observer.on_round(&RoundDelta {
-            round,
-            messages,
-            bits,
-            total_bits: self.stats.total_bits,
-            edge_bits,
-        });
-        if let Some(re) = self.round_edges.as_mut() {
-            re.map.clear();
-            re.touched.clear();
-            re.epoch += 1;
-        }
-    }
-
-    /// Materializes the public `bits_per_edge` map from the dense
-    /// edge-id-indexed meters — called once, at run finalization.
-    fn finalize_edge_map(&mut self) {
-        let touched = self.edge_touched.iter().filter(|&&t| t).count();
-        let mut map = HashMap::with_capacity(touched);
-        for (i, &t) in self.edge_touched.iter().enumerate() {
-            if t {
-                map.insert(self.csr.endpoints(i as EdgeId), self.edge_bits[i]);
-            }
-        }
-        self.stats.bits_per_edge = map;
-    }
-
-    /// Advances delayed messages by one round, delivering those that
-    /// matured. Called after the delivery swap, so a message delayed by
-    /// `d` arrives exactly `d` rounds later than it would have.
-    fn mature_delays(&mut self) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        debug_assert!(self.delayed_spare.is_empty());
-        for (remaining, to, from, msg) in self.delayed.drain(..) {
-            if remaining <= 1 {
-                self.in_flight.push(to, from, msg);
-            } else {
-                self.delayed_spare.push((remaining - 1, to, from, msg));
-            }
-        }
-        std::mem::swap(&mut self.delayed, &mut self.delayed_spare);
-    }
-}
-
 /// The synchronous executor.
 ///
 /// Construction snapshots the graph into a [`Csr`] view (dense edge ids,
@@ -594,6 +342,11 @@ impl<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer> Engine<'_, A, O, L> {
 /// checks are binary searches and per-edge metering is flat array
 /// arithmetic. One `Simulator` value can be reused across runs to
 /// amortize the snapshot.
+///
+/// Every run method drives the same engine (the `shard` module): the
+/// serial methods are its one-shard case, stepped on the calling thread
+/// with the caller's algorithm and link borrowed in place; the sharded
+/// methods split the nodes across the worker pool.
 #[derive(Debug)]
 pub struct Simulator<'g> {
     pub(crate) graph: &'g Graph,
@@ -603,7 +356,7 @@ pub struct Simulator<'g> {
     pub(crate) bit_budget: Option<u64>,
     /// Worker count for the sharded entry points (`try_run_sharded*`);
     /// `0` means one shard per available core. The serial entry points
-    /// ignore it. See [`Simulator::with_jobs`].
+    /// always run one shard. See [`Simulator::with_jobs`].
     pub(crate) jobs: usize,
 }
 
@@ -641,12 +394,15 @@ impl<'g> Simulator<'g> {
     /// ([`Simulator::try_run_sharded`], [`Simulator::try_run_sharded_with`]):
     /// the node set is split into `jobs` contiguous shards, one worker
     /// thread per shard. `0` means one shard per available core; the
-    /// default is `1` (serial execution on the calling thread, no threads
-    /// spawned). The sharded engine produces byte-identical `SimStats`
-    /// and observer callbacks at every worker count — the knob only
-    /// changes wall-clock time.
+    /// default is `1` (one shard on the calling thread, no threads
+    /// spawned). Runs produce byte-identical `SimStats` and observer
+    /// callbacks at every worker count — the knob only changes
+    /// wall-clock time.
     ///
-    /// The serial entry points (`run`, `try_run`, ...) ignore this knob.
+    /// The serial entry points (`run`, `try_run`, ...) ignore this knob:
+    /// they are always the one-shard case of the same engine, and borrow
+    /// the caller's algorithm and link instead of splitting and cloning
+    /// them.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self
@@ -732,10 +488,18 @@ impl<'g> Simulator<'g> {
         )
     }
 
-    /// The full engine: runs `alg` with a [`RoundObserver`] and a
-    /// [`LinkLayer`] deciding the fate of every message. With
-    /// [`PerfectLink`] the execution is bit-for-bit identical to
-    /// [`Simulator::run`] (same `SimStats`, same observer callbacks).
+    /// The full serial run: runs `alg` with a [`RoundObserver`] and a
+    /// [`LinkLayer`] deciding the fate of every message, as the engine's
+    /// one-shard case on the calling thread. With [`PerfectLink`] the
+    /// execution is bit-for-bit identical to [`Simulator::run`] (same
+    /// `SimStats`, same observer callbacks); for a shardable algorithm
+    /// and a shard-safe link it is byte-identical to
+    /// [`Simulator::try_run_sharded_with`] at any worker count.
+    ///
+    /// `alg` and `link` are borrowed in place — neither needs to be
+    /// `Send`, `Clone` or shardable. The link sees `on_run_start` once,
+    /// `crashes_at` once per round, and `fate` in (round, ascending
+    /// sender, emission) order.
     ///
     /// On a model violation the run stops where the violation occurred and
     /// the error is returned; the observer's `on_done` is *not* called
@@ -747,7 +511,7 @@ impl<'g> Simulator<'g> {
         observer: &mut O,
         link: &mut L,
     ) -> Result<SimStats, SimError> {
-        self.try_run_inner(alg, max_rounds, observer, link, None)
+        self.run_one_shard(alg, max_rounds, observer, link, None)
     }
 
     /// Like [`Simulator::try_run_with`], with phase-level profiling: wall
@@ -764,388 +528,7 @@ impl<'g> Simulator<'g> {
         link: &mut L,
         profile: &mut PhaseProfile,
     ) -> Result<SimStats, SimError> {
-        self.try_run_inner(alg, max_rounds, observer, link, Some(profile))
-    }
-
-    fn try_run_inner<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
-        &self,
-        alg: &mut A,
-        max_rounds: u64,
-        observer: &mut O,
-        link: &mut L,
-        prof: Option<&mut PhaseProfile>,
-    ) -> Result<SimStats, SimError> {
-        let run_t0 = prof.is_some().then(Instant::now);
-        let n = self.graph.num_nodes();
-        let m = self.csr.num_edges();
-        let ctx = NodeContext {
-            graph: self.graph,
-            n,
-            bandwidth: self.bandwidth,
-        };
-        let mut halted = vec![false; n];
-        link.on_run_start(n);
-        let round_edges = observer.wants_edge_traffic().then(|| RoundEdges::new(m));
-        let mut eng: Engine<'_, A, O, L> = Engine {
-            in_flight: BoxedArena::with_nodes(n),
-            delayed: Vec::new(),
-            delayed_spare: Vec::new(),
-            stats: SimStats::default(),
-            edge_bits: vec![0; m],
-            edge_touched: vec![false; m],
-            round_edges,
-            seen: vec![0; n],
-            seen_epoch: 0,
-            prev: (0, 0),
-            csr: &self.csr,
-            observer,
-            link,
-            prof,
-        };
-        // The second inbox arena: swapped with `eng.in_flight` at each
-        // delivery step, read as this round's inboxes, then cleared (the
-        // per-node capacities survive, so steady-state rounds allocate
-        // nothing).
-        let mut deliveries: BoxedArena<A> = BoxedArena::with_nodes(n);
-        // Reusable send buffer filled by `round_into` and drained by
-        // `dispatch`.
-        let mut sendbuf: SendBuf<A::Msg> = SendBuf::new();
-        let mut outcome: Option<RunOutcome> = None;
-        // The init burst is profiled as round 0: `init` calls count as
-        // compute, their dispatches as meter/link-fate.
-        let init_sampled = match eng.prof.as_deref_mut() {
-            Some(p) => p.begin_round(0),
-            None => false,
-        };
-        let init_t0 = init_sampled.then(Instant::now);
-        for v in 0..n {
-            let t0 = init_sampled.then(Instant::now);
-            let out = alg.init(v, &ctx);
-            eng.prof_add(Phase::Compute, t0);
-            debug_assert!(sendbuf.is_empty());
-            for (to, msg) in out {
-                sendbuf.push(to, msg);
-            }
-            self.dispatch(&mut eng, v, &mut sendbuf, 0)?;
-        }
-        let ep_t0 = init_sampled.then(Instant::now);
-        eng.flush_round(0);
-        eng.prof_add(Phase::Epilogue, ep_t0);
-        if let (Some(t0), Some(p)) = (init_t0, eng.prof.as_deref_mut()) {
-            p.note_round(t0.elapsed().as_nanos() as u64);
-        }
-        if self.budget_exceeded(&eng.stats) {
-            outcome = Some(RunOutcome::BitBudget);
-        }
-        let mut round = 0usize;
-        let mut node_abort: Option<NodeId> = None;
-        while outcome.is_none() {
-            if eng.stats.rounds >= max_rounds {
-                outcome = Some(RunOutcome::RoundBudget);
-                break;
-            }
-            let sampled = match eng.prof.as_deref_mut() {
-                Some(p) => p.begin_round(eng.stats.rounds + 1),
-                None => false,
-            };
-            let round_t0 = sampled.then(Instant::now);
-            for v in eng.link.crashes_at(round as u64) {
-                if v < n && !halted[v] {
-                    halted[v] = true;
-                    let ev = FaultEvent {
-                        round: eng.stats.rounds + 1,
-                        kind: FaultKind::Crash,
-                        from: v,
-                        to: None,
-                        bits: 0,
-                        detail: round as u64,
-                    };
-                    eng.fault(ev);
-                }
-            }
-            if halted.iter().all(|&h| h) {
-                outcome = Some(RunOutcome::Halted);
-                break;
-            }
-            let was_quiet = eng.in_flight.all_empty() && eng.delayed.is_empty();
-            if was_quiet && self.stop_on_quiescence && round > 0 {
-                // One final activation; stop if it produces nothing.
-                let mut any = false;
-                for v in 0..n {
-                    if halted[v] {
-                        continue;
-                    }
-                    let t0 = sampled.then(Instant::now);
-                    let action = alg.round_into(v, &ctx, round, &[], &mut sendbuf);
-                    eng.prof_add(Phase::Compute, t0);
-                    any |= !sendbuf.is_empty();
-                    let event_round = eng.stats.rounds + 1;
-                    self.dispatch(&mut eng, v, &mut sendbuf, event_round)?;
-                    match action {
-                        RoundOutcome::Halt => halted[v] = true,
-                        RoundOutcome::Aborted => {
-                            halted[v] = true;
-                            node_abort.get_or_insert(v);
-                        }
-                        RoundOutcome::Continue => {}
-                    }
-                }
-                let t0 = sampled.then(Instant::now);
-                outcome = self.round_epilogue(&mut eng, &mut round, node_abort);
-                eng.prof_add(Phase::Epilogue, t0);
-                if outcome.is_none() && !any && eng.in_flight.all_empty() && eng.delayed.is_empty()
-                {
-                    outcome = Some(RunOutcome::Quiescent);
-                }
-                if let (Some(t0), Some(p)) = (round_t0, eng.prof.as_deref_mut()) {
-                    p.note_round(t0.elapsed().as_nanos() as u64);
-                }
-                continue;
-            }
-            let t0 = sampled.then(Instant::now);
-            std::mem::swap(&mut eng.in_flight, &mut deliveries);
-            eng.mature_delays();
-            eng.prof_add(Phase::Deliver, t0);
-            for v in 0..n {
-                if halted[v] {
-                    // Pending inbound messages to halted (or crash-stopped)
-                    // nodes are dropped; the sender already paid the bits.
-                    continue;
-                }
-                let t0 = sampled.then(Instant::now);
-                let inbox = deliveries.inbox(v);
-                let action = alg.round_into(v, &ctx, round, inbox, &mut sendbuf);
-                eng.prof_add(Phase::Compute, t0);
-                let event_round = eng.stats.rounds + 1;
-                self.dispatch(&mut eng, v, &mut sendbuf, event_round)?;
-                match action {
-                    RoundOutcome::Halt => halted[v] = true,
-                    RoundOutcome::Aborted => {
-                        halted[v] = true;
-                        node_abort.get_or_insert(v);
-                    }
-                    RoundOutcome::Continue => {}
-                }
-            }
-            let t0 = sampled.then(Instant::now);
-            deliveries.clear();
-            eng.prof_add(Phase::Deliver, t0);
-            let t0 = sampled.then(Instant::now);
-            outcome = self.round_epilogue(&mut eng, &mut round, node_abort);
-            eng.prof_add(Phase::Epilogue, t0);
-            if let (Some(t0), Some(p)) = (round_t0, eng.prof.as_deref_mut()) {
-                p.note_round(t0.elapsed().as_nanos() as u64);
-            }
-        }
-        let t0 = run_t0.map(|_| Instant::now());
-        eng.finalize_edge_map();
-        eng.prof_add(Phase::Epilogue, t0);
-        let mut stats = eng.stats;
-        let mut outcome = outcome.unwrap_or(RunOutcome::RoundBudget);
-        // A run that used its whole round budget but ended with every node
-        // halted converged; report it as such.
-        if outcome == RunOutcome::RoundBudget && halted.iter().all(|&h| h) {
-            outcome = RunOutcome::Halted;
-        }
-        stats.outcome = outcome;
-        eng.observer.on_done(&stats);
-        if let (Some(t0), Some(p)) = (run_t0, eng.prof.as_deref_mut()) {
-            p.note_run(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(stats)
-    }
-
-    /// The shared end-of-round bookkeeping: advance the round counters,
-    /// flush the timeline/observer, and decide whether a node abort or the
-    /// bit budget ends the run. Both delivery paths (ordinary and
-    /// quiescence-probe) funnel through here so the invariants live in one
-    /// place.
-    fn round_epilogue<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
-        &self,
-        eng: &mut Engine<'_, A, O, L>,
-        round: &mut usize,
-        node_abort: Option<NodeId>,
-    ) -> Option<RunOutcome> {
-        eng.stats.rounds += 1;
-        *round += 1;
-        let r = eng.stats.rounds;
-        eng.flush_round(r);
-        if let Some(v) = node_abort {
-            Some(RunOutcome::NodeAborted(v))
-        } else if self.budget_exceeded(&eng.stats) {
-            Some(RunOutcome::BitBudget)
-        } else {
-            None
-        }
-    }
-
-    pub(crate) fn budget_exceeded(&self, stats: &SimStats) -> bool {
-        self.bit_budget.is_some_and(|b| stats.total_bits > b)
-    }
-
-    /// Validates, meters, and routes one node's outgoing messages through
-    /// the link layer, draining `out`. Model checks run before the link
-    /// hook and traffic is metered before the fate applies: faults never
-    /// mask a CONGEST violation and a lost message still cost its sender
-    /// the bits.
-    ///
-    /// Each message is *staged* into the in-flight arena first; fates are
-    /// then applied to the staged entry in place — delivery keeps it,
-    /// drops/delays/corruption roll it back with `unstage` (corruption
-    /// re-stages the perturbed payload), duplication stages a second
-    /// copy. The observable ordering is model checks, then meter, then
-    /// fate.
-    fn dispatch<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
-        &self,
-        eng: &mut Engine<'_, A, O, L>,
-        from: NodeId,
-        out: &mut SendBuf<A::Msg>,
-        round: u64,
-    ) -> Result<(), SimError> {
-        // Duplicate-send detection via epoch-stamped per-node marks: one
-        // array comparison per recipient instead of an O(deg) scan, and no
-        // per-call clearing (bumping the epoch invalidates all stamps).
-        eng.seen_epoch += 1;
-        let epoch = eng.seen_epoch;
-        // Per-message timing only in sampled rounds; nanos accumulate in
-        // locals and flush to the profiler once per dispatch call. The
-        // meter/fate segments are contiguous, so each boundary is read
-        // once and chained — two clock reads per message, the dominant
-        // profiling cost on hosts with slow clocks.
-        let sampling = eng.prof_sampling();
-        let mut meter_nanos = 0u64;
-        let mut fate_nanos = 0u64;
-        let mut timed_msgs = 0u64;
-        let mut prev = sampling.then(Instant::now);
-        for (to, msg, hint) in out.items.drain(..) {
-            let Some(eid) = self.csr.edge_id(from, to) else {
-                return Err(SimError::NonNeighborSend { from, to, round });
-            };
-            if eng.seen[to] == epoch {
-                return Err(SimError::DuplicateSend { from, to, round });
-            }
-            eng.seen[to] = epoch;
-            let bits = eng.in_flight.stage(to, from, msg, hint);
-            if bits > self.bandwidth {
-                return Err(SimError::BandwidthExceeded {
-                    from,
-                    to,
-                    bits,
-                    bandwidth: self.bandwidth,
-                    round,
-                });
-            }
-            eng.meter(eid, bits);
-            let t_meter = prev.is_some().then(Instant::now);
-            match eng.link.fate(round, from, to, bits) {
-                LinkFate::Deliver | LinkFate::Delay { rounds: 0 } => {}
-                LinkFate::Drop => {
-                    eng.in_flight.unstage(to);
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Drop,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Throttle => {
-                    eng.in_flight.unstage(to);
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Throttle,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Omission => {
-                    eng.in_flight.unstage(to);
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Omission,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Partition => {
-                    eng.in_flight.unstage(to);
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Partition,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Corrupt { bit } => {
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Corrupt,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: u64::from(bit),
-                    });
-                    // Corruption-opaque message types lose the message
-                    // instead of delivering a forged payload. The staged
-                    // entry is rewritten in place: rolled back and, when
-                    // the type supports perturbation, re-staged with the
-                    // flipped payload (metered width already charged).
-                    let msg = eng.in_flight.unstage(to);
-                    if let Some(corrupted) = A::corrupt(&msg, bit) {
-                        eng.in_flight.stage(to, from, corrupted, 0);
-                    }
-                }
-                LinkFate::Duplicate => {
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Duplicate,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                    // The extra copy is real traffic on the wire: metered
-                    // a second time and staged behind the original.
-                    eng.meter(eid, bits);
-                    let msg = eng.in_flight.unstage(to);
-                    eng.in_flight.stage(to, from, msg.clone(), bits);
-                    eng.in_flight.stage(to, from, msg, bits);
-                }
-                LinkFate::Delay { rounds } => {
-                    eng.fault(FaultEvent {
-                        round,
-                        kind: FaultKind::Delay,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: rounds,
-                    });
-                    let msg = eng.in_flight.unstage(to);
-                    eng.delayed.push((rounds, to, from, msg));
-                }
-            }
-            if let (Some(p0), Some(t1)) = (prev, t_meter) {
-                meter_nanos += t1.duration_since(p0).as_nanos() as u64;
-                let t2 = Instant::now();
-                fate_nanos += t2.duration_since(t1).as_nanos() as u64;
-                prev = Some(t2);
-                timed_msgs += 1;
-            }
-        }
-        if timed_msgs > 0 {
-            if let Some(p) = eng.prof.as_deref_mut() {
-                p.add_n(Phase::Meter, meter_nanos, timed_msgs);
-                p.add_n(Phase::LinkFate, fate_nanos, timed_msgs);
-            }
-        }
-        Ok(())
+        self.run_one_shard(alg, max_rounds, observer, link, Some(profile))
     }
 }
 

@@ -6,10 +6,13 @@
 //! and bit accounting per message), `link_fate` (link-layer fate and
 //! routing per message), and `epilogue` (timeline flush + observer
 //! callbacks + finalization) — plus the wall time of the whole run and
-//! of each sampled round. Only the serial engine is profiled, through
-//! [`crate::Simulator::try_run_profiled`]; the sharded engine has no
-//! profiled entry point, because its per-message `meter`/`link_fate`
-//! segments run on worker threads and cannot be attributed per phase.
+//! of each sampled round. Profiling covers one-shard runs, through
+//! [`crate::Simulator::try_run_profiled`]: the engine steps its one shard
+//! on the calling thread, which times deliver, compute, meter and
+//! link_fate, while the round's coordinator times the epilogue. Pooled
+//! sharded runs have no profiled entry point, because their per-message
+//! `meter`/`link_fate` segments run on worker threads and cannot be
+//! attributed per phase.
 //!
 //! The cost model is a *sampling guard*: rounds where
 //! `round % sample_every != 0` pay exactly one branch and no clock

@@ -1,33 +1,44 @@
-//! Sharded execution of the CONGEST engine: the node set is split into
-//! contiguous [`NodePartition`] ranges, one shard per worker thread, and
-//! each round runs as one barrier step of the `congest-par` shard pool.
+//! The simulator's engine. The node set is split into contiguous
+//! [`NodePartition`] ranges, one *shard* each; every round is one step of
+//! every shard followed by a barrier at which a coordinator merges the
+//! shards' buffered effects in ascending shard order.
+//!
+//! There is one engine with two drivers. A serial run
+//! ([`Simulator::try_run_with`], and `run`, `run_observed`, `try_run` and
+//! `try_run_profiled` on top of it) is the one-shard case: its shard is
+//! stepped directly on the calling thread and borrows the caller's
+//! algorithm and link in place — no split, no clone, no `Send` bound.
+//! A sharded run ([`Simulator::try_run_sharded_with`]) puts `k` shards on
+//! the `congest-par` barrier pool, each owning a split of the algorithm
+//! ([`ShardableAlgorithm`]) and a clone of the link ([`ShardSafeLink`]).
 //!
 //! # Determinism contract
 //!
-//! Sharded runs are **byte-identical** to the serial engine at every
-//! worker count: the same `SimStats` (messages, bits, per-edge totals,
-//! timeline, fault counters, outcome) and the same observer callback
-//! sequence. The `tests/sharded_trace.rs` suite pins JSONL golden traces
-//! across worker counts. The invariants that make this work:
+//! Runs are **byte-identical** at every shard count: the same `SimStats`
+//! (messages, bits, per-edge totals, timeline, fault counters, outcome)
+//! and the same observer callback sequence. `tests/sharded_trace.rs` pins
+//! JSONL traces across worker counts and `tests/inbox_order.rs` states the
+//! inbox order on its own. The invariants that make this work:
 //!
-//! * **All sends go through staging.** Every message — intra-shard or
-//!   cross-shard — lands in a per-`(src-shard, dst-shard)` staging vec
-//!   during the parallel phase and is merged into the destination inbox
-//!   arena at the next round's start, in ascending source-shard order.
-//!   Shards own contiguous ascending node ranges, so "ascending source
-//!   shard, within a shard ascending sender, per sender emission order"
-//!   is exactly the serial engine's inbox order. There is deliberately no
-//!   intra-shard fast path: delivering local messages directly would put
-//!   them ahead of lower-id remote senders.
+//! * **Every inbox is `[matured delays] ++ [on-time sends by ascending
+//!   sender]`**, each sender's messages in emission order. Shard 0
+//!   delivers sends to its own node range straight into its next-round
+//!   arena. Every other send is staged per `(src-shard, dst-shard)` and
+//!   appended to the destination arena at the next step's start, in
+//!   ascending source-shard order. Delays that mature in a round are
+//!   pushed right after that step's arena swap, before any dispatch.
+//!   Shard 0 is the lowest source shard, so its direct deliveries land
+//!   exactly where staging would have put them; a higher shard delivering
+//!   its own sends directly would put them ahead of lower-id remote
+//!   senders, so only shard 0 does. A one-shard run stages nothing.
 //! * **Meter before link fate, shard-locally.** Each shard meters its own
 //!   senders' traffic into shard-local dense per-edge accumulators before
-//!   asking its link-layer clone for the fate — the serial ordering
-//!   contract, applied per shard. The global per-edge map is the
-//!   fold of the shard meters (an edge can be metered by both endpoint
-//!   shards in one round — once per direction — so the fold adds).
-//! * **Shard-stable link layers.** Cross-thread fate decisions use
-//!   per-shard clones of the link, so the link's verdict must be a pure
-//!   function of `(round, from, to, bits)` and its configuration — the
+//!   asking its link for the fate. The global per-edge map is the fold of
+//!   the shard meters (an edge can be metered by both endpoint shards in
+//!   one round — once per direction — so the fold adds).
+//! * **Shard-stable link layers.** Pooled shards decide fates on their
+//!   own link clones, so the link's verdict must be a pure function of
+//!   `(round, from, to, bits)` and its configuration — the
 //!   [`ShardSafeLink`] marker contract. `congest_faults::FaultPlan`
 //!   derives each fate from a counter-based per-message RNG keyed exactly
 //!   that way, so seeded fault plans replay identically at any worker
@@ -35,34 +46,35 @@
 //! * **Deterministic barrier epilogue.** Fault events, halt flags, abort
 //!   winners, delayed messages and traffic counters are buffered
 //!   shard-locally and drained by the coordinator in ascending shard
-//!   order — the serial engine's ascending-node order — before the
-//!   round's `RoundDelta` is flushed.
+//!   order — ascending node order — before the round's `RoundDelta` is
+//!   flushed.
 //!
 //! # Error semantics
 //!
-//! On a model violation the serial engine stops at the first offending
-//! message in ascending node order. Shards stop at their own first
-//! violation; the coordinator takes the lowest erring shard, replays the
-//! fault events of shards at or below it (everything the serial engine
-//! would have emitted), discards the work of higher shards, and returns
-//! the error without flushing the partial round — matching the serial
-//! observable sequence exactly. The algorithm state absorbed back into
-//! the caller's instance is *not* specified beyond "each node was stepped
-//! at most once in the failing round" (higher shards may have stepped
-//! nodes the serial engine would not have reached).
+//! A run stops at the first model violation in ascending node order.
+//! Shards stop at their own first violation; the coordinator takes the
+//! lowest erring shard, replays the fault events of shards at or below it
+//! (everything a one-shard run emits before the violation), discards the
+//! work of higher shards, and returns the error without flushing the
+//! partial round. After a rejected sharded run the algorithm state
+//! absorbed back into the caller's instance is *not* specified beyond
+//! "each node was stepped at most once in the failing round" (higher
+//! shards may have stepped nodes a one-shard run would not have reached).
 
 use std::collections::HashMap;
+use std::time::Instant;
 
-use congest_graph::{NodeId, NodePartition};
+use congest_graph::{Csr, EdgeId, NodeId, NodePartition};
 use congest_par::{resolve_jobs, with_shards, PoolStats, ShardHandle};
 
 use crate::error::SimError;
 use crate::link::{FaultEvent, FaultKind, LinkFate, LinkLayer, PerfectLink};
 use crate::model::{
-    BoxedArena, CongestAlgorithm, NodeContext, RoundEdges, RoundOutcome, RoundTraffic, RunOutcome,
-    SendBuf, SimStats, Simulator,
+    CongestAlgorithm, NodeContext, RoundOutcome, RoundTraffic, RunOutcome, SendBuf, SimStats,
+    Simulator,
 };
 use crate::observer::{NoopRoundObserver, RoundDelta, RoundObserver};
+use crate::profile::{Phase, PhaseProfile};
 
 /// A [`CongestAlgorithm`] whose all-nodes state can be split into
 /// contiguous node-range shards and merged back.
@@ -92,64 +104,144 @@ pub trait ShardableAlgorithm: CongestAlgorithm + Send + Sized {
 ///
 /// The sharded engine hands each shard its own clone of the link and
 /// calls `fate` from worker threads in shard-local node order, which is
-/// *not* the serial engine's global call order. A link whose verdicts
-/// depend on call history (e.g. a naive sequentially-drawn RNG stream)
-/// would diverge; a link keyed per message replays identically.
+/// *not* a serial run's global call order. A link whose verdicts depend
+/// on call history (e.g. a naive sequentially-drawn RNG stream) would
+/// diverge; a link keyed per message replays identically.
 /// `crashes_at` and `on_run_start` are only ever driven on the
-/// coordinator's instance, in serial round order.
+/// coordinator's instance, in round order.
 pub trait ShardSafeLink: LinkLayer + Clone + Send {}
 
 impl ShardSafeLink for PerfectLink {}
 
-/// What the next barrier step should do, set by the coordinator while
-/// holding the shard's lock.
+/// A shard's inbox buffer: one `Vec` of `(sender, message)` tuples per
+/// node, double-buffered across rounds (the per-node capacities survive
+/// the swap, so steady-state rounds allocate nothing).
+struct BoxedArena<M> {
+    bufs: Vec<Vec<(NodeId, M)>>,
+}
+
+impl<M> BoxedArena<M> {
+    /// An empty arena for `n` nodes.
+    fn with_nodes(n: usize) -> Self {
+        BoxedArena {
+            bufs: std::iter::repeat_with(Vec::new).take(n).collect(),
+        }
+    }
+
+    /// Appends a message to `to`'s inbox.
+    #[inline]
+    fn push(&mut self, to: NodeId, from: NodeId, msg: M) {
+        self.bufs[to].push((from, msg));
+    }
+
+    /// Node `v`'s inbox in arrival order.
+    #[inline]
+    fn inbox(&self, v: NodeId) -> &[(NodeId, M)] {
+        &self.bufs[v]
+    }
+
+    /// Empties the arena, keeping capacity.
+    fn clear(&mut self) {
+        for b in &mut self.bufs {
+            b.clear();
+        }
+    }
+}
+
+/// Per-round per-edge traffic meters, allocated only when the observer
+/// asks for edge deltas.
+///
+/// Bits live in a dense edge-id-indexed array; `stamp[e] == epoch` marks
+/// entries valid for the current round, so the barrier resets the meters
+/// by walking the (usually short) `touched` list and bumping the epoch —
+/// never an `O(m)` clear.
+struct RoundEdges {
+    /// Bits metered this round, valid only where `stamp[e] == epoch`.
+    bits: Vec<u64>,
+    /// Round-epoch stamp per edge id.
+    stamp: Vec<u64>,
+    /// Edge ids metered this round, in first-touch order.
+    touched: Vec<EdgeId>,
+    /// Current round epoch (starts at 1 so a zeroed `stamp` is invalid).
+    epoch: u64,
+}
+
+impl RoundEdges {
+    fn new(m: usize) -> Self {
+        RoundEdges {
+            bits: vec![0; m],
+            stamp: vec![0; m],
+            touched: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    fn meter(&mut self, eid: EdgeId, bits: u64) {
+        let i = eid as usize;
+        if self.stamp[i] == self.epoch {
+            self.bits[i] += bits;
+        } else {
+            self.stamp[i] = self.epoch;
+            self.bits[i] = bits;
+            self.touched.push(eid);
+        }
+    }
+}
+
+/// What one step of every shard does.
+#[derive(Debug, Clone, Copy)]
 enum ShardTask {
-    /// Do nothing (defensive default between rounds).
-    Idle,
-    /// Run every node's `init` and stage the round-0 burst.
+    /// Run every node's `init` and dispatch the round-0 burst.
     Init,
-    /// Merge staged inboxes, run one algorithm round, stage the sends.
-    Round {
-        /// Algorithm round index passed to `CongestAlgorithm::round`.
-        round: usize,
-        /// Timeline round for fault events and error reporting.
-        event_round: u64,
-    },
+    /// Build this round's inboxes, run algorithm round `round` (timeline
+    /// round `round + 1`), and dispatch the sends.
+    Round(usize),
 }
 
 /// A batch of staged sends `(from, to, msg)` bound for one shard.
 type SendBatch<M> = Vec<(NodeId, NodeId, M)>;
 
-/// All state owned by one shard: its node range, its slice of the
-/// algorithm, a link clone, double-buffered inbox arenas for its own
-/// nodes, staging batches toward every shard, and shard-local meters.
-struct ShardState<A: CongestAlgorithm, L> {
+/// `count` empty staging lanes for a `k`-shard run. A one-shard run
+/// gets none: its shard delivers every send directly, so it allocates
+/// nothing for staging.
+fn lanes<M>(k: usize, count: usize) -> Vec<SendBatch<M>> {
+    let count = if k > 1 { count } else { 0 };
+    std::iter::repeat_with(Vec::new).take(count).collect()
+}
+
+/// A delayed message `(rounds_remaining, to, from, msg)`.
+type Delayed<M> = (u64, NodeId, NodeId, M);
+
+/// One shard's engine state: its node range, double-buffered inbox arenas
+/// for its own nodes, staging lanes toward every shard, and shard-local
+/// meters. It holds no algorithm and no link — each step
+/// borrows them, so the same code steps a pooled shard and the one shard
+/// of a serial run.
+struct Shard<A: CongestAlgorithm> {
     lo: NodeId,
     hi: NodeId,
-    alg: A,
-    link: L,
-    task: ShardTask,
+    /// Sends to nodes below this bound are delivered straight into
+    /// `in_flight`: `hi` for the shard starting at node 0, else 0.
+    direct_hi: NodeId,
     /// Inbox arena for the *next* delivery, globally indexed. Swapped
-    /// with `deliveries` each round; capacities persist.
-    in_flight: BoxedArena<A>,
+    /// with `deliveries` each round.
+    in_flight: BoxedArena<A::Msg>,
     /// This round's inboxes after the swap, cleared at step end.
-    deliveries: BoxedArena<A>,
-    /// Reusable per-shard send buffer handed to `round_into`.
+    deliveries: BoxedArena<A::Msg>,
+    /// Reusable send buffer handed to `round_into`.
     sendbuf: SendBuf<A::Msg>,
-    /// Matured delayed messages `(to, from, msg)` for this shard's nodes,
-    /// installed by the coordinator, merged ahead of all staged sends
-    /// (the serial engine matures delays into `in_flight` before the
-    /// round's dispatches).
+    /// Delays maturing this round `(to, from, msg)`, installed by the
+    /// coordinator before the step, in global delay-queue order.
     matured_in: Vec<(NodeId, NodeId, A::Msg)>,
-    /// Staged inbound sends, one batch per source shard, installed by
-    /// the coordinator at the previous barrier.
+    /// Staged inbound sends, one lane per source shard, installed by the
+    /// coordinator at the previous barrier.
     stage_in: Vec<SendBatch<A::Msg>>,
-    /// Staged outbound sends, one batch per destination shard, collected
+    /// Staged outbound sends, one lane per destination shard, collected
     /// by the coordinator at the barrier.
     stage_out: Vec<SendBatch<A::Msg>>,
-    /// Sends the link delayed: `(rounds, to, from, msg)`, appended to the
-    /// coordinator's global delay queue at the barrier.
-    stage_delay: Vec<(u64, NodeId, NodeId, A::Msg)>,
+    /// Sends the link delayed, appended to the coordinator's global delay
+    /// queue at the barrier.
+    stage_delay: Vec<Delayed<A::Msg>>,
     /// Fault events in shard-local dispatch order, drained by the
     /// coordinator in ascending shard order.
     faults: Vec<FaultEvent>,
@@ -161,6 +253,9 @@ struct ShardState<A: CongestAlgorithm, L> {
     error: Option<SimError>,
     /// Whether any node emitted a non-empty send list this step.
     any_out: bool,
+    /// Messages this step queued for delivery next round: direct, staged
+    /// or matured.
+    queued: usize,
     /// Halt flags for this shard's nodes, indexed `v - lo`.
     halted: Vec<bool>,
     /// Messages metered this step (drained at the barrier).
@@ -168,60 +263,65 @@ struct ShardState<A: CongestAlgorithm, L> {
     /// Bits metered this step (drained at the barrier).
     step_bits: u64,
     /// Run-total bits per edge metered *by this shard's senders*, dense
-    /// over all edge ids; folded into `bits_per_edge` at finalization.
+    /// over all edge ids.
     edge_bits: Vec<u64>,
-    /// Whether this shard ever metered the edge.
+    /// Whether this shard ever metered the edge. A zero-bit message still
+    /// creates a `bits_per_edge` entry.
     edge_touched: Vec<bool>,
-    /// Per-round per-edge meters when the observer asked for them; the
-    /// coordinator folds `touched`/`bits` into the round map and bumps
-    /// the epoch at each barrier (the `map` field stays unused).
+    /// Per-round per-edge meters when the observer asked for them.
     round_edges: Option<RoundEdges>,
-    /// Duplicate-send detection, epoch-stamped over all `n` recipients.
+    /// `seen[v] == seen_epoch` marks `v` as already targeted by the
+    /// current sender (duplicate-send detection without clearing).
     seen: Vec<u64>,
     seen_epoch: u64,
 }
 
-/// Read-only state shared by every shard body: topology, model
+/// Read-only state shared by every shard step: topology, model
 /// constants, and the partition for routing staged sends.
 struct SharedCtx<'a> {
-    csr: &'a congest_graph::Csr,
-    part: &'a NodePartition,
+    csr: &'a Csr,
+    /// The partition of a sharded run; `None` in a one-shard run, which
+    /// never routes between shards.
+    part: Option<&'a NodePartition>,
     ctx: NodeContext<'a>,
-    bandwidth: u64,
 }
 
-impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        lo: NodeId,
-        hi: NodeId,
-        alg: A,
-        link: L,
-        k: usize,
-        n: usize,
-        m: usize,
-        wants_edges: bool,
-    ) -> Self {
-        let len = hi - lo;
-        ShardState {
+impl SharedCtx<'_> {
+    #[inline]
+    fn shard_of(&self, v: NodeId) -> usize {
+        self.part.map_or(0, |p| p.shard_of(v))
+    }
+}
+
+/// Attributes the time since `t0` to `phase`; `t0` is `Some` only while
+/// an attached profiler samples the current round.
+#[inline]
+fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) {
+    if let (Some(t0), Some(p)) = (t0, prof.as_deref_mut()) {
+        p.add(phase, t0.elapsed().as_nanos() as u64);
+    }
+}
+
+impl<A: CongestAlgorithm> Shard<A> {
+    fn new(lo: NodeId, hi: NodeId, k: usize, n: usize, m: usize, wants_edges: bool) -> Self {
+        Shard {
             lo,
             hi,
-            alg,
-            link,
-            task: ShardTask::Idle,
+            direct_hi: if lo == 0 { hi } else { 0 },
             in_flight: BoxedArena::with_nodes(n),
             deliveries: BoxedArena::with_nodes(n),
             sendbuf: SendBuf::new(),
             matured_in: Vec::new(),
-            stage_in: vec![Vec::new(); k],
-            stage_out: vec![Vec::new(); k],
+            stage_in: lanes(k, k),
+            stage_out: lanes(k, k),
             stage_delay: Vec::new(),
             faults: Vec::new(),
             newly_halted: 0,
             abort: None,
             error: None,
             any_out: false,
-            halted: vec![false; len],
+            queued: 0,
+            halted: vec![false; hi - lo],
             step_messages: 0,
             step_bits: 0,
             edge_bits: vec![0; m],
@@ -232,62 +332,86 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
         }
     }
 
-    /// The per-step body run under the pool barrier.
-    fn run_step(&mut self, shared: &SharedCtx<'_>) {
-        match std::mem::replace(&mut self.task, ShardTask::Idle) {
-            ShardTask::Idle => {}
-            ShardTask::Init => self.run_init(shared),
-            ShardTask::Round { round, event_round } => self.run_round(shared, round, event_round),
-        }
-    }
-
-    fn run_init(&mut self, shared: &SharedCtx<'_>) {
+    /// Runs one step of `task` over this shard's nodes with `alg` and
+    /// `link` borrowed for the step. When `prof` samples the current
+    /// round, the step's deliver, compute, meter and link-fate time is
+    /// attributed to it.
+    fn step<L: LinkLayer>(
+        &mut self,
+        task: ShardTask,
+        alg: &mut A,
+        link: &mut L,
+        shared: &SharedCtx<'_>,
+        prof: Option<&mut PhaseProfile>,
+    ) {
+        let mut prof = prof.filter(|p| p.sampling());
         let mut sendbuf = std::mem::take(&mut self.sendbuf);
-        for v in self.lo..self.hi {
-            for (to, msg) in self.alg.init(v, &shared.ctx) {
-                sendbuf.push(to, msg);
+        match task {
+            ShardTask::Init => {
+                for v in self.lo..self.hi {
+                    let t0 = prof.is_some().then(Instant::now);
+                    let out = alg.init(v, &shared.ctx);
+                    lap(&mut prof, Phase::Compute, t0);
+                    for (to, msg) in out {
+                        sendbuf.push(to, msg);
+                    }
+                    if let Err(e) = self.dispatch(link, shared, v, &mut sendbuf, 0, &mut prof) {
+                        self.error = Some(e);
+                        break;
+                    }
+                }
             }
-            if let Err(e) = self.dispatch(shared, v, &mut sendbuf, 0) {
-                self.error = Some(e);
-                break;
+            ShardTask::Round(round) => {
+                self.round(alg, link, shared, round, &mut sendbuf, &mut prof);
             }
         }
         self.sendbuf = sendbuf;
     }
 
-    fn run_round(&mut self, shared: &SharedCtx<'_>, round: usize, event_round: u64) {
-        // Build this round's inboxes: matured delays first (global delay-
-        // queue order), then staged sends in ascending source-shard order —
-        // together, exactly the serial engine's per-inbox ordering.
-        let lo = self.lo;
-        for (to, from, msg) in self.matured_in.drain(..) {
-            self.in_flight.push(to, from, msg);
-        }
+    fn round<L: LinkLayer>(
+        &mut self,
+        alg: &mut A,
+        link: &mut L,
+        shared: &SharedCtx<'_>,
+        round: usize,
+        sendbuf: &mut SendBuf<A::Msg>,
+        prof: &mut Option<&mut PhaseProfile>,
+    ) {
+        let t0 = prof.is_some().then(Instant::now);
+        // `in_flight` already holds last step's matured delays and (on
+        // the shard starting at node 0) its own direct deliveries; staged
+        // sends follow in ascending source-shard order.
         for staged in &mut self.stage_in {
             for (from, to, msg) in staged.drain(..) {
                 self.in_flight.push(to, from, msg);
             }
         }
         std::mem::swap(&mut self.in_flight, &mut self.deliveries);
-        let mut sendbuf = std::mem::take(&mut self.sendbuf);
+        // Delays maturing now arrive next round, ahead of every send this
+        // step dispatches — so a message delayed by `d` arrives exactly
+        // `d` rounds later than it would have.
+        self.queued += self.matured_in.len();
+        for (to, from, msg) in self.matured_in.drain(..) {
+            self.in_flight.push(to, from, msg);
+        }
+        lap(prof, Phase::Deliver, t0);
+        let event_round = round as u64 + 1;
         for v in self.lo..self.hi {
-            let i = v - lo;
+            let i = v - self.lo;
             if self.halted[i] {
                 // Pending inbound messages to halted (or crash-stopped)
                 // nodes are dropped; the sender already paid the bits.
                 continue;
             }
-            let action = self.alg.round_into(
-                v,
-                &shared.ctx,
-                round,
-                self.deliveries.inbox(v),
-                &mut sendbuf,
-            );
-            self.any_out |= !sendbuf.is_empty();
-            if let Err(e) = self.dispatch(shared, v, &mut sendbuf, event_round) {
-                self.error = Some(e);
-                break;
+            let t0 = prof.is_some().then(Instant::now);
+            let action = alg.round_into(v, &shared.ctx, round, self.deliveries.inbox(v), sendbuf);
+            lap(prof, Phase::Compute, t0);
+            if !sendbuf.is_empty() {
+                self.any_out = true;
+                if let Err(e) = self.dispatch(link, shared, v, sendbuf, event_round, prof) {
+                    self.error = Some(e);
+                    break;
+                }
             }
             match action {
                 RoundOutcome::Halt => {
@@ -302,23 +426,37 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
                 RoundOutcome::Continue => {}
             }
         }
-        self.sendbuf = sendbuf;
+        let t0 = prof.is_some().then(Instant::now);
         self.deliveries.clear();
+        lap(prof, Phase::Deliver, t0);
     }
 
-    /// Shard-local twin of the serial engine's dispatch: model checks,
-    /// then meter, then the link fate — with delivery replaced by
-    /// staging toward the destination shard. Drains `out` completely
-    /// (even on an early model-violation return).
-    fn dispatch(
+    /// Validates, meters, and routes one node's outgoing messages through
+    /// the link layer, draining `out` (also on an early model-violation
+    /// return). Model checks run before the link hook and traffic is
+    /// metered before the fate applies: faults never mask a CONGEST
+    /// violation and a lost message still cost its sender the bits.
+    fn dispatch<L: LinkLayer>(
         &mut self,
+        link: &mut L,
         shared: &SharedCtx<'_>,
         from: NodeId,
         out: &mut SendBuf<A::Msg>,
         round: u64,
+        prof: &mut Option<&mut PhaseProfile>,
     ) -> Result<(), SimError> {
         self.seen_epoch += 1;
         let epoch = self.seen_epoch;
+        let bandwidth = shared.ctx.bandwidth;
+        // Per-message timing only in sampled rounds; nanos accumulate in
+        // locals and flush to the profiler once per call. The meter/fate
+        // segments are contiguous, so each boundary is read once and
+        // chained — two clock reads per message, the dominant profiling
+        // cost on hosts with slow clocks.
+        let mut meter_nanos = 0u64;
+        let mut fate_nanos = 0u64;
+        let mut timed_msgs = 0u64;
+        let mut prev = prof.is_some().then(Instant::now);
         for (to, msg, hint) in out.items.drain(..) {
             let Some(eid) = shared.csr.edge_id(from, to) else {
                 return Err(SimError::NonNeighborSend { from, to, round });
@@ -333,105 +471,85 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
             } else {
                 A::message_bits(&msg)
             };
-            if bits > shared.bandwidth {
+            if bits > bandwidth {
                 return Err(SimError::BandwidthExceeded {
                     from,
                     to,
                     bits,
-                    bandwidth: shared.bandwidth,
+                    bandwidth,
                     round,
                 });
             }
             self.meter(eid, bits);
-            let dst = shared.part.shard_of(to);
-            match self.link.fate(round, from, to, bits) {
+            let t_meter = prev.is_some().then(Instant::now);
+            let fault = |kind, detail| FaultEvent {
+                round,
+                kind,
+                from,
+                to: Some(to),
+                bits,
+                detail,
+            };
+            match link.fate(round, from, to, bits) {
                 LinkFate::Deliver | LinkFate::Delay { rounds: 0 } => {
-                    self.stage_out[dst].push((from, to, msg));
+                    self.route(shared, from, to, msg);
                 }
-                LinkFate::Drop => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Drop,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Throttle => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Throttle,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Omission => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Omission,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
-                LinkFate::Partition => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Partition,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                }
+                LinkFate::Drop => self.faults.push(fault(FaultKind::Drop, 0)),
+                LinkFate::Throttle => self.faults.push(fault(FaultKind::Throttle, 0)),
+                LinkFate::Omission => self.faults.push(fault(FaultKind::Omission, 0)),
+                LinkFate::Partition => self.faults.push(fault(FaultKind::Partition, 0)),
                 LinkFate::Corrupt { bit } => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Corrupt,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: u64::from(bit),
-                    });
+                    self.faults.push(fault(FaultKind::Corrupt, u64::from(bit)));
+                    // Corruption-opaque message types lose the message
+                    // instead of delivering a forged payload.
                     if let Some(corrupted) = A::corrupt(&msg, bit) {
-                        self.stage_out[dst].push((from, to, corrupted));
+                        self.route(shared, from, to, corrupted);
                     }
                 }
                 LinkFate::Duplicate => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Duplicate,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: 0,
-                    });
-                    // The extra copy is real traffic on the wire.
+                    self.faults.push(fault(FaultKind::Duplicate, 0));
+                    // The extra copy is real traffic on the wire: metered
+                    // a second time and delivered behind the original.
                     self.meter(eid, bits);
-                    self.stage_out[dst].push((from, to, msg.clone()));
-                    self.stage_out[dst].push((from, to, msg));
+                    self.route(shared, from, to, msg.clone());
+                    self.route(shared, from, to, msg);
                 }
                 LinkFate::Delay { rounds } => {
-                    self.faults.push(FaultEvent {
-                        round,
-                        kind: FaultKind::Delay,
-                        from,
-                        to: Some(to),
-                        bits,
-                        detail: rounds,
-                    });
+                    self.faults.push(fault(FaultKind::Delay, rounds));
                     self.stage_delay.push((rounds, to, from, msg));
                 }
+            }
+            if let (Some(p0), Some(t1)) = (prev, t_meter) {
+                meter_nanos += t1.duration_since(p0).as_nanos() as u64;
+                let t2 = Instant::now();
+                fate_nanos += t2.duration_since(t1).as_nanos() as u64;
+                prev = Some(t2);
+                timed_msgs += 1;
+            }
+        }
+        if timed_msgs > 0 {
+            if let Some(p) = prof.as_deref_mut() {
+                p.add_n(Phase::Meter, meter_nanos, timed_msgs);
+                p.add_n(Phase::LinkFate, fate_nanos, timed_msgs);
             }
         }
         Ok(())
     }
 
-    fn meter(&mut self, eid: congest_graph::EdgeId, bits: u64) {
+    /// Queues a message for delivery next round: straight into the next
+    /// arena when this shard may deliver it directly, else staged toward
+    /// the destination shard.
+    #[inline]
+    fn route(&mut self, shared: &SharedCtx<'_>, from: NodeId, to: NodeId, msg: A::Msg) {
+        self.queued += 1;
+        if to < self.direct_hi {
+            self.in_flight.push(to, from, msg);
+        } else {
+            self.stage_out[shared.shard_of(to)].push((from, to, msg));
+        }
+    }
+
+    fn meter(&mut self, eid: EdgeId, bits: u64) {
         self.step_messages += 1;
         self.step_bits += bits;
         let i = eid as usize;
@@ -443,242 +561,372 @@ impl<A: ShardableAlgorithm, L: ShardSafeLink> ShardState<A, L> {
     }
 }
 
-/// The coordinator side of a sharded run: global delay queue, stats
-/// under construction, cross-shard staging in transit, and the
-/// observer/link hooks. Lives on the calling thread; touches shard state
-/// only under the pool's per-shard locks, between steps.
-struct Coordinator<'a, 'g, A: CongestAlgorithm, O, L> {
-    sim: &'a Simulator<'g>,
+/// How the coordinator reaches its shards: the barrier pool of a sharded
+/// run, or the one shard of a serial run stepped on the calling thread.
+trait Shards<A: CongestAlgorithm> {
+    /// Runs `task` on every shard — one barrier step.
+    fn step(&mut self, task: ShardTask, prof: Option<&mut PhaseProfile>);
+
+    /// Coordinator access to shard `s` between steps.
+    fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut Shard<A>) -> R) -> R;
+
+    /// Nodes to crash-stop at the start of algorithm round `round`, from
+    /// the caller's link.
+    fn crashes_at(&mut self, round: u64) -> Vec<NodeId>;
+}
+
+/// The one shard of a serial run, borrowing the caller's algorithm and
+/// link in place.
+struct OneShard<'a, A: CongestAlgorithm, L> {
+    shard: Shard<A>,
+    alg: &'a mut A,
+    link: &'a mut L,
+    shared: &'a SharedCtx<'a>,
+}
+
+impl<A: CongestAlgorithm, L: LinkLayer> Shards<A> for OneShard<'_, A, L> {
+    fn step(&mut self, task: ShardTask, prof: Option<&mut PhaseProfile>) {
+        self.shard
+            .step(task, self.alg, self.link, self.shared, prof);
+    }
+
+    fn with<R>(&mut self, _s: usize, f: impl FnOnce(&mut Shard<A>) -> R) -> R {
+        f(&mut self.shard)
+    }
+
+    fn crashes_at(&mut self, round: u64) -> Vec<NodeId> {
+        self.link.crashes_at(round)
+    }
+}
+
+/// A pooled shard: its engine state, its split of the algorithm, its
+/// clone of the link, and the task of the next barrier step.
+struct Pooled<A: CongestAlgorithm, L> {
+    shard: Shard<A>,
+    alg: A,
+    link: L,
+    task: Option<ShardTask>,
+}
+
+/// The shards of a sharded run, behind the pool's barrier handle.
+struct Pool<'h, 'p, A: CongestAlgorithm, L> {
+    handle: &'h mut ShardHandle<'p, Pooled<A, L>>,
+    /// The caller's link, which drives the crash schedule.
+    link: &'h mut L,
+}
+
+impl<A: CongestAlgorithm, L: LinkLayer> Shards<A> for Pool<'_, '_, A, L> {
+    fn step(&mut self, task: ShardTask, prof: Option<&mut PhaseProfile>) {
+        debug_assert!(prof.is_none(), "pooled runs are not profiled");
+        for s in 0..self.handle.num_shards() {
+            self.handle.lock(s).task = Some(task);
+        }
+        self.handle.step();
+    }
+
+    fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut Shard<A>) -> R) -> R {
+        f(&mut self.handle.lock(s).shard)
+    }
+
+    fn crashes_at(&mut self, round: u64) -> Vec<NodeId> {
+        self.link.crashes_at(round)
+    }
+}
+
+/// The coordinator side of a run: global delay queue, stats under
+/// construction, staged sends in transit between shards, and the
+/// observer. Lives on the calling thread and touches shard state only
+/// between steps.
+struct Coordinator<'a, A: CongestAlgorithm, O> {
     shared: &'a SharedCtx<'a>,
     observer: &'a mut O,
-    link: &'a mut L,
+    /// Phase profiler of a one-shard run, with the run's start time.
+    prof: Option<&'a mut PhaseProfile>,
+    started: Option<Instant>,
+    stop_on_quiescence: bool,
+    bit_budget: Option<u64>,
     k: usize,
     n: usize,
     max_rounds: u64,
-    wants_edges: bool,
     stats: SimStats,
-    /// Delayed messages `(rounds_remaining, to, from, msg)` in global
-    /// append order (ascending shard at each barrier — serial order).
-    delayed: Vec<(u64, NodeId, NodeId, A::Msg)>,
-    delayed_spare: Vec<(u64, NodeId, NodeId, A::Msg)>,
-    /// Matured delays per destination shard, in transit to `matured_in`.
+    /// Delayed messages in global append order (ascending shard at each
+    /// barrier — ascending sender).
+    delayed: Vec<Delayed<A::Msg>>,
+    delayed_spare: Vec<Delayed<A::Msg>>,
+    /// Matured delays per destination shard, in transit to `matured_in`;
+    /// allocated when the first delay matures.
     matured: Vec<Vec<(NodeId, NodeId, A::Msg)>>,
-    matured_total: usize,
-    /// Collected `stage_out` batches, `pending[src][dst]`, in transit.
-    pending: Vec<Vec<SendBatch<A::Msg>>>,
-    pending_total: usize,
-    /// Messages currently staged in shard `stage_in`/`matured_in` —
-    /// the sharded equivalent of "`in_flight` is non-empty".
-    staged_total: usize,
+    /// Collected `stage_out` lanes in transit, `pending[src * k + dst]`.
+    pending: Vec<SendBatch<A::Msg>>,
+    /// Messages queued for delivery next round, across all shards.
+    in_flight: usize,
     node_abort: Option<NodeId>,
     halted_count: usize,
     /// (messages, bits) of the round being flushed.
     round_traffic: (u64, u64),
-    /// Deterministically merged per-edge round map handed to `on_round`.
-    round_map: HashMap<(NodeId, NodeId), u64>,
+    /// Per-edge round map handed to `on_round`, when the observer asks.
+    round_map: Option<HashMap<(NodeId, NodeId), u64>>,
 }
 
-impl<'a, 'g, A, O, L> Coordinator<'a, 'g, A, O, L>
-where
-    A: ShardableAlgorithm,
-    A::Msg: Send,
-    O: RoundObserver,
-    L: ShardSafeLink,
-{
-    /// The full run loop, executed as the pool driver.
-    fn run(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>) -> RunResult {
-        for s in 0..self.k {
-            handle.lock(s).task = ShardTask::Init;
+impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
+    fn new(
+        sim: &Simulator<'_>,
+        shared: &'a SharedCtx<'a>,
+        observer: &'a mut O,
+        prof: Option<&'a mut PhaseProfile>,
+        k: usize,
+        max_rounds: u64,
+    ) -> Self {
+        let round_map = observer.wants_edge_traffic().then(HashMap::new);
+        Coordinator {
+            shared,
+            observer,
+            started: prof.is_some().then(Instant::now),
+            prof,
+            stop_on_quiescence: sim.stop_on_quiescence,
+            bit_budget: sim.bit_budget,
+            k,
+            n: shared.ctx.n,
+            max_rounds,
+            stats: SimStats::default(),
+            delayed: Vec::new(),
+            delayed_spare: Vec::new(),
+            matured: Vec::new(),
+            pending: lanes(k, k * k),
+            in_flight: 0,
+            node_abort: None,
+            halted_count: 0,
+            round_traffic: (0, 0),
+            round_map,
         }
-        handle.step();
-        self.collect_barrier(handle)?;
-        self.flush_round(0);
-        let mut outcome: Option<RunOutcome> = None;
-        if self.sim.budget_exceeded(&self.stats) {
-            outcome = Some(RunOutcome::BitBudget);
-        } else {
-            self.install(handle);
-        }
-        let mut round = 0usize;
-        while outcome.is_none() {
-            if self.stats.rounds >= self.max_rounds {
-                outcome = Some(RunOutcome::RoundBudget);
-                break;
-            }
-            self.apply_crashes(handle, round as u64);
-            if self.halted_count == self.n {
-                outcome = Some(RunOutcome::Halted);
-                break;
-            }
-            let was_quiet = self.staged_total == 0 && self.delayed.is_empty();
-            let probe = was_quiet && self.sim.stop_on_quiescence && round > 0;
-            self.mature_delays();
-            for s in 0..self.k {
-                handle.lock(s).task = ShardTask::Round {
-                    round,
-                    event_round: self.stats.rounds + 1,
-                };
-            }
-            handle.step();
-            self.staged_total = 0;
-            let any_out = self.collect_barrier(handle)?;
-            outcome = self.round_epilogue(&mut round);
-            if probe
-                && outcome.is_none()
-                && !any_out
-                && self.pending_total + self.matured_total == 0
-                && self.delayed.is_empty()
-            {
-                outcome = Some(RunOutcome::Quiescent);
-            }
-            if outcome.is_none() {
-                self.install(handle);
-            }
-        }
-        Ok(outcome)
     }
 
-    /// Crash-stops scheduled nodes, exactly like the serial engine:
-    /// driven on the coordinator's link instance in round order, fault
-    /// events emitted before any of the round's dispatch faults.
-    fn apply_crashes(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>, round: u64) {
-        for v in self.link.crashes_at(round) {
+    fn wants_edges(&self) -> bool {
+        self.round_map.is_some()
+    }
+
+    /// Runs to completion and returns the final stats (after the
+    /// observer's `on_done`).
+    fn run<S: Shards<A>>(&mut self, set: &mut S) -> Result<SimStats, SimError> {
+        let outcome = self.run_rounds(set)?;
+        let t0 = self.prof.is_some().then(Instant::now);
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.bits_per_edge = self.edge_map(set);
+        lap(&mut self.prof, Phase::Epilogue, t0);
+        // A run that used its whole round budget but ended with every
+        // node halted converged; report it as such.
+        stats.outcome = if outcome == RunOutcome::RoundBudget && self.halted_count == self.n {
+            RunOutcome::Halted
+        } else {
+            outcome
+        };
+        self.observer.on_done(&stats);
+        if let (Some(t0), Some(p)) = (self.started, self.prof.as_deref_mut()) {
+            p.note_run(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(stats)
+    }
+
+    /// The round loop: the init burst (timeline round 0), then one step
+    /// per round until an outcome is decided.
+    fn run_rounds<S: Shards<A>>(&mut self, set: &mut S) -> Result<RunOutcome, SimError> {
+        let sampled = self.begin_round(0);
+        let round_t0 = sampled.then(Instant::now);
+        set.step(ShardTask::Init, self.prof.as_deref_mut());
+        let t0 = sampled.then(Instant::now);
+        self.collect(set)?;
+        self.flush_round(0);
+        lap(&mut self.prof, Phase::Epilogue, t0);
+        self.note_round(round_t0);
+        if self.budget_exceeded() {
+            return Ok(RunOutcome::BitBudget);
+        }
+        self.install(set);
+        loop {
+            let round = self.stats.rounds;
+            if round >= self.max_rounds {
+                return Ok(RunOutcome::RoundBudget);
+            }
+            let sampled = self.begin_round(round + 1);
+            let round_t0 = sampled.then(Instant::now);
+            self.apply_crashes(set, round);
+            if self.halted_count == self.n {
+                return Ok(RunOutcome::Halted);
+            }
+            // A round that starts with nothing in flight is a quiescence
+            // probe: one final activation, and the run stops if it
+            // produces nothing.
+            let probe = self.stop_on_quiescence
+                && round > 0
+                && self.in_flight == 0
+                && self.delayed.is_empty();
+            self.mature_delays(set);
+            set.step(ShardTask::Round(round as usize), self.prof.as_deref_mut());
+            let t0 = sampled.then(Instant::now);
+            let any_out = self.collect(set)?;
+            self.stats.rounds += 1;
+            self.flush_round(round + 1);
+            let outcome = if let Some(v) = self.node_abort {
+                Some(RunOutcome::NodeAborted(v))
+            } else if self.budget_exceeded() {
+                Some(RunOutcome::BitBudget)
+            } else if probe && !any_out && self.in_flight == 0 && self.delayed.is_empty() {
+                Some(RunOutcome::Quiescent)
+            } else {
+                self.install(set);
+                None
+            };
+            lap(&mut self.prof, Phase::Epilogue, t0);
+            self.note_round(round_t0);
+            if let Some(outcome) = outcome {
+                return Ok(outcome);
+            }
+        }
+    }
+
+    fn budget_exceeded(&self) -> bool {
+        self.bit_budget.is_some_and(|b| self.stats.total_bits > b)
+    }
+
+    /// Whether an attached profiler samples timeline round `round`.
+    fn begin_round(&mut self, round: u64) -> bool {
+        self.prof
+            .as_deref_mut()
+            .is_some_and(|p| p.begin_round(round))
+    }
+
+    fn note_round(&mut self, t0: Option<Instant>) {
+        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
+            p.note_round(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Crash-stops the nodes the link schedules for algorithm round
+    /// `round`; their fault events precede the round's dispatch faults.
+    fn apply_crashes<S: Shards<A>>(&mut self, set: &mut S, round: u64) {
+        for v in set.crashes_at(round) {
             if v >= self.n {
                 continue;
             }
-            {
-                let mut sh = handle.lock(self.shared.part.shard_of(v));
-                let i = v - sh.lo;
-                if sh.halted[i] {
-                    continue;
-                }
-                sh.halted[i] = true;
-            }
-            self.halted_count += 1;
-            let ev = FaultEvent {
-                round: self.stats.rounds + 1,
-                kind: FaultKind::Crash,
-                from: v,
-                to: None,
-                bits: 0,
-                detail: round,
-            };
-            self.stats.faults.bump(ev.kind);
-            self.observer.on_fault(&ev);
-        }
-    }
-
-    /// Drains every shard in ascending order after a step: fault events
-    /// (serial ascending-node order), halt/abort bookkeeping, delayed
-    /// sends, traffic counters, staged cross-shard sends, and the
-    /// per-round edge meters. On a model violation, replays exactly the
-    /// fault events the serial engine would have emitted and returns the
-    /// lowest shard's error.
-    fn collect_barrier(
-        &mut self,
-        handle: &mut ShardHandle<'_, ShardState<A, L>>,
-    ) -> Result<bool, SimError> {
-        let mut err: Option<(usize, SimError)> = None;
-        for s in 0..self.k {
-            if let Some(e) = handle.lock(s).error.take() {
-                err = Some((s, e));
-                break;
-            }
-        }
-        if let Some((s_err, e)) = err {
-            // Shards below the erring one were fully processed before the
-            // serial engine would have reached the violation; the erring
-            // shard stopped at it. Higher shards' buffered events are what
-            // the serial engine never got to — drop them.
-            for s in 0..=s_err {
-                let mut sh = handle.lock(s);
-                for ev in std::mem::take(&mut sh.faults) {
-                    self.stats.faults.bump(ev.kind);
-                    self.observer.on_fault(&ev);
-                }
-            }
-            return Err(e);
-        }
-        let mut any_out = false;
-        let mut messages = 0u64;
-        let mut bits = 0u64;
-        let mut pending_total = 0usize;
-        for s in 0..self.k {
-            let mut sh = handle.lock(s);
-            for ev in std::mem::take(&mut sh.faults) {
+            let newly = set.with(self.shared.shard_of(v), |sh| {
+                !std::mem::replace(&mut sh.halted[v - sh.lo], true)
+            });
+            if newly {
+                self.halted_count += 1;
+                let ev = FaultEvent {
+                    round: self.stats.rounds + 1,
+                    kind: FaultKind::Crash,
+                    from: v,
+                    to: None,
+                    bits: 0,
+                    detail: round,
+                };
                 self.stats.faults.bump(ev.kind);
                 self.observer.on_fault(&ev);
             }
-            self.halted_count += std::mem::take(&mut sh.newly_halted);
-            if let Some(v) = sh.abort.take() {
-                // Ascending shard order makes the first insert the lowest
-                // aborting node — the serial winner.
-                self.node_abort.get_or_insert(v);
-            }
-            any_out |= std::mem::take(&mut sh.any_out);
-            messages += std::mem::take(&mut sh.step_messages);
-            bits += std::mem::take(&mut sh.step_bits);
-            self.delayed.append(&mut sh.stage_delay);
-            std::mem::swap(&mut sh.stage_out, &mut self.pending[s]);
-            if let Some(re) = sh.round_edges.as_mut() {
-                for &eid in &re.touched {
-                    *self
-                        .round_map
-                        .entry(self.shared.csr.endpoints(eid))
-                        .or_insert(0) += re.bits[eid as usize];
-                }
-                re.touched.clear();
-                re.epoch += 1;
-            }
         }
-        for row in &self.pending {
-            for cell in row {
-                pending_total += cell.len();
-            }
+    }
+
+    /// Drains every shard in ascending order after a step: fault events,
+    /// halt/abort bookkeeping, delayed sends, traffic counters, staged
+    /// sends, and the per-round edge meters. Returns whether any node
+    /// emitted sends. On a model violation it returns the lowest shard's
+    /// error right after that shard's fault events — exactly the events a
+    /// one-shard run emits before the violation, since the erring shard
+    /// stopped at it and higher shards come after it.
+    fn collect<S: Shards<A>>(&mut self, set: &mut S) -> Result<bool, SimError> {
+        let (mut any_out, mut messages, mut bits, mut queued) = (false, 0u64, 0u64, 0usize);
+        for s in 0..self.k {
+            set.with(s, |sh| {
+                for ev in sh.faults.drain(..) {
+                    self.stats.faults.bump(ev.kind);
+                    self.observer.on_fault(&ev);
+                }
+                if let Some(e) = sh.error.take() {
+                    return Err(e);
+                }
+                self.halted_count += std::mem::take(&mut sh.newly_halted);
+                if let Some(v) = sh.abort.take() {
+                    // Ascending shard order makes the first insert the
+                    // lowest aborting node.
+                    self.node_abort.get_or_insert(v);
+                }
+                any_out |= std::mem::take(&mut sh.any_out);
+                messages += std::mem::take(&mut sh.step_messages);
+                bits += std::mem::take(&mut sh.step_bits);
+                queued += std::mem::take(&mut sh.queued);
+                self.delayed.append(&mut sh.stage_delay);
+                for (lane, slot) in sh.stage_out.iter_mut().zip(&mut self.pending[s * self.k..]) {
+                    std::mem::swap(lane, slot);
+                }
+                if let (Some(re), Some(map)) = (sh.round_edges.as_mut(), self.round_map.as_mut()) {
+                    for &eid in &re.touched {
+                        *map.entry(self.shared.csr.endpoints(eid)).or_insert(0) +=
+                            re.bits[eid as usize];
+                    }
+                    re.touched.clear();
+                    re.epoch += 1;
+                }
+                Ok(())
+            })?;
         }
         self.stats.messages += messages;
         self.stats.total_bits += bits;
         self.round_traffic = (messages, bits);
-        self.pending_total = pending_total;
+        self.in_flight = queued;
         Ok(any_out)
     }
 
-    /// Advances the global delay queue by one round; matured messages go
-    /// to their destination shard's transit vec, installed together with
-    /// this round's sends (ahead of them — serial maturation order).
-    fn mature_delays(&mut self) {
+    /// Advances the global delay queue by one round and hands the matured
+    /// messages to their destination shards for this round's step.
+    fn mature_delays<S: Shards<A>>(&mut self, set: &mut S) {
         if self.delayed.is_empty() {
             return;
         }
+        let t0 = self
+            .prof
+            .as_deref()
+            .is_some_and(PhaseProfile::sampling)
+            .then(Instant::now);
         debug_assert!(self.delayed_spare.is_empty());
+        self.matured.resize_with(self.k, Vec::new);
         for (remaining, to, from, msg) in self.delayed.drain(..) {
             if remaining <= 1 {
-                self.matured[self.shared.part.shard_of(to)].push((to, from, msg));
-                self.matured_total += 1;
+                self.matured[self.shared.shard_of(to)].push((to, from, msg));
             } else {
                 self.delayed_spare.push((remaining - 1, to, from, msg));
             }
         }
         std::mem::swap(&mut self.delayed, &mut self.delayed_spare);
+        for (t, batch) in self.matured.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                set.with(t, |sh| {
+                    debug_assert!(sh.matured_in.is_empty());
+                    std::mem::swap(&mut sh.matured_in, batch);
+                });
+            }
+        }
+        lap(&mut self.prof, Phase::Deliver, t0);
     }
 
     /// Hands the collected staging over to the destination shards for
-    /// the next round's merge.
-    fn install(&mut self, handle: &mut ShardHandle<'_, ShardState<A, L>>) {
+    /// the next step's merge.
+    fn install<S: Shards<A>>(&mut self, set: &mut S) {
         for t in 0..self.k {
-            let mut sh = handle.lock(t);
-            debug_assert!(sh.matured_in.is_empty());
-            std::mem::swap(&mut sh.matured_in, &mut self.matured[t]);
-            for s in 0..self.k {
-                debug_assert!(sh.stage_in[s].is_empty());
-                std::mem::swap(&mut sh.stage_in[s], &mut self.pending[s][t]);
-            }
+            set.with(t, |sh| {
+                for (s, lane) in sh.stage_in.iter_mut().enumerate() {
+                    let slot = &mut self.pending[s * self.k + t];
+                    if !slot.is_empty() {
+                        debug_assert!(lane.is_empty());
+                        std::mem::swap(lane, slot);
+                    }
+                }
+            });
         }
-        self.staged_total = self.pending_total + self.matured_total;
-        self.pending_total = 0;
-        self.matured_total = 0;
     }
 
+    /// Closes out one round: appends the timeline entry and hands the
+    /// observer its [`RoundDelta`].
     fn flush_round(&mut self, round: u64) {
         let (messages, bits) = self.round_traffic;
         self.stats.round_timeline.push(RoundTraffic {
@@ -691,29 +939,83 @@ where
             messages,
             bits,
             total_bits: self.stats.total_bits,
-            edge_bits: self.wants_edges.then_some(&self.round_map),
+            edge_bits: self.round_map.as_ref(),
         });
-        self.round_map.clear();
+        if let Some(map) = self.round_map.as_mut() {
+            map.clear();
+        }
     }
 
-    fn round_epilogue(&mut self, round: &mut usize) -> Option<RunOutcome> {
-        self.stats.rounds += 1;
-        *round += 1;
-        let r = self.stats.rounds;
-        self.flush_round(r);
-        if let Some(v) = self.node_abort {
-            Some(RunOutcome::NodeAborted(v))
-        } else if self.sim.budget_exceeded(&self.stats) {
-            Some(RunOutcome::BitBudget)
-        } else {
-            None
+    /// The public `bits_per_edge` map. Every other shard's dense meters
+    /// are added into shard 0's (an edge metered by both endpoint shards
+    /// sums, once per direction), then the map is built from shard 0's.
+    fn edge_map<S: Shards<A>>(&self, set: &mut S) -> HashMap<(NodeId, NodeId), u64> {
+        for s in 1..self.k {
+            let (bits, touched) = set.with(s, |sh| {
+                (
+                    std::mem::take(&mut sh.edge_bits),
+                    std::mem::take(&mut sh.edge_touched),
+                )
+            });
+            set.with(0, |sh| {
+                for (i, &t) in touched.iter().enumerate() {
+                    if t {
+                        sh.edge_touched[i] = true;
+                        sh.edge_bits[i] += bits[i];
+                    }
+                }
+            });
         }
+        set.with(0, |sh| {
+            let count = sh.edge_touched.iter().filter(|&&t| t).count();
+            let mut map = HashMap::with_capacity(count);
+            for (i, &t) in sh.edge_touched.iter().enumerate() {
+                if t {
+                    map.insert(self.shared.csr.endpoints(i as EdgeId), sh.edge_bits[i]);
+                }
+            }
+            map
+        })
     }
 }
 
-type RunResult = Result<Option<RunOutcome>, SimError>;
-
 impl<'g> Simulator<'g> {
+    fn shared_ctx<'a>(&'a self, part: Option<&'a NodePartition>) -> SharedCtx<'a> {
+        SharedCtx {
+            csr: &self.csr,
+            part,
+            ctx: NodeContext {
+                graph: self.graph,
+                n: self.graph.num_nodes(),
+                bandwidth: self.bandwidth,
+            },
+        }
+    }
+
+    /// A serial run: the one-shard case of the engine, stepped on the
+    /// calling thread with `alg` and `link` borrowed in place. Behind
+    /// [`Simulator::try_run_with`] and [`Simulator::try_run_profiled`].
+    pub(crate) fn run_one_shard<A: CongestAlgorithm, O: RoundObserver, L: LinkLayer>(
+        &self,
+        alg: &mut A,
+        max_rounds: u64,
+        observer: &mut O,
+        link: &mut L,
+        prof: Option<&mut PhaseProfile>,
+    ) -> Result<SimStats, SimError> {
+        let shared = self.shared_ctx(None);
+        let mut coord = Coordinator::new(self, &shared, observer, prof, 1, max_rounds);
+        let n = shared.ctx.n;
+        link.on_run_start(n);
+        let shard = Shard::new(0, n, 1, n, self.csr.num_edges(), coord.wants_edges());
+        coord.run(&mut OneShard {
+            shard,
+            alg,
+            link,
+            shared: &shared,
+        })
+    }
+
     /// Sharded twin of [`Simulator::try_run`]: runs `alg` across the
     /// worker count configured with [`Simulator::with_jobs`], producing
     /// byte-identical `SimStats` at every worker count.
@@ -749,105 +1051,35 @@ impl<'g> Simulator<'g> {
         let m = self.csr.num_edges();
         let k = resolve_jobs(self.jobs).min(n.max(1));
         let part = self.csr.partition(k);
+        let shared = self.shared_ctx(Some(&part));
+        let mut coord = Coordinator::new(self, &shared, observer, None, k, max_rounds);
         link.on_run_start(n);
-        let wants_edges = observer.wants_edge_traffic();
-        let shards: Vec<ShardState<A, L>> = (0..k)
+        let shards: Vec<Pooled<A, L>> = (0..k)
             .map(|s| {
                 let r = part.range(s);
-                ShardState::new(
-                    r.start,
-                    r.end,
-                    alg.split_shard(r.start, r.end),
-                    link.clone(),
-                    k,
-                    n,
-                    m,
-                    wants_edges,
-                )
+                Pooled {
+                    shard: Shard::new(r.start, r.end, k, n, m, coord.wants_edges()),
+                    alg: alg.split_shard(r.start, r.end),
+                    link: link.clone(),
+                    task: None,
+                }
             })
             .collect();
-        let shared = SharedCtx {
-            csr: &self.csr,
-            part: &part,
-            ctx: NodeContext {
-                graph: self.graph,
-                n,
-                bandwidth: self.bandwidth,
-            },
-            bandwidth: self.bandwidth,
-        };
-        let mut coord: Coordinator<'_, 'g, A, O, L> = Coordinator {
-            sim: self,
-            shared: &shared,
-            observer,
-            link,
-            k,
-            n,
-            max_rounds,
-            wants_edges,
-            stats: SimStats::default(),
-            delayed: Vec::new(),
-            delayed_spare: Vec::new(),
-            matured: vec![Vec::new(); k],
-            matured_total: 0,
-            pending: vec![vec![Vec::new(); k]; k],
-            pending_total: 0,
-            staged_total: 0,
-            node_abort: None,
-            halted_count: 0,
-            round_traffic: (0, 0),
-            round_map: HashMap::new(),
-        };
-        let (run_res, shards_back, pool) = with_shards(
+        let (res, shards_back, pool) = with_shards(
             k,
             shards,
-            |_s, shard: &mut ShardState<A, L>| shard.run_step(&shared),
-            |handle| coord.run(handle),
+            |_s, p: &mut Pooled<A, L>| {
+                if let Some(task) = p.task.take() {
+                    p.shard.step(task, &mut p.alg, &mut p.link, &shared, None);
+                }
+            },
+            |handle| coord.run(&mut Pool { handle, link }),
         );
-        let outcome_opt = match run_res {
-            Ok(o) => o,
-            Err(e) => {
-                // Reassemble the caller's algorithm even on a rejected
-                // run (state is partial, exactly like a serial error).
-                for sh in shards_back {
-                    alg.absorb_shard(sh.alg, sh.lo, sh.hi);
-                }
-                return Err(e);
-            }
-        };
-        // Fold the shard-local dense meters into the public per-edge map
-        // (an edge metered by both endpoint shards sums, once per
-        // direction — identical totals to the serial accumulator).
-        let mut touched = vec![false; m];
-        let mut bits = vec![0u64; m];
-        for sh in &shards_back {
-            for (i, &t) in sh.edge_touched.iter().enumerate() {
-                if t {
-                    touched[i] = true;
-                    bits[i] += sh.edge_bits[i];
-                }
-            }
+        // Reassemble the caller's algorithm, also after a rejected run
+        // (its state is then partial, as after a one-shard error).
+        for p in shards_back {
+            alg.absorb_shard(p.alg, p.shard.lo, p.shard.hi);
         }
-        let count = touched.iter().filter(|&&t| t).count();
-        let mut map = HashMap::with_capacity(count);
-        for (i, &t) in touched.iter().enumerate() {
-            if t {
-                map.insert(self.csr.endpoints(i as congest_graph::EdgeId), bits[i]);
-            }
-        }
-        let mut stats = std::mem::take(&mut coord.stats);
-        stats.bits_per_edge = map;
-        let mut outcome = outcome_opt.unwrap_or(RunOutcome::RoundBudget);
-        // A run that used its whole round budget but ended with every
-        // node halted converged; report it as such.
-        if outcome == RunOutcome::RoundBudget && coord.halted_count == n {
-            outcome = RunOutcome::Halted;
-        }
-        stats.outcome = outcome;
-        coord.observer.on_done(&stats);
-        for sh in shards_back {
-            alg.absorb_shard(sh.alg, sh.lo, sh.hi);
-        }
-        Ok((stats, pool))
+        res.map(|stats| (stats, pool))
     }
 }

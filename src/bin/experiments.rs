@@ -24,9 +24,9 @@
 //!   after the phase summary. Execution is identical with or without the
 //!   profiler; like the other diagnostics this writes only to stderr and
 //!   the trace;
-//! * `--sim-jobs <N>` — additionally drive the *sharded* simulator engine
-//!   at `N` workers (0 = all cores) on a seeded whole-graph-learning
-//!   workload, cross-check it against the serial engine (the two are
+//! * `--sim-jobs <N>` — additionally run the simulator on `N` shards
+//!   (0 = one per core) on a seeded whole-graph-learning workload,
+//!   cross-check it against the one-shard run (the two are
 //!   byte-equivalent by contract), and print a per-shard utilization
 //!   table to stderr after the phase summary. Stderr-only, so the main
 //!   report stays byte-identical;
@@ -377,10 +377,10 @@ fn run_robustness_sweep(plans: u64, jobs: usize, trace: &mut Option<TraceSink>) 
     }
 }
 
-/// The `--sim-jobs <N>` diagnostic: the sharded simulator engine at `N`
-/// workers on a seeded whole-graph-learning workload, cross-checked
-/// against the serial engine, with the per-shard utilization table.
-/// Everything prints to stderr so the main report is unaffected.
+/// The `--sim-jobs <N>` diagnostic: the simulator on `N` shards on a
+/// seeded whole-graph-learning workload, cross-checked against the
+/// one-shard run, with the per-shard utilization table. Everything
+/// prints to stderr so the main report is unaffected.
 fn run_sharded_demo(sim_jobs: usize, trace: &mut Option<TraceSink>) {
     use congest_hardness::sim::algorithms::LearnGraph;
     use congest_hardness::sim::NoopRoundObserver;
@@ -389,10 +389,10 @@ fn run_sharded_demo(sim_jobs: usize, trace: &mut Option<TraceSink>) {
     let n = 512;
     let g = generators::connected_gnp(n, 6.0 / (n as f64 - 1.0), &mut rng);
 
-    let mut serial_alg = LearnGraph::new(n);
+    let mut one_alg = LearnGraph::new(n);
     let t0 = Instant::now();
-    let serial = Simulator::with_bandwidth(&g, 64).run(&mut serial_alg, 1_000_000);
-    let serial_wall = t0.elapsed();
+    let one_shard = Simulator::with_bandwidth(&g, 64).run(&mut one_alg, 1_000_000);
+    let one_wall = t0.elapsed();
 
     let sim = Simulator::with_bandwidth(&g, 64).with_jobs(sim_jobs);
     let mut alg = LearnGraph::new(n);
@@ -413,15 +413,19 @@ fn run_sharded_demo(sim_jobs: usize, trace: &mut Option<TraceSink>) {
         stats.rounds, stats.messages, stats.total_bits
     );
     eprintln!(
-        "  serial engine: {:.2} ms; sharded engine ({} shards): {:.2} ms ({:.2}x)",
-        serial_wall.as_secs_f64() * 1000.0,
+        "  one shard: {:.2} ms; {} shards: {:.2} ms ({:.2}x)",
+        one_wall.as_secs_f64() * 1000.0,
         pool.workers,
         sharded_wall.as_secs_f64() * 1000.0,
-        serial_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9),
+        one_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9),
     );
     eprintln!(
-        "  stats identical to serial engine: {}",
-        if stats == serial { "yes" } else { "NO — BUG" }
+        "  stats identical to one shard: {}",
+        if stats == one_shard {
+            "yes"
+        } else {
+            "NO — BUG"
+        }
     );
     eprintln!(
         "  per-shard utilization ({:.1}% overall):",
