@@ -1,17 +1,15 @@
-//! Serial vs parallel `verify_family` on full input sweeps, with memo
-//! effectiveness and the exact-solver kernels' search counters — the
-//! perf record for the verification engine.
+//! Serial vs parallel `verify_family` on full input sweeps, with the
+//! exact-solver kernels' search counters — the perf record for the
+//! verification sweep.
 //!
 //! Besides the usual printed medians, this bench writes
 //! `BENCH_verify_family.json` at the workspace root (CI uploads it next
 //! to the experiment traces): available cores, per-entry serial/parallel
-//! wall time, speedup, memo hit rate, build accounting
-//! (`full_builds`/`delta_builds`), and the solver counters aggregated by
-//! the serial run (deterministic, so the regression gate can compare
-//! them exactly; parallel memo races would make them flap). On a
-//! single-core runner the parallel engine degrades to the serial fast
-//! path, so the recorded speedup is meaningful only when
-//! `available_cores >= 2`.
+//! wall time, speedup, build accounting (`full_builds`/`delta_builds`),
+//! and the solver counters aggregated by the serial run (deterministic,
+//! so the regression gate compares them exactly). On a single-core
+//! runner the parallel sweep degrades to the serial one, so the recorded
+//! speedup is meaningful only when `available_cores >= 2`.
 //!
 //! Workload selection. `K ∈ {3, 4}` runs on the gadget-2 families
 //! (width 4); `K ∈ {5, 6}` needs width ≥ 5 and therefore the gadget-4
@@ -22,11 +20,8 @@
 //! subset: the 15 intersecting diagonal pairs `x = y = m` (m = 1..15,
 //! sub-5ms each) plus one disjoint pair `(x, y) = (1, 30)` (the
 //! exhaustive-search case, ~4 s), honestly recorded through the `pairs`
-//! column. K = 6 Hamiltonian is omitted as intractable. Every workload
-//! then repeats a slice of its pairs verbatim: real-family builds are
-//! injective in `(x, y)`, so repeated pairs are exactly what the
-//! delta memo can serve from cache — the bench asserts a nonzero hit
-//! count rather than reporting a vacuous 0%.
+//! column. K = 6 Hamiltonian is omitted as intractable. Every pair is
+//! distinct, as in a real sweep.
 
 use congest_comm::BitString;
 use congest_core::hamiltonian::HamPathFamily;
@@ -61,17 +56,6 @@ fn prefix_pair(xm: u64, ym: u64, k: usize, width: usize) -> (BitString, BitStrin
         y.set(i, (ym >> i) & 1 == 1);
     }
     (x, y)
-}
-
-/// Appends verbatim repeats of the first `reps` pairs, so the delta memo
-/// has something to hit on families whose builds are injective.
-fn with_repeats(
-    mut inputs: Vec<(BitString, BitString)>,
-    reps: usize,
-) -> Vec<(BitString, BitString)> {
-    let head: Vec<_> = inputs[..reps.min(inputs.len())].to_vec();
-    inputs.extend(head);
-    inputs
 }
 
 /// Median wall time of `samples` runs, plus the stats of the last run.
@@ -118,16 +102,10 @@ fn bench_one<F: LowerBoundFamily + Sync>(
 ) -> Entry {
     let (serial, sstats) = measure(fam, inputs, &VerifyOptions::serial(), samples);
     let (parallel, pstats) = measure(fam, inputs, &VerifyOptions::parallel(), samples);
-    assert!(
-        sstats.memo_hits > 0,
-        "{family} K={k}: the repeated pairs must produce memo hits"
-    );
     println!(
         "verify_family/{family}/K={k:<2} serial: {serial:>11.3?}  parallel: {parallel:>11.3?}  \
-         speedup: {:>5.2}x  memo: {}/{} hits  solver nodes: {}",
+         speedup: {:>5.2}x  solver nodes: {}",
         serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9),
-        sstats.memo_hits,
-        sstats.memo_hits + sstats.memo_misses,
         sstats.solver.nodes,
     );
     Entry {
@@ -151,8 +129,6 @@ fn write_json(path: &str, cores: usize, entries: &[Entry]) -> std::io::Result<()
     writeln!(f, "  \"entries\": [")?;
     for (i, e) in entries.iter().enumerate() {
         let s = &e.sstats;
-        let lookups = s.memo_hits + s.memo_misses;
-        let hit_rate = s.memo_hits as f64 / (lookups as f64).max(1.0);
         let speedup = e.serial.as_secs_f64() / e.parallel.as_secs_f64().max(1e-9);
         writeln!(f, "    {{")?;
         writeln!(f, "      \"family\": \"{}\",", e.family)?;
@@ -164,9 +140,6 @@ fn write_json(path: &str, cores: usize, entries: &[Entry]) -> std::io::Result<()
         writeln!(f, "      \"serial_micros\": {},", e.serial.as_micros())?;
         writeln!(f, "      \"parallel_micros\": {},", e.parallel.as_micros())?;
         writeln!(f, "      \"speedup\": {speedup:.3},")?;
-        writeln!(f, "      \"memo_hits\": {},", s.memo_hits)?;
-        writeln!(f, "      \"memo_misses\": {},", s.memo_misses)?;
-        writeln!(f, "      \"memo_hit_rate\": {hit_rate:.3},")?;
         writeln!(f, "      \"full_builds\": {},", s.full_builds)?;
         writeln!(f, "      \"delta_builds\": {},", s.delta_builds)?;
         writeln!(f, "      \"solver_nodes\": {},", s.solver.nodes)?;
@@ -202,7 +175,7 @@ fn main() {
     let ham2 = HamPathFamily::new(2);
     let width2 = mds2.input_len();
     for k in [3usize, 4] {
-        let inputs = with_repeats(prefix_inputs(k, width2), 16);
+        let inputs = prefix_inputs(k, width2);
         entries.push(bench_one("mds", &mds2, 2, k, &inputs, 5));
         entries.push(bench_one("hamiltonian_path", &ham2, 2, k, &inputs, 5));
     }
@@ -212,19 +185,17 @@ fn main() {
     let mc4 = StructuralMaxCutFamily(MaxCutFamily::new(4));
     let width4 = mds4.input_len();
     for (k, samples) in [(5usize, 3usize), (6, 2)] {
-        let inputs = with_repeats(prefix_inputs(k, width4), 32);
+        let inputs = prefix_inputs(k, width4);
         entries.push(bench_one("mds", &mds4, 4, k, &inputs, samples));
         entries.push(bench_one("maxcut_structural", &mc4, 4, k, &inputs, samples));
     }
 
     // Hamiltonian K = 5 on the documented fixed subset (see module doc):
-    // 15 cheap intersecting diagonals, one exhaustive disjoint pair, and
-    // a verbatim repeat of the whole subset for the memo.
+    // 15 cheap intersecting diagonals and one exhaustive disjoint pair.
     let ham4 = HamPathFamily::new(4);
-    let mut subset: Vec<(BitString, BitString)> =
+    let mut inputs: Vec<(BitString, BitString)> =
         (1u64..16).map(|m| prefix_pair(m, m, 5, width4)).collect();
-    subset.push(prefix_pair(1, 30, 5, width4));
-    let inputs = with_repeats(subset, 16);
+    inputs.push(prefix_pair(1, 30, 5, width4));
     entries.push(bench_one("hamiltonian_path", &ham4, 4, 5, &inputs, 2));
     println!();
 

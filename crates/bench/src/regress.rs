@@ -1,18 +1,17 @@
 //! Bench-regression gating: diff a freshly generated `BENCH_*.json`
 //! against a committed baseline and decide whether performance moved.
 //!
-//! The two bench reporters ([`benches/sim_round.rs`] and
-//! [`benches/verify_family.rs`]) mix two kinds of columns, and the gate
-//! treats them differently:
+//! The bench reporters (`benches/sim_round.rs`,
+//! `benches/verify_family.rs` and `benches/fault_sweep.rs`) mix two kinds
+//! of columns, and the gate treats them differently:
 //!
 //! * **Deterministic counters** (`rounds`, `messages`, `total_bits`,
 //!   `peak_inbox`, `pairs`, …) are properties of the seeded workload, not
 //!   the machine. They must match the baseline *exactly* — a drift here
 //!   means the benchmark is silently measuring different work, which
 //!   would make every wall-clock comparison meaningless. Columns that
-//!   legitimately vary across machines or schedules (`jobs`,
-//!   `memo_hits`/`memo_misses` under parallel racing, `available_cores`)
-//!   are excluded.
+//!   legitimately vary across machines (`jobs`, `available_cores`) are
+//!   excluded.
 //! * **Wall times** (`*_micros`) are noisy and machine-dependent. Raw
 //!   ratios would flag every run on a slower box, so each entry's
 //!   `fresh/baseline` ratio is first normalized by the *median* ratio
@@ -63,8 +62,8 @@ pub struct BenchDoc {
     pub entries: Vec<BenchEntry>,
 }
 
-/// Numeric columns that vary across machines or schedules; never gated.
-const EXCLUDED_COUNTERS: &[&str] = &["jobs", "memo_hits", "memo_misses", "available_cores"];
+/// Numeric columns that vary across machines; never gated.
+const EXCLUDED_COUNTERS: &[&str] = &["jobs", "available_cores"];
 
 /// Workload-size fields that belong to the entry's identity. `threads`
 /// is identity, not a counter: the same workload at several worker

@@ -21,8 +21,8 @@ use crate::{BitString, BooleanFunction};
 /// means concretely on a given instance).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcSearchStats {
-    /// Combinatorial rectangles on which [`cc_rect`] did real work
-    /// (memo misses).
+    /// Combinatorial rectangles on which the protocol-tree recursion did
+    /// real work (memo misses).
     pub rects_explored: u64,
     /// Rectangles answered from the memo table.
     pub memo_hits: u64,

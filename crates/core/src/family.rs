@@ -1,41 +1,36 @@
 //! Definition 1.1 (family of lower bound graphs) and its verifier.
 //!
-//! # Verification engine
+//! # Verification sweep
 //!
 //! [`verify_family`] realizes the machine-check behind every "VERIFIED"
-//! line in `EXPERIMENTS.md`. The engine has two cost centres and both are
-//! engineered here:
+//! line in `EXPERIMENTS.md`. It is one sweep in two phases:
 //!
-//! * **Build + predicate sweeps** are embarrassingly parallel: each
-//!   `G_{x,y}` is built and its NP-hard predicate decided independently.
-//!   [`verify_family_with`] fans the sweep out over a `congest-par`
-//!   worker pool; failures keep the *serial* semantics because the pool
-//!   reports the lowest-index violation deterministically. A canonical
-//!   form memo (sorted edge list + node weights) dedups exact-solver
-//!   calls when distinct `(x, y)` pairs build identical graphs.
-//! * **Side-dependence checks** (conditions 2 and 3) are *not* pairwise
-//!   any more. Inputs are grouped by `y` (resp. `x`) and every group
-//!   member is diffed against one reference build per group — `O(P·Δ)`
-//!   instead of `O(P²)` — with equivalent detection power: if any two
-//!   builds in a group differ outside the allowed side, at least one of
-//!   them differs from the group reference there too. The fixed-cut
-//!   condition is derived once per group (a difference confined to
+//! * **Records.** Every input pair `(x, y)` is built once, its vertex
+//!   count checked and its NP-hard predicate decided on the built graph.
+//!   Pairs are independent, so [`verify_family_with`] fans this phase out
+//!   over a `congest-par` worker pool; violations keep the *serial*
+//!   semantics because the pool reports the lowest-index failure
+//!   deterministically.
+//! * **Checks.** Conditions 1–4 run on the records. Side-dependence
+//!   (conditions 2 and 3) is not pairwise: inputs are grouped by `y`
+//!   (resp. `x`) and every group member is diffed against one reference
+//!   per group — `O(P·Δ)` instead of `O(P²)` — with equivalent detection
+//!   power: if two members of a group differ outside the allowed side, at
+//!   least one of them differs from the group reference there too. The
+//!   fixed cut is derived once per `y`-group (a difference confined to
 //!   `G[V_A]` cannot move the cut), not once per build.
-//! * **Delta builds**: families that expose [`LowerBoundFamily::base_graph`]
-//!   and [`LowerBoundFamily::delta_edges`] are verified incrementally. The
-//!   input-independent base is built and canonicalized *once*; per-pair
-//!   work shrinks to the gadget edge delta. The predicate memo keys on a
-//!   64-bit structural hash of the sorted delta (collisions are caught by
-//!   comparing the stored delta), a memo hit skips the full build
-//!   entirely, and the side-dependence scan diffs deltas directly — the
-//!   base cancels in every symmetric difference. Every canonical form
-//!   that *is* fully built is cross-checked against `base + delta`; any
-//!   mismatch silently falls back to the legacy full-build engine, so a
-//!   family with an inconsistent delta loses speed, never soundness.
+//!
+//! A record holds the pair's sorted edges beyond a *base form*. When the
+//! family declares [`LowerBoundFamily::base_graph`], the base form is that
+//! graph's canonical form and the record is the pair's sorted
+//! [`LowerBoundFamily::delta_edges`], checked against the full build on
+//! every pair. Otherwise the base is the empty graph and the record holds
+//! the full edge list plus node weights. Either way a pair's cut is the
+//! base cut plus its record's crossing edges, and the base cancels from
+//! every side-dependence diff, so both forms reach the same verdicts. A
+//! family whose delta breaks the contract is swept again without its base.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use congest_comm::bounds::theorem_1_1_round_bound;
 use congest_comm::BitString;
@@ -120,9 +115,8 @@ pub trait LowerBoundFamily {
 
     /// Decides the predicate `P` on a built graph, using an exact solver.
     ///
-    /// Must be a pure function of the graph's canonical form (edge list +
-    /// node weights): the verifier memoizes it per canonical form and may
-    /// evaluate it from worker threads.
+    /// The verifier calls it once per input pair, on that pair's own
+    /// build, and may do so from worker threads.
     fn predicate(&self, g: &Self::GraphType) -> bool;
 
     /// [`LowerBoundFamily::predicate`] plus the exact solver's search
@@ -132,23 +126,19 @@ pub trait LowerBoundFamily {
         (self.predicate(g), None)
     }
 
-    /// The input-independent base graph, enabling the incremental
-    /// delta-build verification path. `None` (the default) keeps the
-    /// legacy full-build engine.
+    /// The input-independent base graph. When declared, each pair's
+    /// verification record holds only its [`LowerBoundFamily::delta_edges`]
+    /// instead of the full edge list; `None` (the default) records full
+    /// edge lists and node weights.
     ///
     /// Contract for implementers (the *delta-build contract*): for every
     /// input pair, `build(x, y)` must equal the base graph plus exactly
     /// the edges of `delta_edges(x, y)` — same canonical orientation as
     /// [`EdgeListGraph::edge_list`], no overlap with base edge slots —
-    /// and node weights must not depend on the inputs. The verifier
-    /// cross-checks this equation on every canonical form it fully
-    /// builds and silently falls back to the legacy engine on any
-    /// mismatch; *purity* (equal deltas ⇒ equal graphs) is what makes
-    /// the delta a sound memo key for the pairs that are never rebuilt.
-    /// As a backstop against an impure implementation that evades the
-    /// miss-time cross-check, the delta engine never reports a violation
-    /// itself: any suspected violation reruns the legacy engine, whose
-    /// verdict is what the caller sees.
+    /// and node weights must not depend on the inputs. The verifier still
+    /// builds every pair and checks this equation on each build; on a
+    /// mismatch it sweeps the family again without the base, so a wrong
+    /// delta costs time, never a verdict.
     fn base_graph(&self) -> Option<Self::GraphType> {
         None
     }
@@ -253,16 +243,11 @@ pub struct VerifyOptions {
     /// (no threads — byte-identical to the historical verifier), `0`
     /// means all available cores.
     pub jobs: usize,
-    /// Memoize predicate evaluations per canonical graph form.
-    pub memoize: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
-        VerifyOptions {
-            jobs: 1,
-            memoize: true,
-        }
+        VerifyOptions { jobs: 1 }
     }
 }
 
@@ -272,20 +257,14 @@ impl VerifyOptions {
         VerifyOptions::default()
     }
 
-    /// All available cores, memoization on.
+    /// All available cores.
     pub fn parallel() -> Self {
-        VerifyOptions {
-            jobs: 0,
-            memoize: true,
-        }
+        VerifyOptions { jobs: 0 }
     }
 
-    /// A specific worker count (`0` = all cores), memoization on.
+    /// A specific worker count (`0` = all cores).
     pub fn with_jobs(jobs: usize) -> Self {
-        VerifyOptions {
-            jobs,
-            memoize: true,
-        }
+        VerifyOptions { jobs }
     }
 }
 
@@ -294,20 +273,21 @@ impl VerifyOptions {
 /// `dependence_comparisons` is the number of reference diffs performed by
 /// the grouped side-dependence scan; for `P` input pairs it is at most
 /// `2·P` (one per non-reference member per grouping), where the historical
-/// pairwise scan performed `Θ(P²)` pair visits. `memo_hits`/`memo_misses`
-/// meter the canonical-form predicate memo (`predicate_calls` counts the
-/// exact-solver invocations that actually ran).
+/// pairwise scan performed `Θ(P²)` pair visits. The build and solver
+/// counters are filled once every pair has its record; a vertex-count
+/// violation stops the sweep before that and leaves them zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// Resolved worker count used for the sweep.
     pub jobs: usize,
     /// Input pairs handed to the verifier.
     pub pairs: usize,
-    /// Exact-predicate evaluations that actually ran.
+    /// Exact-predicate evaluations: one per pair.
     pub predicate_calls: u64,
-    /// Predicate results served from the canonical-form memo.
+    /// Always 0: the verifier keeps no predicate memo. Kept because the
+    /// `perfbench` harness still reads it.
     pub memo_hits: u64,
-    /// Canonical forms seen for the first time (memo misses).
+    /// Always 0, like [`VerifyStats::memo_hits`].
     pub memo_misses: u64,
     /// Cut derivations performed (one per `y`-group, not one per build).
     pub cut_computations: u64,
@@ -315,14 +295,11 @@ pub struct VerifyStats {
     pub dependence_groups: u64,
     /// Reference diffs performed by the grouped side-dependence scan.
     pub dependence_comparisons: u64,
-    /// Full graph constructions (legacy engine: one per pair; delta
-    /// engine: one per memo miss).
+    /// Graph constructions: one per pair.
     pub full_builds: u64,
-    /// Pairs resolved through the incremental delta path (zero when the
-    /// family has no base graph or fell back to the legacy engine).
+    /// Pairs recorded as edge deltas over the family's base graph (zero
+    /// when the family declares no base graph or breaks its contract).
     pub delta_builds: u64,
-    /// Delta-hash collisions caught by the stored-delta comparison.
-    pub memo_collisions: u64,
     /// Aggregate exact-solver counters from every predicate evaluation
     /// that reported them (see [`LowerBoundFamily::predicate_with_stats`]).
     pub solver: SearchStats,
@@ -338,14 +315,11 @@ impl VerifyStats {
             .with("jobs", self.jobs)
             .with("pairs", self.pairs)
             .with("predicate_calls", self.predicate_calls)
-            .with("memo_hits", self.memo_hits)
-            .with("memo_misses", self.memo_misses)
             .with("cut_computations", self.cut_computations)
             .with("dependence_groups", self.dependence_groups)
             .with("dependence_comparisons", self.dependence_comparisons)
             .with("full_builds", self.full_builds)
             .with("delta_builds", self.delta_builds)
-            .with("memo_collisions", self.memo_collisions)
             .with("solver_nodes", self.solver.nodes)
             .with("solver_prunes", self.solver.prunes)
             .with("solver_backtracks", self.solver.backtracks)
@@ -361,17 +335,40 @@ impl VerifyStats {
     }
 }
 
-/// One built instance's record during verification: canonical edge list,
-/// node weights, predicate value, function value. Extracted by
-/// [`build_record`], the single helper shared by the serial and parallel
-/// sweeps. Violation descriptors are rendered lazily from the input pair
-/// (see [`pair_desc`]) so the hot path allocates no strings.
-struct BuildRecord {
+/// The canonical form of a family's declared base graph: sorted edge
+/// list plus node weights, computed once per sweep.
+struct BaseForm {
+    edges: Vec<(NodeId, NodeId, Weight)>,
+    node_weights: Vec<Weight>,
+}
+
+/// One pair's record: its sorted edges beyond the base form, its node
+/// weights when there is no base (a base fixes them, so the list stays
+/// empty), the predicate and function values, and the solver's counters.
+/// Violation descriptors are rendered lazily from the input pair (see
+/// [`pair_desc`]) so the hot path allocates no strings.
+struct PairRecord {
     edges: Vec<(NodeId, NodeId, Weight)>,
     node_weights: Vec<Weight>,
     p: bool,
     f: bool,
+    solver: Option<SearchStats>,
 }
+
+/// Why a pair got no record.
+enum Stop {
+    /// A Definition 1.1 violation: the vertex count changed.
+    Violation(FamilyViolation),
+    /// The build broke the delta-build contract: sweep without the base.
+    Breach,
+}
+
+/// The records of a whole sweep, or the lowest-index pair that got none,
+/// plus the pool's counters when the sweep ran on one.
+type Recorded = (
+    Result<Vec<PairRecord>, (usize, Stop)>,
+    Option<congest_par::PoolStats>,
+);
 
 /// Renders the offending `(x, y)` pair for a violation report. Called
 /// only on the error path.
@@ -379,90 +376,67 @@ fn pair_desc((x, y): &(BitString, BitString)) -> String {
     format!("(x={x}, y={y})")
 }
 
-/// Canonical graph form: the memo key for predicate deduplication.
-type CanonicalForm = (Vec<(NodeId, NodeId, Weight)>, Vec<Weight>);
-
-/// A canonical-form → predicate-value memo, shareable across workers.
-/// The predicate runs *outside* the lock, so a panicking solver can never
-/// poison the map for its siblings.
-struct PredicateMemo {
-    enabled: bool,
-    map: Mutex<HashMap<CanonicalForm, bool>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    calls: AtomicU64,
-    solver: Mutex<SearchStats>,
+/// Checks that `full` (a canonical edge list) is exactly the disjoint
+/// union of the sorted `base` and `delta` lists — the delta-build
+/// contract for one build. Overlapping edge slots or diverging weights
+/// make the merge walk (or the length check) fail.
+fn delta_composes(
+    base: &[(NodeId, NodeId, Weight)],
+    delta: &[(NodeId, NodeId, Weight)],
+    full: &[(NodeId, NodeId, Weight)],
+) -> bool {
+    if base.len() + delta.len() != full.len() {
+        return false;
+    }
+    let (mut i, mut j) = (0, 0);
+    for &e in full {
+        if i < base.len() && base[i] == e {
+            i += 1;
+        } else if j < delta.len() && delta[j] == e {
+            j += 1;
+        } else {
+            return false;
+        }
+    }
+    i == base.len() && j == delta.len()
 }
 
-impl PredicateMemo {
-    fn new(enabled: bool) -> Self {
-        PredicateMemo {
-            enabled,
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            calls: AtomicU64::new(0),
-            solver: Mutex::new(SearchStats::default()),
-        }
-    }
-
-    fn meter(&self, stats: Option<SearchStats>) {
-        if let Some(s) = stats {
-            self.solver.lock().expect("solver meter lock").absorb(&s);
-        }
-    }
-
-    fn lookup_or(
-        &self,
-        edges: &[(NodeId, NodeId, Weight)],
-        node_weights: &[Weight],
-        compute: impl FnOnce() -> (bool, Option<SearchStats>),
-    ) -> bool {
-        if !self.enabled {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            let (p, solver) = compute();
-            self.meter(solver);
-            return p;
-        }
-        let key: CanonicalForm = (edges.to_vec(), node_weights.to_vec());
-        if let Some(&p) = self.map.lock().expect("memo lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return p;
-        }
-        let (p, solver) = compute();
-        self.meter(solver);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().expect("memo lock").insert(key, p);
-        p
-    }
-}
-
-/// Builds `G_{x,y}`, checks the fixed-vertex-set condition, and extracts
-/// the canonical form plus predicate/function values.
-fn build_record<F: LowerBoundFamily>(
+/// Builds `G_{x,y}`, checks the fixed vertex count and, against a base
+/// form, the delta-build contract, then decides the predicate on the
+/// build and records the pair.
+fn record<F: LowerBoundFamily>(
     family: &F,
-    x: &BitString,
-    y: &BitString,
+    (x, y): &(BitString, BitString),
     n: usize,
-    memo: &PredicateMemo,
-) -> Result<BuildRecord, FamilyViolation> {
+    base: Option<&BaseForm>,
+) -> Result<PairRecord, Stop> {
     let g = family.build(x, y);
     if g.num_nodes() != n {
-        return Err(FamilyViolation::VertexSetChanged {
+        return Err(Stop::Violation(FamilyViolation::VertexSetChanged {
             expected: n,
             observed: g.num_nodes(),
-        });
+        }));
     }
-    let edges = g.edge_list();
-    let node_weights = g.node_weight_list();
-    let p = memo.lookup_or(&edges, &node_weights, || family.predicate_with_stats(&g));
-    let f = family.f(x, y);
-    Ok(BuildRecord {
+    let (edges, node_weights) = match base {
+        None => (g.edge_list(), g.node_weight_list()),
+        Some(base) => {
+            let mut delta = family.delta_edges(x, y);
+            delta.sort_unstable();
+            if !delta_composes(&base.edges, &delta, &g.edge_list())
+                || g.node_weight_list() != base.node_weights
+            {
+                return Err(Stop::Breach);
+            }
+            (delta, Vec::new())
+        }
+    };
+    let (p, solver) = family.predicate_with_stats(&g);
+    Ok(PairRecord {
         edges,
         node_weights,
         p,
-        f,
+        f: family.f(x, y),
+        solver,
     })
 }
 
@@ -526,391 +500,16 @@ fn group_indices<'a>(
     groups
 }
 
-/// Conditions 1–4 on extracted build records: predicate ⇔ f, fixed cut
-/// (derived once per `y`-group), and the grouped `O(P·Δ)` side-dependence
-/// scan.
+/// Conditions 1–4 on the records: predicate ⇔ f, fixed cut (derived once
+/// per `y`-group as the base cut plus the record's crossing edges), and
+/// the grouped `O(P·Δ)` side-dependence scan, which diffs records
+/// directly because the base cancels from every symmetric difference.
 fn check_records<F: LowerBoundFamily>(
     family: &F,
     inputs: &[(BitString, BitString)],
-    builds: &[BuildRecord],
+    records: &[PairRecord],
+    base: Option<&BaseForm>,
     in_a: &[bool],
-    n: usize,
-    stats: &mut VerifyStats,
-) -> Result<FamilyReport, FamilyViolation> {
-    // Condition 4.
-    for (i, b) in builds.iter().enumerate() {
-        if b.p != b.f {
-            return Err(FamilyViolation::PredicateMismatch {
-                f_value: b.f,
-                p_value: b.p,
-                inputs: pair_desc(&inputs[i]),
-            });
-        }
-    }
-
-    let y_groups = group_indices(inputs, |(_, y)| y);
-    let x_groups = group_indices(inputs, |(x, _)| x);
-    stats.dependence_groups = (y_groups.len() + x_groups.len()) as u64;
-
-    // Fixed cut, derived once per y-group reference. Members of a group
-    // are covered transitively: the dependence scan below confines their
-    // differences from the reference to G[V_A], which cannot move the
-    // cut — and flags a leak otherwise.
-    let cut0 = undirected_cut(&builds[0].edges, in_a);
-    stats.cut_computations = 1;
-    for g in &y_groups {
-        let r = g[0];
-        if r == 0 {
-            continue;
-        }
-        let cut = undirected_cut(&builds[r].edges, in_a);
-        stats.cut_computations += 1;
-        if cut != cut0 {
-            return Err(FamilyViolation::CutChanged(pair_desc(&inputs[r])));
-        }
-    }
-
-    // Side-dependence: diff each group member against the group reference.
-    // Shared y ⇒ only x varies ⇒ differences must stay inside G[V_A];
-    // shared x symmetrically. Detection is equivalent to the pairwise
-    // scan: two members differing outside the allowed side cannot both
-    // match the reference there.
-    for (groups, alice_side) in [(&y_groups, true), (&x_groups, false)] {
-        for g in groups {
-            let i = g[0];
-            for &j in &g[1..] {
-                stats.dependence_comparisons += 1;
-                for (u, v, w) in sorted_edge_diff(&builds[i].edges, &builds[j].edges) {
-                    let inside_a = in_a[u] && in_a[v];
-                    let inside_b = !in_a[u] && !in_a[v];
-                    if alice_side && !inside_a {
-                        return Err(FamilyViolation::AliceLeak(format!(
-                            "edge ({u},{v},{w}) differs between builds {i} and {j}"
-                        )));
-                    }
-                    if !alice_side && !inside_b {
-                        return Err(FamilyViolation::BobLeak(format!(
-                            "edge ({u},{v},{w}) differs between builds {i} and {j}"
-                        )));
-                    }
-                }
-                for v in 0..n {
-                    if builds[i].node_weights[v] != builds[j].node_weights[v] {
-                        if alice_side && !in_a[v] {
-                            return Err(FamilyViolation::AliceLeak(format!(
-                                "node weight of {v} differs between builds {i} and {j}"
-                            )));
-                        }
-                        if !alice_side && in_a[v] {
-                            return Err(FamilyViolation::BobLeak(format!(
-                                "node weight of {v} differs between builds {i} and {j}"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let k = family.input_len();
-    let cut_edges: Vec<(NodeId, NodeId)> = cut0.into_iter().collect();
-    let implied = theorem_1_1_round_bound(k as u64 + 1, cut_edges.len() as u64, n as u64);
-    Ok(FamilyReport {
-        name: family.name(),
-        n,
-        k_input: k,
-        cut_edges,
-        pairs_checked: inputs.len(),
-        implied_round_bound: implied,
-    })
-}
-
-fn alice_mask<F: LowerBoundFamily>(family: &F, n: usize) -> Vec<bool> {
-    let mut in_a = vec![false; n];
-    for v in family.alice_vertices() {
-        in_a[v] = true;
-    }
-    in_a
-}
-
-/// Checks Definition 1.1 on the given input pairs and reports measured
-/// parameters. Fully serial; see [`verify_family_with`] for the parallel
-/// engine and operation counters.
-///
-/// Conditions 2 and 3 (side-dependence) are checked by grouping inputs on
-/// a shared `y` (resp. `x`) and diffing each member against the group's
-/// reference build: every difference must lie inside `G[V_A]` (resp.
-/// `G[V_B]`). Condition 1 and the fixed cut are checked across all
-/// builds, and condition 4 (`P ⇔ f`) on every pair.
-///
-/// # Errors
-///
-/// Returns the first [`FamilyViolation`] encountered.
-pub fn verify_family<F: LowerBoundFamily>(
-    family: &F,
-    inputs: &[(BitString, BitString)],
-) -> Result<FamilyReport, FamilyViolation> {
-    verify_serial(family, inputs, &VerifyOptions::default()).0
-}
-
-/// The serial engine: shared by [`verify_family`] (which needs no `Sync`
-/// bound) and by [`verify_family_with`] at `jobs = 1`. Dispatches to the
-/// incremental delta engine when the family exposes a base graph, with
-/// silent fallback to the legacy full-build sweep on a contract breach.
-fn verify_serial<F: LowerBoundFamily>(
-    family: &F,
-    inputs: &[(BitString, BitString)],
-    opts: &VerifyOptions,
-) -> (Result<FamilyReport, FamilyViolation>, VerifyStats) {
-    if let Some(base) = family.base_graph() {
-        if let Some(out) = verify_delta_serial(family, inputs, opts, &base) {
-            return out;
-        }
-    }
-    verify_serial_legacy(family, inputs, opts)
-}
-
-/// The legacy full-build serial sweep: builds and canonicalizes every
-/// pair, memoizing the predicate per canonical form.
-fn verify_serial_legacy<F: LowerBoundFamily>(
-    family: &F,
-    inputs: &[(BitString, BitString)],
-    opts: &VerifyOptions,
-) -> (Result<FamilyReport, FamilyViolation>, VerifyStats) {
-    assert!(!inputs.is_empty(), "need at least one input pair");
-    let n = family.num_vertices();
-    let in_a = alice_mask(family, n);
-    let memo = PredicateMemo::new(opts.memoize);
-    let mut stats = VerifyStats {
-        jobs: 1,
-        pairs: inputs.len(),
-        ..VerifyStats::default()
-    };
-    let mut builds: Vec<BuildRecord> = Vec::with_capacity(inputs.len());
-    for (x, y) in inputs {
-        match build_record(family, x, y, n, &memo) {
-            Ok(b) => builds.push(b),
-            Err(v) => {
-                finish_memo_stats(&memo, &mut stats);
-                stats.full_builds = builds.len() as u64 + 1;
-                return (Err(v), stats);
-            }
-        }
-    }
-    finish_memo_stats(&memo, &mut stats);
-    stats.full_builds = builds.len() as u64;
-    let res = check_records(family, inputs, &builds, &in_a, n, &mut stats);
-    (res, stats)
-}
-
-fn finish_memo_stats(memo: &PredicateMemo, stats: &mut VerifyStats) {
-    stats.memo_hits = memo.hits.load(Ordering::Relaxed);
-    stats.memo_misses = memo.misses.load(Ordering::Relaxed);
-    stats.predicate_calls = memo.calls.load(Ordering::Relaxed);
-    stats.solver = *memo.solver.lock().expect("solver meter lock");
-}
-
-/// The canonicalized input-independent base graph of a delta-capable
-/// family: sorted edge list plus node weights, computed once per
-/// verification run.
-struct BaseForm {
-    edges: Vec<(NodeId, NodeId, Weight)>,
-    node_weights: Vec<Weight>,
-}
-
-/// The per-pair record of the delta engine: the sorted input-dependent
-/// edge delta plus predicate/function values. The pair's full edge list
-/// is `base ∪ delta` and is never materialized.
-struct DeltaRecord {
-    delta: Vec<(NodeId, NodeId, Weight)>,
-    p: bool,
-    f: bool,
-}
-
-/// Signal that the delta path cannot (or should not) produce the final
-/// answer: the verification silently restarts on the legacy full-build
-/// engine. Raised on a delta-build contract breach, and also on *any*
-/// suspected violation — the delta engine only ever reports success
-/// itself, so every violation the caller sees comes from the legacy
-/// engine and is exactly what the seed verifier would have said.
-struct LegacyRerun;
-
-/// 64-bit structural hash of a sorted edge delta (FNV-1a over the edge
-/// triples). The memo key; collisions are caught by comparing the stored
-/// delta itself.
-fn delta_hash(delta: &[(NodeId, NodeId, Weight)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &(u, v, w) in delta {
-        for val in [u as u64, v as u64, w as u64] {
-            h ^= val;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Checks that `full` (a canonical edge list) is exactly the disjoint
-/// union of the sorted `base` and `delta` lists — the delta-build
-/// contract for one fully built instance. Overlapping edge slots or
-/// diverging weights make the merge walk (or the length check) fail.
-fn delta_composes(
-    base: &[(NodeId, NodeId, Weight)],
-    delta: &[(NodeId, NodeId, Weight)],
-    full: &[(NodeId, NodeId, Weight)],
-) -> bool {
-    if base.len() + delta.len() != full.len() {
-        return false;
-    }
-    let (mut i, mut j) = (0, 0);
-    for &e in full {
-        if i < base.len() && base[i] == e {
-            i += 1;
-        } else if j < delta.len() && delta[j] == e {
-            j += 1;
-        } else {
-            return false;
-        }
-    }
-    i == base.len() && j == delta.len()
-}
-
-/// The delta-keyed predicate memo: entries bucket by the 64-bit delta
-/// hash and store the full delta, so a hash collision degrades to an
-/// extra comparison, never to a wrong predicate value.
-struct DeltaMemo {
-    enabled: bool,
-    #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<u64, Vec<(Vec<(NodeId, NodeId, Weight)>, bool)>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    calls: AtomicU64,
-    collisions: AtomicU64,
-    full_builds: AtomicU64,
-    solver: Mutex<SearchStats>,
-    /// Test hook: collapse every hash into one bucket so the collision
-    /// path is exercised without manufacturing real FNV collisions.
-    #[cfg(test)]
-    collide_all: bool,
-}
-
-impl DeltaMemo {
-    fn new(enabled: bool) -> Self {
-        DeltaMemo {
-            enabled,
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            calls: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-            full_builds: AtomicU64::new(0),
-            solver: Mutex::new(SearchStats::default()),
-            #[cfg(test)]
-            collide_all: false,
-        }
-    }
-
-    fn hash(&self, delta: &[(NodeId, NodeId, Weight)]) -> u64 {
-        #[cfg(test)]
-        if self.collide_all {
-            return 0;
-        }
-        delta_hash(delta)
-    }
-
-    fn meter(&self, stats: Option<SearchStats>) {
-        if let Some(s) = stats {
-            self.solver.lock().expect("solver meter lock").absorb(&s);
-        }
-    }
-}
-
-/// Builds `G_{x,y}` in full, validates the vertex count and the
-/// delta-build contract against the base form, and runs the predicate.
-fn build_and_check<F: LowerBoundFamily>(
-    family: &F,
-    x: &BitString,
-    y: &BitString,
-    n: usize,
-    base: &BaseForm,
-    delta: &[(NodeId, NodeId, Weight)],
-    memo: &DeltaMemo,
-) -> Result<bool, LegacyRerun> {
-    let g = family.build(x, y);
-    memo.full_builds.fetch_add(1, Ordering::Relaxed);
-    if g.num_nodes() != n
-        || !delta_composes(&base.edges, delta, &g.edge_list())
-        || g.node_weight_list() != base.node_weights
-    {
-        return Err(LegacyRerun);
-    }
-    let (p, solver) = family.predicate_with_stats(&g);
-    memo.calls.fetch_add(1, Ordering::Relaxed);
-    memo.meter(solver);
-    Ok(p)
-}
-
-/// Resolves one input pair on the delta path: sort the delta, consult the
-/// memo, and only on a miss (or with the memo disabled) build the graph
-/// in full.
-fn delta_record<F: LowerBoundFamily>(
-    family: &F,
-    x: &BitString,
-    y: &BitString,
-    n: usize,
-    base: &BaseForm,
-    memo: &DeltaMemo,
-) -> Result<DeltaRecord, LegacyRerun> {
-    let mut delta = family.delta_edges(x, y);
-    delta.sort_unstable();
-    let p = if !memo.enabled {
-        build_and_check(family, x, y, n, base, &delta, memo)?
-    } else {
-        let h = memo.hash(&delta);
-        let cached = {
-            let map = memo.map.lock().expect("delta memo lock");
-            map.get(&h).and_then(|bucket| {
-                let hit = bucket.iter().find(|(d, _)| *d == delta).map(|&(_, p)| p);
-                if hit.is_none() && !bucket.is_empty() {
-                    memo.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                hit
-            })
-        };
-        match cached {
-            Some(p) => {
-                memo.hits.fetch_add(1, Ordering::Relaxed);
-                p
-            }
-            None => {
-                let p = build_and_check(family, x, y, n, base, &delta, memo)?;
-                memo.misses.fetch_add(1, Ordering::Relaxed);
-                memo.map
-                    .lock()
-                    .expect("delta memo lock")
-                    .entry(h)
-                    .or_default()
-                    .push((delta.clone(), p));
-                p
-            }
-        }
-    };
-    let f = family.f(x, y);
-    Ok(DeltaRecord { delta, p, f })
-}
-
-/// Conditions 1–4 on delta records. Mirrors [`check_records`] with every
-/// per-pair edge list replaced by its delta: the cut of `base ∪ delta`
-/// is the base cut united with the delta's crossing edges, and the base
-/// cancels from every side-dependence symmetric difference (the two edge
-/// sets are disjoint by the verified contract). Node weights were checked
-/// input-independent on every full build.
-fn check_delta_records<F: LowerBoundFamily>(
-    family: &F,
-    inputs: &[(BitString, BitString)],
-    records: &[DeltaRecord],
-    base: &BaseForm,
-    in_a: &[bool],
-    n: usize,
     stats: &mut VerifyStats,
 ) -> Result<FamilyReport, FamilyViolation> {
     // Condition 4.
@@ -928,48 +527,61 @@ fn check_delta_records<F: LowerBoundFamily>(
     let x_groups = group_indices(inputs, |(x, _)| x);
     stats.dependence_groups = (y_groups.len() + x_groups.len()) as u64;
 
-    let base_cut = undirected_cut(&base.edges, in_a);
-    let cut_of = |delta: &[(NodeId, NodeId, Weight)]| {
-        let mut cut = base_cut.clone();
-        cut.extend(
-            delta
-                .iter()
-                .filter(|&&(u, v, _)| in_a[u] != in_a[v])
-                .map(|&(u, v, _)| (u.min(v), u.max(v))),
-        );
+    // Fixed cut, derived once per y-group reference. Members of a group
+    // are covered transitively: the dependence scan below confines their
+    // differences from the reference to G[V_A], which cannot move the
+    // cut — and flags a leak otherwise.
+    let base_cut = base.map(|b| undirected_cut(&b.edges, in_a));
+    let cut_of = |r: &PairRecord| {
+        let mut cut = base_cut.clone().unwrap_or_default();
+        cut.extend(undirected_cut(&r.edges, in_a));
         cut
     };
-    let cut0 = cut_of(&records[0].delta);
+    let cut0 = cut_of(&records[0]);
     stats.cut_computations = 1;
     for g in &y_groups {
         let r = g[0];
         if r == 0 {
             continue;
         }
-        let cut = cut_of(&records[r].delta);
         stats.cut_computations += 1;
-        if cut != cut0 {
+        if cut_of(&records[r]) != cut0 {
             return Err(FamilyViolation::CutChanged(pair_desc(&inputs[r])));
         }
     }
 
+    // Side-dependence: diff each group member against the group reference.
+    // Shared y ⇒ only x varies ⇒ differences must stay inside G[V_A];
+    // shared x symmetrically. Detection is equivalent to the pairwise
+    // scan: two members differing outside the allowed side cannot both
+    // match the reference there.
     for (groups, alice_side) in [(&y_groups, true), (&x_groups, false)] {
         for g in groups {
             let i = g[0];
             for &j in &g[1..] {
                 stats.dependence_comparisons += 1;
-                for (u, v, w) in sorted_edge_diff(&records[i].delta, &records[j].delta) {
-                    let inside_a = in_a[u] && in_a[v];
-                    let inside_b = !in_a[u] && !in_a[v];
-                    if alice_side && !inside_a {
-                        return Err(FamilyViolation::AliceLeak(format!(
-                            "edge ({u},{v},{w}) differs between builds {i} and {j}"
-                        )));
+                let leak = |what: String| {
+                    let what = format!("{what} differs between builds {i} and {j}");
+                    if alice_side {
+                        FamilyViolation::AliceLeak(what)
+                    } else {
+                        FamilyViolation::BobLeak(what)
                     }
-                    if !alice_side && !inside_b {
-                        return Err(FamilyViolation::BobLeak(format!(
-                            "edge ({u},{v},{w}) differs between builds {i} and {j}"
-                        )));
+                };
+                for (u, v, w) in sorted_edge_diff(&records[i].edges, &records[j].edges) {
+                    let allowed = if alice_side {
+                        in_a[u] && in_a[v]
+                    } else {
+                        !in_a[u] && !in_a[v]
+                    };
+                    if !allowed {
+                        return Err(leak(format!("edge ({u},{v},{w})")));
+                    }
+                }
+                let weights = records[i].node_weights.iter().zip(&records[j].node_weights);
+                for (v, (a, b)) in weights.enumerate() {
+                    if a != b && in_a[v] != alice_side {
+                        return Err(leak(format!("node weight of {v}")));
                     }
                 }
             }
@@ -977,6 +589,7 @@ fn check_delta_records<F: LowerBoundFamily>(
     }
 
     let k = family.input_len();
+    let n = in_a.len();
     let cut_edges: Vec<(NodeId, NodeId)> = cut0.into_iter().collect();
     let implied = theorem_1_1_round_bound(k as u64 + 1, cut_edges.len() as u64, n as u64);
     Ok(FamilyReport {
@@ -989,115 +602,107 @@ fn check_delta_records<F: LowerBoundFamily>(
     })
 }
 
-fn finish_delta_stats(memo: &DeltaMemo, stats: &mut VerifyStats) {
-    stats.memo_hits = memo.hits.load(Ordering::Relaxed);
-    stats.memo_misses = memo.misses.load(Ordering::Relaxed);
-    stats.predicate_calls = memo.calls.load(Ordering::Relaxed);
-    stats.memo_collisions = memo.collisions.load(Ordering::Relaxed);
-    stats.full_builds = memo.full_builds.load(Ordering::Relaxed);
-    stats.solver = *memo.solver.lock().expect("solver meter lock");
-}
-
-/// The incremental serial engine. Returns `None` whenever the delta path
-/// cannot vouch for a *success* answer: on a delta-build contract breach,
-/// and on any suspected Definition 1.1 violation. The caller then
-/// silently reruns the legacy full-build engine, so every violation ever
-/// reported is the legacy engine's own (a lying `delta_edges` can hide a
-/// built graph behind a stale memo entry, which would otherwise turn a
-/// valid family into a spurious violation).
-fn verify_delta_serial<F: LowerBoundFamily>(
+/// The sweep both drivers share: records every pair through `records`
+/// (serially or on the pool) against the family's base form, sweeping
+/// again without it on a delta-build contract breach, then checks the
+/// records.
+fn sweep<F: LowerBoundFamily>(
     family: &F,
     inputs: &[(BitString, BitString)],
-    opts: &VerifyOptions,
-    base_graph: &F::GraphType,
-) -> Option<(Result<FamilyReport, FamilyViolation>, VerifyStats)> {
-    assert!(!inputs.is_empty(), "need at least one input pair");
-    let n = family.num_vertices();
-    if base_graph.num_nodes() != n {
-        return None;
-    }
-    let base = BaseForm {
-        edges: base_graph.edge_list(),
-        node_weights: base_graph.node_weight_list(),
-    };
-    let in_a = alice_mask(family, n);
-    let memo = DeltaMemo::new(opts.memoize);
-    let mut stats = VerifyStats {
-        jobs: 1,
-        pairs: inputs.len(),
-        delta_builds: inputs.len() as u64,
-        ..VerifyStats::default()
-    };
-    let mut records: Vec<DeltaRecord> = Vec::with_capacity(inputs.len());
-    for (x, y) in inputs {
-        match delta_record(family, x, y, n, &base, &memo) {
-            Ok(r) => records.push(r),
-            Err(LegacyRerun) => return None,
-        }
-    }
-    finish_delta_stats(&memo, &mut stats);
-    match check_delta_records(family, inputs, &records, &base, &in_a, n, &mut stats) {
-        Ok(report) => Some((Ok(report), stats)),
-        Err(_) => None,
-    }
-}
-
-/// The incremental parallel engine; same fallback protocol as
-/// [`verify_delta_serial`]. The pool reports the lowest-index failure
-/// deterministically, so the legacy rerun decision stays deterministic.
-fn verify_delta_parallel<F: LowerBoundFamily + Sync>(
-    family: &F,
-    inputs: &[(BitString, BitString)],
-    opts: &VerifyOptions,
-    base_graph: &F::GraphType,
     jobs: usize,
-) -> Option<(Result<FamilyReport, FamilyViolation>, VerifyStats)> {
+    records: impl Fn(usize, Option<&BaseForm>) -> Recorded,
+) -> (Result<FamilyReport, FamilyViolation>, VerifyStats) {
     assert!(!inputs.is_empty(), "need at least one input pair");
     let n = family.num_vertices();
-    if base_graph.num_nodes() != n {
-        return None;
-    }
-    let base = BaseForm {
-        edges: base_graph.edge_list(),
-        node_weights: base_graph.node_weight_list(),
+    let mut base = family
+        .base_graph()
+        .filter(|g| g.num_nodes() == n)
+        .map(|g| BaseForm {
+            edges: g.edge_list(),
+            node_weights: g.node_weight_list(),
+        });
+    let (res, pool) = loop {
+        let (res, pool) = records(n, base.as_ref());
+        match res {
+            Err((_, Stop::Breach)) => base = None,
+            Err((_, Stop::Violation(v))) => break (Err(v), pool),
+            Ok(records) => break (Ok(records), pool),
+        }
     };
-    let in_a = alice_mask(family, n);
-    let memo = DeltaMemo::new(opts.memoize);
     let mut stats = VerifyStats {
         jobs,
         pairs: inputs.len(),
-        delta_builds: inputs.len() as u64,
+        pool,
         ..VerifyStats::default()
     };
-    let (res, pool) = congest_par::par_try_map_stats(jobs, inputs, |_, (x, y)| {
-        delta_record(family, x, y, n, &base, &memo)
-    });
-    finish_delta_stats(&memo, &mut stats);
-    stats.pool = Some(pool);
-    match res {
-        Err((_, LegacyRerun)) => None,
-        Ok(records) => {
-            match check_delta_records(family, inputs, &records, &base, &in_a, n, &mut stats) {
-                Ok(report) => Some((Ok(report), stats)),
-                Err(_) => None,
-            }
-        }
+    let records = match res {
+        Ok(records) => records,
+        Err(v) => return (Err(v), stats),
+    };
+    stats.full_builds = records.len() as u64;
+    stats.predicate_calls = records.len() as u64;
+    if base.is_some() {
+        stats.delta_builds = records.len() as u64;
     }
+    for s in records.iter().filter_map(|r| r.solver.as_ref()) {
+        stats.solver.absorb(s);
+    }
+    let mut in_a = vec![false; n];
+    for v in family.alice_vertices() {
+        in_a[v] = true;
+    }
+    let res = check_records(family, inputs, &records, base.as_ref(), &in_a, &mut stats);
+    (res, stats)
+}
+
+/// The serial driver: records the pairs in order on the calling thread,
+/// so the family needs no `Sync` bound.
+fn sweep_serial<F: LowerBoundFamily>(
+    family: &F,
+    inputs: &[(BitString, BitString)],
+) -> (Result<FamilyReport, FamilyViolation>, VerifyStats) {
+    sweep(family, inputs, 1, |n, base| {
+        let records = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, pair)| record(family, pair, n, base).map_err(|stop| (i, stop)))
+            .collect();
+        (records, None)
+    })
+}
+
+/// Checks Definition 1.1 on the given input pairs and reports measured
+/// parameters. Fully serial; see [`verify_family_with`] for the parallel
+/// sweep and operation counters.
+///
+/// Conditions 2 and 3 (side-dependence) are checked by grouping inputs on
+/// a shared `y` (resp. `x`) and diffing each member against the group's
+/// reference build: every difference must lie inside `G[V_A]` (resp.
+/// `G[V_B]`). Condition 1 and the fixed cut are checked across all
+/// builds, and condition 4 (`P ⇔ f`) on every pair.
+///
+/// # Errors
+///
+/// Returns the first [`FamilyViolation`] encountered.
+pub fn verify_family<F: LowerBoundFamily>(
+    family: &F,
+    inputs: &[(BitString, BitString)],
+) -> Result<FamilyReport, FamilyViolation> {
+    sweep_serial(family, inputs).0
 }
 
 /// [`verify_family`] with explicit [`VerifyOptions`], returning operation
 /// counters alongside the result.
 ///
-/// With `jobs > 1` the build/predicate sweep fans out over a
+/// With `jobs > 1` the build/predicate phase fans out over a
 /// `congest-par` worker pool; the reported violation is still the one the
 /// serial sweep would return first, because the pool surfaces the
 /// lowest-index failure deterministically. The structural checks
 /// (predicate ⇔ f scan, fixed cut, grouped side-dependence) stay serial —
 /// after the grouped rewrite they are `O(P·Δ)` and never the bottleneck.
-///
-/// In parallel runs the memo hit/miss split may vary between runs (two
-/// workers can race to first-compute the same canonical form); the
-/// *results* never do.
+/// Every operation count in [`VerifyStats`] is the same at any worker
+/// count; only `jobs`, the pool's per-worker split and the solver's wall
+/// time vary.
 ///
 /// # Errors
 ///
@@ -1109,35 +714,13 @@ pub fn verify_family_with<F: LowerBoundFamily + Sync>(
 ) -> (Result<FamilyReport, FamilyViolation>, VerifyStats) {
     let jobs = congest_par::resolve_jobs(opts.jobs);
     if jobs <= 1 {
-        return verify_serial(family, inputs, opts);
+        return sweep_serial(family, inputs);
     }
-    if let Some(base) = family.base_graph() {
-        if let Some(out) = verify_delta_parallel(family, inputs, opts, &base, jobs) {
-            return out;
-        }
-    }
-    assert!(!inputs.is_empty(), "need at least one input pair");
-    let n = family.num_vertices();
-    let in_a = alice_mask(family, n);
-    let memo = PredicateMemo::new(opts.memoize);
-    let mut stats = VerifyStats {
-        jobs,
-        pairs: inputs.len(),
-        ..VerifyStats::default()
-    };
-    let (res, pool) = congest_par::par_try_map_stats(jobs, inputs, |_, (x, y)| {
-        build_record(family, x, y, n, &memo)
-    });
-    finish_memo_stats(&memo, &mut stats);
-    stats.pool = Some(pool);
-    match res {
-        Err((_, violation)) => (Err(violation), stats),
-        Ok(builds) => {
-            stats.full_builds = builds.len() as u64;
-            let res = check_records(family, inputs, &builds, &in_a, n, &mut stats);
-            (res, stats)
-        }
-    }
+    sweep(family, inputs, jobs, |n, base| {
+        let (records, pool) =
+            congest_par::par_try_map_stats(jobs, inputs, |_, pair| record(family, pair, n, base));
+        (records, Some(pool))
+    })
 }
 
 /// A standard input sample for family verification: the all-zeros pair
@@ -1391,7 +974,7 @@ mod tests {
     }
 
     /// [`Toy`] with the delta-build contract implemented: same graphs,
-    /// same name, so reports must match the legacy engine exactly.
+    /// same name, so reports must match the full-record sweep exactly.
     struct DeltaToy;
 
     impl LowerBoundFamily for DeltaToy {
@@ -1432,11 +1015,8 @@ mod tests {
     }
 
     /// A family whose `delta_edges` lies (always empty) while `build`
-    /// still adds input edges. The lie evades the miss-time cross-check —
-    /// the first pair legitimately equals the base, and every later pair
-    /// memo-hits the cached empty delta without being built — so the
-    /// check phase sees a spurious predicate mismatch. The engine must
-    /// treat that as grounds for a legacy rerun, not report it.
+    /// still adds input edges: the first pair equals the base, the second
+    /// breaches the contract.
     struct BrokenDelta;
 
     impl LowerBoundFamily for BrokenDelta {
@@ -1460,9 +1040,7 @@ mod tests {
             g.num_edges() >= 3
         }
         fn base_graph(&self) -> Option<Graph> {
-            let mut g = Graph::new(4);
-            g.add_edge(1, 2);
-            Some(g)
+            DeltaToy.base_graph()
         }
         fn delta_edges(&self, _: &BitString, _: &BitString) -> Vec<(NodeId, NodeId, Weight)> {
             Vec::new()
@@ -1470,14 +1048,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_engine_report_matches_legacy() {
+    fn delta_records_report_matches_full_records() {
         let inputs = all_inputs(1);
-        let legacy = verify_family(&Toy, &inputs).expect("valid family");
+        let full = verify_family(&Toy, &inputs).expect("valid family");
         let (res, stats) = verify_family_with(&DeltaToy, &inputs, &VerifyOptions::serial());
-        assert_eq!(res.expect("valid family"), legacy);
+        assert_eq!(res.expect("valid family"), full);
         assert_eq!(stats.delta_builds, inputs.len() as u64);
-        assert_eq!(stats.full_builds, 4, "all four deltas are distinct");
-        // Same structural counters as the legacy scan.
+        // Every pair is built and decided once.
+        assert_eq!(stats.full_builds, inputs.len() as u64);
+        assert_eq!(stats.predicate_calls, inputs.len() as u64);
+        // Same structural counters as the full-record scan.
         assert_eq!(stats.dependence_groups, 4);
         assert_eq!(stats.dependence_comparisons, 4);
         assert_eq!(stats.cut_computations, 2);
@@ -1497,120 +1077,145 @@ mod tests {
     }
 
     #[test]
-    fn delta_memo_hits_skip_the_full_build() {
-        let mut inputs = all_inputs(1);
-        inputs.extend(all_inputs(1)); // every pair twice
-        let (res, stats) = verify_family_with(&DeltaToy, &inputs, &VerifyOptions::serial());
-        res.expect("valid family");
-        assert_eq!(stats.memo_misses, 4);
-        assert_eq!(stats.memo_hits, 4);
-        assert_eq!(stats.full_builds, 4, "a memo hit must not rebuild");
-        assert_eq!(stats.predicate_calls, 4);
-        assert_eq!(stats.memo_collisions, 0);
-    }
-
-    #[test]
-    fn broken_delta_contract_falls_back_to_legacy() {
+    fn broken_delta_contract_sweeps_again_without_the_base() {
         let inputs = all_inputs(1);
-        let legacy = verify_family(&Toy, &inputs).expect("valid family");
-        let (res, stats) = verify_family_with(&BrokenDelta, &inputs, &VerifyOptions::serial());
-        assert_eq!(res.expect("fallback still verifies"), legacy);
-        assert_eq!(
-            stats.delta_builds, 0,
-            "contract breach disables the delta path"
-        );
-        assert_eq!(stats.full_builds, inputs.len() as u64);
+        let full = verify_family(&Toy, &inputs).expect("valid family");
+        for jobs in [1usize, 2, 4] {
+            let (res, stats) =
+                verify_family_with(&BrokenDelta, &inputs, &VerifyOptions::with_jobs(jobs));
+            assert_eq!(res.expect("the full sweep verifies"), full, "jobs = {jobs}");
+            assert_eq!(stats.delta_builds, 0, "the breach drops the base");
+            assert_eq!(stats.full_builds, inputs.len() as u64);
+        }
     }
 
-    #[test]
-    fn delta_memo_survives_hash_collisions() {
-        let fam = DeltaToy;
-        let base_g = fam.base_graph().expect("delta-capable");
-        let base = BaseForm {
-            edges: base_g.edge_list(),
-            node_weights: base_g.node_weight_list(),
-        };
-        let memo = DeltaMemo {
-            collide_all: true,
-            ..DeltaMemo::new(true)
-        };
-        let inputs = all_inputs(1);
-        for (x, y) in &inputs {
-            assert!(delta_record(&fam, x, y, 4, &base, &memo).is_ok());
-        }
-        // Four distinct deltas share the degenerate hash: every miss
-        // after the first sees a nonempty bucket — a caught collision.
-        assert_eq!(memo.misses.load(Ordering::Relaxed), 4);
-        assert_eq!(memo.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(memo.collisions.load(Ordering::Relaxed), 3);
-        // The same pairs now hit despite the colliding hash, and the
-        // cached predicate values stay correct per delta.
-        for (x, y) in &inputs {
-            let r = delta_record(&fam, x, y, 4, &base, &memo)
-                .ok()
-                .expect("cached");
-            assert_eq!(r.p, x.get(0) && y.get(0));
-        }
-        assert_eq!(memo.hits.load(Ordering::Relaxed), 4);
-        assert_eq!(memo.misses.load(Ordering::Relaxed), 4);
+    /// One Definition 1.1 defect planted in a six-vertex family. Alice
+    /// holds {0, 1, 2} and Bob {3, 4, 5}; the base is the cut edge (2, 3),
+    /// `x` adds (0, 1) and `y` adds (4, 5), and the predicate reads those
+    /// two edges, so it equals `f` unless the defect negates `f`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Defect {
+        /// `x` also adds the Bob-side edge (3, 5).
+        XOnBobSide,
+        /// `y` also adds the cut edge (1, 4).
+        YMovesTheCut,
+        /// `f` is negated.
+        NegatedF,
+        /// The intersecting pair grows a seventh vertex.
+        ExtraVertex,
     }
 
-    /// A family whose graph (and overridden `f`) ignore bit 1, so four
-    /// distinct `(x, y)` pairs collapse onto each canonical form — the
-    /// memo dedup case.
-    struct DupFamily;
+    impl Defect {
+        /// The violation a sweep of `all_inputs(1)` must report.
+        fn violation(self, inputs: &[(BitString, BitString)]) -> FamilyViolation {
+            match self {
+                Defect::XOnBobSide => {
+                    FamilyViolation::AliceLeak("edge (3,5,1) differs between builds 0 and 2".into())
+                }
+                Defect::YMovesTheCut => FamilyViolation::CutChanged(pair_desc(&inputs[1])),
+                Defect::NegatedF => FamilyViolation::PredicateMismatch {
+                    f_value: true,
+                    p_value: false,
+                    inputs: pair_desc(&inputs[0]),
+                },
+                Defect::ExtraVertex => FamilyViolation::VertexSetChanged {
+                    expected: 6,
+                    observed: 7,
+                },
+            }
+        }
+    }
 
-    impl LowerBoundFamily for DupFamily {
+    /// A [`Defect`]ive family, with or without a declared base graph.
+    struct Mutant {
+        defect: Defect,
+        declares_base: bool,
+    }
+
+    impl LowerBoundFamily for Mutant {
         type GraphType = Graph;
         fn name(&self) -> String {
-            "dup".into()
+            "mutant".into()
         }
         fn input_len(&self) -> usize {
-            2
+            1
         }
         fn num_vertices(&self) -> usize {
-            4
+            6
         }
         fn alice_vertices(&self) -> Vec<NodeId> {
-            vec![0, 1]
+            vec![0, 1, 2]
         }
         fn build(&self, x: &BitString, y: &BitString) -> Graph {
-            let mut g = Graph::new(4);
-            g.add_edge(1, 2);
-            if x.get(0) {
-                g.add_edge(0, 1);
-            }
-            if y.get(0) {
-                g.add_edge(2, 3);
+            let grows = self.defect == Defect::ExtraVertex && x.get(0) && y.get(0);
+            let mut g = Graph::new(if grows { 7 } else { 6 });
+            g.add_edge(2, 3);
+            for (u, v, _) in self.delta_edges(x, y) {
+                g.add_edge(u, v);
             }
             g
         }
         fn predicate(&self, g: &Graph) -> bool {
-            g.num_edges() >= 3
+            g.has_edge(0, 1) && g.has_edge(4, 5)
+        }
+        fn base_graph(&self) -> Option<Graph> {
+            self.declares_base.then(|| {
+                let mut g = Graph::new(6);
+                g.add_edge(2, 3);
+                g
+            })
+        }
+        fn delta_edges(&self, x: &BitString, y: &BitString) -> Vec<(NodeId, NodeId, Weight)> {
+            let mut d = Vec::new();
+            if x.get(0) {
+                d.push((0, 1, 1));
+                if self.defect == Defect::XOnBobSide {
+                    d.push((3, 5, 1));
+                }
+            }
+            if y.get(0) {
+                d.push((4, 5, 1));
+                if self.defect == Defect::YMovesTheCut {
+                    d.push((1, 4, 1));
+                }
+            }
+            d
         }
         fn f(&self, x: &BitString, y: &BitString) -> bool {
-            x.get(0) && y.get(0)
+            (x.get(0) && y.get(0)) != (self.defect == Defect::NegatedF)
         }
     }
 
     #[test]
-    fn memo_dedups_predicate_calls() {
-        let inputs = all_inputs(2); // 16 pairs, 4 distinct canonical forms
-        let (res, stats) = verify_family_with(&DupFamily, &inputs, &VerifyOptions::serial());
-        res.expect("valid family");
-        assert_eq!(stats.memo_misses, 4);
-        assert_eq!(stats.memo_hits, 12);
-        assert_eq!(stats.predicate_calls, 4);
-
-        let no_memo = VerifyOptions {
-            jobs: 1,
-            memoize: false,
-        };
-        let (res, stats) = verify_family_with(&DupFamily, &inputs, &no_memo);
-        res.expect("valid family");
-        assert_eq!(stats.memo_hits, 0);
-        assert_eq!(stats.memo_misses, 0);
-        assert_eq!(stats.predicate_calls, 16);
+    fn delta_records_report_the_violations_full_records_do() {
+        let inputs = all_inputs(1);
+        let pairs = inputs.len() as u64;
+        for defect in [
+            Defect::XOnBobSide,
+            Defect::YMovesTheCut,
+            Defect::NegatedF,
+            Defect::ExtraVertex,
+        ] {
+            let want = defect.violation(&inputs);
+            for declares_base in [false, true] {
+                let fam = Mutant {
+                    defect,
+                    declares_base,
+                };
+                let case = format!("{defect:?}, base declared: {declares_base}");
+                assert_eq!(verify_family(&fam, &inputs).unwrap_err(), want, "{case}");
+                for jobs in [1usize, 2, 4] {
+                    let (res, stats) =
+                        verify_family_with(&fam, &inputs, &VerifyOptions::with_jobs(jobs));
+                    assert_eq!(res.unwrap_err(), want, "{case}, jobs = {jobs}");
+                    if defect != Defect::ExtraVertex {
+                        let delta = if declares_base { pairs } else { 0 };
+                        assert_eq!(stats.delta_builds, delta, "{case}, jobs = {jobs}");
+                        assert_eq!(stats.full_builds, pairs, "{case}, jobs = {jobs}");
+                    }
+                }
+            }
+        }
     }
 
     /// Broken family: x affects an edge on Bob's side.

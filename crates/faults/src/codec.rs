@@ -48,6 +48,15 @@ pub enum PlanCodecError {
         /// The count actually present.
         found: u64,
     },
+    /// A field held a value no plan can take: a probability outside
+    /// `[0, 1]` (or not a number), a zero `max_delay`, or a partition
+    /// that heals no later than it opens.
+    InvalidValue {
+        /// The record's `event`.
+        event: &'static str,
+        /// The offending field.
+        field: &'static str,
+    },
     /// The underlying JSONL text failed to parse.
     Json(String),
 }
@@ -67,6 +76,9 @@ impl std::fmt::Display for PlanCodecError {
                 expected,
                 found,
             } => write!(f, "expected {expected} {event} records, found {found}"),
+            PlanCodecError::InvalidValue { event, field } => {
+                write!(f, "{event} record has an invalid {field}")
+            }
             PlanCodecError::Json(e) => write!(f, "bad plan JSONL: {e}"),
         }
     }
@@ -109,6 +121,17 @@ fn f64_field(r: &Record, event: &'static str, field: &'static str) -> Result<f64
     r.field(field)
         .and_then(Value::as_f64)
         .ok_or(PlanCodecError::MissingField { event, field })
+}
+
+/// A probability field, rejected unless it lies in `[0, 1]` (a `null`
+/// reads as NaN and is rejected too).
+fn prob_field(r: &Record, event: &'static str, field: &'static str) -> Result<f64, PlanCodecError> {
+    let p = f64_field(r, event, field)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(PlanCodecError::InvalidValue { event, field })
+    }
 }
 
 fn str_field<'r>(
@@ -243,14 +266,18 @@ impl FaultPlan {
             .find(|r| r.event == "fault_plan")
             .ok_or(PlanCodecError::MissingHeader)?;
         let ev = "fault_plan";
+        let max_delay = u64_field(header, ev, "max_delay")?;
+        if max_delay == 0 {
+            return Err(PlanCodecError::InvalidValue {
+                event: ev,
+                field: "max_delay",
+            });
+        }
         let mut plan = FaultPlan::new(u64_field(header, ev, "seed")?)
-            .with_drop_prob(f64_field(header, ev, "drop_prob")?)
-            .with_corrupt_prob(f64_field(header, ev, "corrupt_prob")?)
-            .with_duplicate_prob(f64_field(header, ev, "duplicate_prob")?)
-            .with_delay_prob(
-                f64_field(header, ev, "delay_prob")?,
-                u64_field(header, ev, "max_delay")?,
-            );
+            .with_drop_prob(prob_field(header, ev, "drop_prob")?)
+            .with_corrupt_prob(prob_field(header, ev, "corrupt_prob")?)
+            .with_duplicate_prob(prob_field(header, ev, "duplicate_prob")?)
+            .with_delay_prob(prob_field(header, ev, "delay_prob")?, max_delay);
         if let Some(max_bits) = header.u64_field("throttle_bits") {
             plan = plan.with_throttle(max_bits, u64_field(header, ev, "throttle_from")?);
         }
@@ -339,11 +366,15 @@ impl FaultPlan {
                             })?,
                     );
                 }
-                Ok((
-                    side,
-                    u64_field(r, "plan_partition", "from_round")?,
-                    r.u64_field("heal_round"),
-                ))
+                let from_round = u64_field(r, "plan_partition", "from_round")?;
+                let heal_round = r.u64_field("heal_round");
+                if heal_round.is_some_and(|h| h <= from_round) {
+                    return Err(PlanCodecError::InvalidValue {
+                        event: "plan_partition",
+                        field: "heal_round",
+                    });
+                }
+                Ok((side, from_round, heal_round))
             },
         )? {
             plan = plan.with_partition(&side, from_round, heal_round);
@@ -461,6 +492,29 @@ mod tests {
                 assert_eq!(expected, 2);
             }
             other => panic!("unexpected error: {other}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_typed_errors() {
+        let plan = FaultPlan::empty()
+            .with_partition(&[0, 1], 3, Some(8))
+            .to_jsonl();
+        for (event, field, from, to) in [
+            ("fault_plan", "drop_prob", "0.0", "1.5"),
+            ("fault_plan", "drop_prob", "0.0", "null"),
+            ("fault_plan", "max_delay", "1", "0"),
+            ("plan_partition", "heal_round", "8", "3"),
+            ("plan_partition", "heal_round", "8", "2"),
+        ] {
+            let from = format!("\"{field}\":{from}");
+            assert!(plan.contains(&from), "{plan}");
+            let text = plan.replacen(&from, &format!("\"{field}\":{to}"), 1);
+            assert_eq!(
+                FaultPlan::from_jsonl(&text).unwrap_err(),
+                PlanCodecError::InvalidValue { event, field },
+                "{field} = {to}"
+            );
         }
     }
 

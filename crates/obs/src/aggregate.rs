@@ -73,7 +73,7 @@ impl NumericSummary {
 /// Bounded tally of a string/bool field's values.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ValueTally {
-    /// Count per distinct value, capped at [`MAX_DISTINCT_VALUES`].
+    /// Count per distinct value, capped at 16 distinct values.
     pub counts: BTreeMap<String, u64>,
     /// Observations whose value fell past the cap.
     pub other: u64,

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the slice of proptest its test-suite uses: the [`proptest!`]
-//! macro, range / `any::<T>()` / tuple strategies, [`Strategy::prop_map`],
+//! macro, range / `any::<T>()` / tuple strategies, [`Strategy::prop_map`](strategy::Strategy::prop_map),
 //! `prop_assert*` and `prop_assume!`, and [`ProptestConfig::with_cases`].
 //!
 //! Semantics differences from upstream, deliberate for a test shim:

@@ -14,7 +14,7 @@
 //!   backtracker terminates quickly on both YES and NO instances.
 //!
 //! The backtracker is monomorphized over the vertex-set word count
-//! ([`Words<W>`]): the K ≤ 5 gadget graphs fit one or two 64-bit words,
+//! (`Words<W>`): the K ≤ 5 gadget graphs fit one or two 64-bit words,
 //! so the inner-loop set operations do a quarter of the work the fixed
 //! 256-bit representation used to. Two further search refinements matter
 //! on the gadget graphs: when the in-degree prune finds exactly one

@@ -16,9 +16,9 @@
 //! * `--out <path>` — write the report to a file instead of stdout;
 //! * `--stats <path.jsonl>` — additionally write the sweep's
 //!   `VerifyStats` (build accounting plus the aggregated solver search
-//!   counters) as `congest-obs` JSON lines. Counters on the parallel
-//!   engine depend on memo-race timing, so this artifact is uploaded,
-//!   never diffed.
+//!   counters) as `congest-obs` JSON lines. It also carries solver wall
+//!   times and, on the pool, the per-worker split, so this artifact is
+//!   uploaded, never diffed.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
