@@ -1,135 +1,11 @@
 //! Vertex-set bitmasks shared by the exact solvers.
 //!
-//! The dominating-set search, the Held–Karp DP and the brute-force
-//! checkers use one `u128` mask per vertex and stop at 128 vertices. The
-//! MIS/clique and Hamiltonian search engines use [`Words<W>`], `W` 64-bit
-//! words fixed at compile time, and reach 256 vertices: the larger
-//! code-gadget and Lemma 2.2 reduction graphs exceed 128.
+//! Every bitmask solver runs on [`Words<W>`], `W` 64-bit words fixed at
+//! compile time: the MIS/clique, dominating-set and Hamiltonian search
+//! engines are monomorphized over `W ≤ 4` and reach 256 vertices, and
+//! the Held–Karp DP and the brute-force references use one word.
 
 use congest_graph::{DiGraph, Graph};
-
-/// Maximum vertex count of the `u128` mask helpers.
-pub const MAX_N: usize = 128;
-
-/// Adjacency of an undirected graph as one `u128` mask per vertex.
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`MAX_N`] vertices.
-pub fn adjacency_masks(g: &Graph) -> Vec<u128> {
-    let n = g.num_nodes();
-    assert!(
-        n <= MAX_N,
-        "bitmask solvers support at most {MAX_N} vertices"
-    );
-    let mut adj = vec![0u128; n];
-    for (u, v, _) in g.edges() {
-        adj[u] |= 1 << v;
-        adj[v] |= 1 << u;
-    }
-    adj
-}
-
-/// Out- and in-adjacency of a digraph as `u128` masks.
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`MAX_N`] vertices.
-pub fn directed_masks(g: &DiGraph) -> (Vec<u128>, Vec<u128>) {
-    let n = g.num_nodes();
-    assert!(
-        n <= MAX_N,
-        "bitmask solvers support at most {MAX_N} vertices"
-    );
-    let mut out = vec![0u128; n];
-    let mut inm = vec![0u128; n];
-    for (u, v, _) in g.edges() {
-        out[u] |= 1 << v;
-        inm[v] |= 1 << u;
-    }
-    (out, inm)
-}
-
-/// The full mask `{0, …, n-1}`.
-pub fn full_mask(n: usize) -> u128 {
-    if n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    }
-}
-
-/// Iterates the vertex indices of a mask.
-pub fn iter_bits(mut mask: u128) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        if mask == 0 {
-            None
-        } else {
-            let b = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(b)
-        }
-    })
-}
-
-/// Converts a mask to a vector of vertex ids.
-pub fn mask_to_vec(mask: u128) -> Vec<usize> {
-    iter_bits(mask).collect()
-}
-
-/// Connected components of the graph whose adjacency is `adj`, as vertex
-/// masks in ascending order of smallest member. Isolated vertices form
-/// singleton components.
-pub fn components_u128(adj: &[u128]) -> Vec<u128> {
-    let n = adj.len();
-    let mut seen = 0u128;
-    let mut comps = Vec::new();
-    for v in 0..n {
-        if seen & (1 << v) != 0 {
-            continue;
-        }
-        let mut comp = 1u128 << v;
-        let mut frontier = comp;
-        while frontier != 0 {
-            let mut next = 0u128;
-            for u in iter_bits(frontier) {
-                next |= adj[u];
-            }
-            next &= !comp;
-            comp |= next;
-            frontier = next;
-        }
-        seen |= comp;
-        comps.push(comp);
-    }
-    comps
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn masks_and_iteration() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 2);
-        g.add_edge(2, 3);
-        let adj = adjacency_masks(&g);
-        assert_eq!(adj[2], 0b1001);
-        assert_eq!(mask_to_vec(adj[2]), vec![0, 3]);
-        assert_eq!(full_mask(4), 0b1111);
-    }
-
-    #[test]
-    fn directed_masks_split() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(2, 1);
-        let (out, inm) = directed_masks(&g);
-        assert_eq!(out[0], 0b010);
-        assert_eq!(inm[1], 0b101);
-    }
-}
 
 /// A vertex set packed into exactly `W` 64-bit words, chosen at compile
 /// time. The hot solver loops (Hamiltonian backtracking in particular)
@@ -293,12 +169,32 @@ impl<const W: usize> Words<W> {
     }
 }
 
+/// Adjacency of an undirected graph as [`Words<W>`] masks.
+///
+/// # Panics
+///
+/// Panics if the graph has more than `64 * W` vertices.
+pub fn adjacency_masks<const W: usize>(g: &Graph) -> Vec<Words<W>> {
+    let n = g.num_nodes();
+    assert!(
+        n <= 64 * W,
+        "Words<{W}> supports at most {} vertices",
+        64 * W
+    );
+    let mut adj = vec![Words::<W>::EMPTY; n];
+    for (u, v, _) in g.edges() {
+        adj[u].set(v);
+        adj[v].set(u);
+    }
+    adj
+}
+
 /// Out- and in-adjacency of a digraph as [`Words<W>`] masks.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than `64 * W` vertices.
-pub fn directed_masks_w<const W: usize>(g: &DiGraph) -> (Vec<Words<W>>, Vec<Words<W>>) {
+pub fn directed_masks<const W: usize>(g: &DiGraph) -> (Vec<Words<W>>, Vec<Words<W>>) {
     let n = g.num_nodes();
     assert!(
         n <= 64 * W,

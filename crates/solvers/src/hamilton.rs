@@ -26,7 +26,7 @@
 
 use congest_graph::{DiGraph, Graph, NodeId};
 
-use crate::bitset::{directed_masks, directed_masks_w, iter_bits, Words};
+use crate::bitset::{directed_masks, Words};
 use crate::stats::{timed, SearchStats};
 
 /// Largest instance the [`held_karp_directed_ham_path`] DP accepts; the
@@ -97,7 +97,7 @@ struct Search<const W: usize> {
 impl<const W: usize> Search<W> {
     fn new(g: &DiGraph, cycle_home: Option<usize>) -> Search<W> {
         let n = g.num_nodes();
-        let (out, inm) = directed_masks_w::<W>(g);
+        let (out, inm) = directed_masks::<W>(g);
         Search {
             out,
             inm,
@@ -516,8 +516,8 @@ pub fn held_karp_directed_ham_path_with_stats(g: &DiGraph) -> (bool, SearchStats
         return (true, SearchStats::default());
     }
     timed(|| {
-        let (out, _) = directed_masks(g);
-        let out: Vec<u32> = out.iter().map(|&m| m as u32).collect();
+        let (out, _) = directed_masks::<1>(g);
+        let out: Vec<u32> = out.iter().map(|m| m.0[0] as u32).collect();
         let mut stats = SearchStats::default();
         // ends[mask] = set of vertices at which a path visiting exactly
         // `mask` can end.
@@ -530,10 +530,10 @@ pub fn held_karp_directed_ham_path_with_stats(g: &DiGraph) -> (bool, SearchStats
             if e == 0 {
                 continue;
             }
-            for u in iter_bits(e as u128) {
+            for u in Words([u64::from(e)]).iter() {
                 stats.nodes += 1;
                 let nexts = out[u] & !mask;
-                for v in iter_bits(nexts as u128) {
+                for v in Words([u64::from(nexts)]).iter() {
                     ends[(mask | (1 << v)) as usize] |= 1 << v;
                 }
             }
@@ -572,8 +572,8 @@ pub fn held_karp_directed_ham_cycle_with_stats(g: &DiGraph) -> (bool, SearchStat
         return (g.has_edge(0, 0), SearchStats::default());
     }
     timed(|| {
-        let (out, _) = directed_masks(g);
-        let out: Vec<u32> = out.iter().map(|&m| m as u32).collect();
+        let (out, _) = directed_masks::<1>(g);
+        let out: Vec<u32> = out.iter().map(|m| m.0[0] as u32).collect();
         let mut stats = SearchStats::default();
         // Paths anchored at 0: ends[mask] for masks containing bit 0.
         let mut ends = vec![0u32; 1 << n];
@@ -586,17 +586,17 @@ pub fn held_karp_directed_ham_cycle_with_stats(g: &DiGraph) -> (bool, SearchStat
             if e == 0 {
                 continue;
             }
-            for u in iter_bits(e as u128) {
+            for u in Words([u64::from(e)]).iter() {
                 stats.nodes += 1;
                 let nexts = out[u] & !mask;
-                for v in iter_bits(nexts as u128) {
+                for v in Words([u64::from(nexts)]).iter() {
                     ends[(mask | (1 << v)) as usize] |= 1 << v;
                 }
             }
         }
         let full = (1u32 << n) - 1;
         let closes = ends[full as usize] & !1;
-        let found = iter_bits(closes as u128).any(|u| out[u] & 1 != 0);
+        let found = Words([u64::from(closes)]).iter().any(|u| out[u] & 1 != 0);
         if found {
             stats.incumbents = 1;
         }

@@ -7,8 +7,9 @@
 //! exactly and compare against `f(x, y)`.
 //!
 //! All exact solvers are exponential-time branch-and-bound or dynamic
-//! programs with pruning, sized for the constructions (≤ ~128 vertices,
-//! small optima). Each is validated against brute force on random small
+//! programs with pruning, sized for the constructions (the MIS/clique,
+//! dominating-set and Hamiltonian searches take up to 256 vertices; small
+//! optima). Each is validated against brute force on random small
 //! instances in its own test module.
 //!
 //! | Module | Problems |

@@ -15,7 +15,7 @@
 
 use congest_graph::{Graph, NodeId, Weight};
 
-use crate::bitset::{adjacency_masks, iter_bits, Words};
+use crate::bitset::{adjacency_masks, Words};
 use crate::stats::{timed, SearchStats};
 
 /// Result of an exact independent-set/clique computation.
@@ -112,11 +112,7 @@ impl<const W: usize> Search<'_, W> {
 fn search<const W: usize>(g: &Graph, w: &[Weight], complement: bool) -> (SetSolution, SearchStats) {
     let n = g.num_nodes();
     let full = Words::<W>::full(n);
-    let mut adj = vec![Words::<W>::EMPTY; n];
-    for (u, v, _) in g.edges() {
-        adj[u].set(v);
-        adj[v].set(u);
-    }
+    let mut adj = adjacency_masks::<W>(g);
     let roots = if complement {
         for (v, a) in adj.iter_mut().enumerate() {
             *a = full.and_not(a);
@@ -181,7 +177,7 @@ fn solve(g: &Graph, w: &[Weight], complement: bool) -> (SetSolution, SearchStats
     }
 }
 
-fn node_weights(g: &Graph) -> Vec<Weight> {
+pub(crate) fn node_weights(g: &Graph) -> Vec<Weight> {
     (0..g.num_nodes()).map(|v| g.node_weight(v)).collect()
 }
 
@@ -273,14 +269,14 @@ pub fn min_weight_vertex_cover(g: &Graph) -> SetSolution {
 pub fn max_weight_independent_set_brute(g: &Graph) -> Weight {
     let n = g.num_nodes();
     assert!(n <= 24, "brute force limited to 24 vertices");
-    let adj = adjacency_masks(g);
+    let adj = adjacency_masks::<1>(g);
     let mut best = 0;
     for mask in 0u64..(1u64 << n) {
-        let m = mask as u128;
+        let m = Words([mask]);
         let mut ok = true;
         let mut wsum = 0;
-        for v in iter_bits(m) {
-            if adj[v] & m != 0 {
+        for v in m.iter() {
+            if adj[v].intersects(&m) {
                 ok = false;
                 break;
             }

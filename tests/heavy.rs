@@ -27,6 +27,19 @@ fn mds_family_k8_sampled() {
     assert_eq!(report.cut_size(), 12);
 }
 
+/// MDS family at k = 16 (n = 112, two-word vertex sets), sampled inputs.
+#[test]
+#[ignore = "tens of seconds; run with --ignored"]
+fn mds_family_k16_sampled() {
+    let fam = MdsFamily::new(16);
+    let mut rng = StdRng::seed_from_u64(816);
+    let inputs = sample_inputs(256, 2, &mut rng);
+    let (result, _stats) = verify_family_with(&fam, &inputs, &VerifyOptions::parallel());
+    let report = result.expect("Lemma 2.1, k = 16");
+    assert_eq!(report.n, 112);
+    assert_eq!(report.cut_size(), 16);
+}
+
 /// MVC/MaxIS substrate at k = 8 (n = 56), sampled inputs.
 #[test]
 #[ignore = "several seconds; run with --ignored"]
