@@ -39,9 +39,7 @@ pub fn graph_to_cnf(g: &Graph) -> CnfFormula {
     for v in 0..n {
         phi.add_clause(Clause::unit(Literal::pos(v)));
     }
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-    edges.sort_unstable();
-    for (u, v) in edges {
+    for (u, v, _) in g.edges() {
         phi.add_clause(Clause::binary(Literal::neg(u), Literal::neg(v)));
     }
     phi
@@ -110,9 +108,7 @@ pub fn normalize_occurrences(phi: &CnfFormula) -> Normalized {
             for (r, &(ci, li)) in places.iter().enumerate() {
                 occurrence_var[ci][li] = vars[r];
             }
-            let mut edges: Vec<(usize, usize)> = graph.edges().map(|(a, b, _)| (a, b)).collect();
-            edges.sort_unstable();
-            for (a, b) in edges {
+            for (a, b, _) in graph.edges() {
                 expander_clauses.push((vars[a], vars[b]));
                 expander_clauses.push((vars[b], vars[a]));
             }
@@ -308,10 +304,8 @@ impl BoundedDegreeMaxIs {
 /// diameter (+O(1)).
 pub fn vc_to_mds_graph(g: &Graph) -> Graph {
     let n = g.num_nodes();
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-    edges.sort_unstable();
-    let mut h = Graph::new(n + edges.len());
-    for (i, &(u, v)) in edges.iter().enumerate() {
+    let mut h = Graph::new(n + g.num_edges());
+    for (i, (u, v, _)) in g.edges().enumerate() {
         h.add_edge(u, v);
         h.add_edge(n + i, u);
         h.add_edge(n + i, v);

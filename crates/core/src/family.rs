@@ -57,9 +57,7 @@ impl EdgeListGraph for Graph {
         Graph::num_nodes(self)
     }
     fn edge_list(&self) -> Vec<(NodeId, NodeId, Weight)> {
-        let mut e: Vec<_> = self.edges().collect();
-        e.sort_unstable();
-        e
+        self.edges().collect()
     }
     fn node_weight_list(&self) -> Vec<Weight> {
         (0..Graph::num_nodes(self))
@@ -73,9 +71,7 @@ impl EdgeListGraph for DiGraph {
         DiGraph::num_nodes(self)
     }
     fn edge_list(&self) -> Vec<(NodeId, NodeId, Weight)> {
-        let mut e: Vec<_> = self.edges().collect();
-        e.sort_unstable();
-        e
+        self.edges().collect()
     }
     fn node_weight_list(&self) -> Vec<Weight> {
         (0..DiGraph::num_nodes(self))

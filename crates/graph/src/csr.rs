@@ -7,13 +7,12 @@
 //! each neighborhood for `O(log deg)` membership/edge-id lookup. The
 //! insertion-order `neighbors` slices are byte-identical to
 //! [`Graph::neighbors`], so code switching between the two views sees the
-//! same neighbor enumeration order.
+//! same neighbor enumeration order. The snapshot is read straight off the
+//! graph's sorted, weighted rows: building it hashes nothing.
 //!
 //! The payoff downstream: per-edge counters become `Vec<u64>` indexed by
 //! edge id instead of `HashMap<(NodeId, NodeId), u64>` — no hashing per
 //! message, one flat array per run.
-
-use std::collections::HashMap;
 
 use crate::{Graph, NodeId, Weight};
 
@@ -39,7 +38,8 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds the CSR snapshot of `graph`. `O(n + m log Δ)`.
+    /// Builds the CSR snapshot of `graph`. `O(n log Δ + m)`, with no
+    /// hashing and no per-edge search.
     ///
     /// # Panics
     ///
@@ -61,30 +61,30 @@ impl Csr {
         }
 
         // Assign edge ids in lexicographic (min, max) order: walk nodes
-        // ascending, counting each sorted neighbor above the node.
+        // ascending, giving each sorted neighbor `v` above `u` the next id.
+        // The id goes to `u`'s slot and to `cursor[v]`, the next unfilled
+        // slot among `v`'s lower neighbors: those arrive in ascending `u`,
+        // which is exactly their order in `v`'s sorted row.
         let mut endpoints = Vec::with_capacity(m);
         let mut weights = Vec::with_capacity(m);
-        let mut id_of: HashMap<(NodeId, NodeId), EdgeId> = HashMap::with_capacity(m);
+        let mut sorted_targets = Vec::with_capacity(targets.len());
+        let mut sorted_edge_ids: Vec<EdgeId> = vec![0; targets.len()];
+        let mut cursor = offsets[..n].to_vec();
         for u in 0..n {
-            for &v in graph.sorted_neighbors(u) {
-                if u < v {
-                    let id = endpoints.len() as EdgeId;
-                    endpoints.push((u, v));
-                    weights.push(graph.edge_weight(u, v).expect("adjacent edge exists"));
-                    id_of.insert((u, v), id);
-                }
+            let row = graph.sorted_neighbors(u);
+            sorted_targets.extend(row.iter().map(|&(v, _)| v));
+            let above = row.partition_point(|&(v, _)| v < u);
+            debug_assert_eq!(cursor[u], offsets[u] + above, "lower slots filled");
+            for (slot, &(v, w)) in (offsets[u]..).zip(row).skip(above) {
+                let id = endpoints.len() as EdgeId;
+                endpoints.push((u, v));
+                weights.push(w);
+                sorted_edge_ids[slot] = id;
+                sorted_edge_ids[cursor[v]] = id;
+                cursor[v] += 1;
             }
         }
         debug_assert_eq!(endpoints.len(), m);
-
-        let mut sorted_targets = Vec::with_capacity(2 * m);
-        let mut sorted_edge_ids = Vec::with_capacity(2 * m);
-        for u in 0..n {
-            for &v in graph.sorted_neighbors(u) {
-                sorted_targets.push(v);
-                sorted_edge_ids.push(id_of[&(u.min(v), u.max(v))]);
-            }
-        }
 
         Csr {
             offsets,
@@ -167,8 +167,8 @@ impl Csr {
         self.edge_id(u, v).map(|id| self.weight(id))
     }
 
-    /// Iterates `(u, v, w)` with `u < v` in edge-id order — unlike
-    /// [`Graph::edges`], the order is deterministic (lexicographic).
+    /// Iterates `(u, v, w)` with `u < v` in edge-id order, which is
+    /// ascending `(u, v)` — the same sequence as [`Graph::edges`].
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
         self.endpoints
             .iter()
@@ -301,6 +301,12 @@ impl NodePartition {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn sample_graph() -> Graph {
@@ -350,6 +356,92 @@ mod tests {
             assert_eq!(csr.edge_id(v, u), Some(id), "order-insensitive lookup");
             assert_eq!(csr.endpoints(id), (u, v));
             assert_eq!(csr.weight(id), w);
+        }
+    }
+
+    /// A seeded weighted `G(n, p)` built through every mutation path:
+    /// pairs inserted in shuffled order and random orientation, some
+    /// re-inserted with a new weight, some removed and some of those
+    /// re-added, plus trailing isolated nodes. Returns the graph and the
+    /// edge map it should hold, keyed by `(min, max)`.
+    fn mutated_gnp(seed: u64) -> (Graph, BTreeMap<(NodeId, NodeId), Weight>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..48usize);
+        let p = [0.04, 0.12, 0.35][seed as usize % 3];
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .filter(|_| rng.gen_bool(p))
+            .collect();
+        pairs.shuffle(&mut rng);
+        let mut g = Graph::new(n);
+        let mut model = BTreeMap::new();
+        let add = |g: &mut Graph,
+                   model: &mut BTreeMap<_, _>,
+                   rng: &mut StdRng,
+                   (u, v): (NodeId, NodeId)| {
+            let w = rng.gen_range(-20..=20i64);
+            if rng.gen_bool(0.5) {
+                g.add_weighted_edge(u, v, w);
+            } else {
+                g.add_weighted_edge(v, u, w);
+            }
+            model.insert((u, v), w);
+        };
+        for &e in &pairs {
+            add(&mut g, &mut model, &mut rng, e);
+        }
+        for &e in &pairs {
+            if rng.gen_bool(0.3) {
+                add(&mut g, &mut model, &mut rng, e);
+            }
+        }
+        for &(u, v) in &pairs {
+            if rng.gen_bool(0.25) {
+                let (a, b) = if rng.gen_bool(0.5) { (u, v) } else { (v, u) };
+                assert_eq!(g.remove_edge(a, b), model.remove(&(u, v)));
+                if rng.gen_bool(0.5) {
+                    add(&mut g, &mut model, &mut rng, (u, v));
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            g.add_node();
+        }
+        (g, model)
+    }
+
+    #[test]
+    fn cursor_ids_match_a_sorted_reference() {
+        for seed in 0..30 {
+            let (g, model) = mutated_gnp(seed);
+            let n = g.num_nodes();
+            let reference: Vec<(NodeId, NodeId, Weight)> =
+                model.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+            assert_eq!(g.edges().collect::<Vec<_>>(), reference, "seed {seed}");
+            assert_eq!(g.num_edges(), reference.len(), "seed {seed}");
+
+            let csr = Csr::from_graph(&g);
+            assert_eq!(csr.num_nodes(), n);
+            assert_eq!(csr.num_edges(), reference.len(), "seed {seed}");
+            let id_of: BTreeMap<(NodeId, NodeId), EdgeId> = reference
+                .iter()
+                .enumerate()
+                .map(|(id, &(u, v, _))| ((u, v), id as EdgeId))
+                .collect();
+            for u in 0..n {
+                assert_eq!(csr.neighbors(u), g.neighbors(u), "seed {seed}, node {u}");
+                for v in 0..n {
+                    let want = id_of.get(&(u.min(v), u.max(v))).copied();
+                    assert_eq!(csr.edge_id(u, v), want, "seed {seed}, ({u}, {v})");
+                    assert_eq!(csr.edge_id(v, u), want, "seed {seed}, ({v}, {u})");
+                }
+            }
+            for (id, &(u, v, w)) in reference.iter().enumerate() {
+                let id = id as EdgeId;
+                assert_eq!(csr.endpoints(id), (u, v), "seed {seed}");
+                assert_eq!(csr.weight(id), w, "seed {seed}");
+                assert_eq!(g.edge_weight(v, u), Some(w), "seed {seed}");
+            }
         }
     }
 

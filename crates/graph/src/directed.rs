@@ -1,5 +1,6 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::undirected::find;
 use crate::{GraphError, NodeId, Weight};
 
 /// A directed simple graph with `i64` edge and node weights.
@@ -22,9 +23,15 @@ use crate::{GraphError, NodeId, Weight};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiGraph {
+    /// Out-neighbors in insertion order.
     out_adj: Vec<Vec<NodeId>>,
+    /// In-neighbors in insertion order.
     in_adj: Vec<Vec<NodeId>>,
-    weights: HashMap<(NodeId, NodeId), Weight>,
+    /// `sorted_out[u]` holds `u`'s out-neighbors in ascending order, each
+    /// beside the weight of its edge, so edge queries are binary searches.
+    sorted_out: Vec<Vec<(NodeId, Weight)>>,
+    /// Number of directed edges.
+    m: usize,
     node_weights: Vec<Weight>,
 }
 
@@ -34,7 +41,8 @@ impl DiGraph {
         DiGraph {
             out_adj: vec![Vec::new(); n],
             in_adj: vec![Vec::new(); n],
-            weights: HashMap::new(),
+            sorted_out: vec![Vec::new(); n],
+            m: 0,
             node_weights: vec![1; n],
         }
     }
@@ -46,13 +54,14 @@ impl DiGraph {
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.weights.len()
+        self.m
     }
 
     /// Adds a fresh node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
+        self.sorted_out.push(Vec::new());
         self.node_weights.push(1);
         self.out_adj.len() - 1
     }
@@ -66,7 +75,8 @@ impl DiGraph {
         self.add_weighted_edge(u, v, 1);
     }
 
-    /// Adds the directed edge `(u, v)` with weight `w`.
+    /// Adds the directed edge `(u, v)` with weight `w`, overwriting any
+    /// existing weight of `(u, v)` (the reverse edge `(v, u)` is separate).
     ///
     /// # Panics
     ///
@@ -97,21 +107,31 @@ impl DiGraph {
                 return Err(GraphError::NodeOutOfRange { node: x, n });
             }
         }
-        if self.weights.insert((u, v), w).is_none() {
-            self.out_adj[u].push(v);
-            self.in_adj[v].push(u);
+        let row = &mut self.sorted_out[u];
+        match find(row, v) {
+            Ok(i) => row[i].1 = w,
+            Err(i) => {
+                row.insert(i, (v, w));
+                self.out_adj[u].push(v);
+                self.in_adj[v].push(u);
+                self.m += 1;
+            }
         }
         Ok(())
     }
 
-    /// Whether the directed edge `(u, v)` exists.
+    /// Whether the directed edge `(u, v)` exists: a binary search over
+    /// `u`'s sorted out-row.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.weights.contains_key(&(u, v))
+        self.edge_weight(u, v).is_some()
     }
 
-    /// The weight of directed edge `(u, v)`, if present.
+    /// The weight of directed edge `(u, v)`, if present. Out-of-range
+    /// endpoints give `None`.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<Weight> {
-        self.weights.get(&(u, v)).copied()
+        let row = self.sorted_out.get(u)?;
+        let i = find(row, v).ok()?;
+        Some(row[i].1)
     }
 
     /// Out-neighbors of `u` in insertion order.
@@ -134,9 +154,13 @@ impl DiGraph {
         self.in_adj[u].len()
     }
 
-    /// Iterates over all directed edges as `(u, v, w)`.
+    /// Iterates over all directed edges as `(u, v, w)`, in ascending
+    /// `(u, v)` order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
-        self.weights.iter().map(|(&(u, v), &w)| (u, v, w))
+        self.sorted_out
+            .iter()
+            .enumerate()
+            .flat_map(|(u, row)| row.iter().map(move |&(v, w)| (u, v, w)))
     }
 
     /// Sets the node weight of `u`.
@@ -217,6 +241,60 @@ mod tests {
         let u = g.to_undirected();
         assert_eq!(u.num_edges(), 1);
         assert_eq!(u.edge_weight(0, 1), Some(3));
+    }
+
+    #[test]
+    fn antiparallel_edges_keep_separate_weights() {
+        let mut g = DiGraph::new(3);
+        g.add_weighted_edge(0, 1, 5);
+        g.add_weighted_edge(1, 0, 3);
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.edge_weight(0, 1), Some(5));
+        assert_eq!(g.edge_weight(1, 0), Some(3));
+
+        g.add_weighted_edge(1, 0, 7);
+        assert_eq!(g.num_edges(), 2, "an overwrite is not a new edge");
+        assert_eq!(
+            g.edge_weight(0, 1),
+            Some(5),
+            "the reverse edge is untouched"
+        );
+        assert_eq!(g.edge_weight(1, 0), Some(7));
+        assert_eq!(g.out_neighbors(1), &[0]);
+        assert_eq!(g.in_neighbors(0), &[1]);
+        assert_eq!(g.to_undirected().edge_weight(0, 1), Some(5));
+        g.add_weighted_edge(0, 1, 9);
+        assert_eq!(g.to_undirected().edge_weight(1, 0), Some(7));
+    }
+
+    #[test]
+    fn degenerate_queries_are_absent() {
+        let mut g = DiGraph::new(2);
+        g.add_edge(0, 1);
+        assert!(!g.has_edge(1, 1));
+        assert!(!g.has_edge(0, 9), "out of range is false, not a panic");
+        assert!(!g.has_edge(9, 0));
+        assert_eq!(g.edge_weight(9, 9), None);
+    }
+
+    #[test]
+    fn edges_are_ascending_and_adjacency_keeps_insertion_order() {
+        let mut g = DiGraph::new(4);
+        for (u, v, w) in [(2, 0, 1), (0, 3, 2), (3, 2, 3), (0, 1, 4), (2, 1, 5)] {
+            g.add_weighted_edge(u, v, w);
+        }
+        let edges: Vec<_> = g.edges().collect();
+        assert_eq!(
+            edges,
+            vec![(0, 1, 4), (0, 3, 2), (2, 0, 1), (2, 1, 5), (3, 2, 3)]
+        );
+        assert_eq!(g.num_edges(), 5);
+        assert_eq!(g.out_neighbors(0), &[3, 1]);
+        assert_eq!(g.in_neighbors(1), &[0, 2]);
+        // The undirected copy inserts edges in that ascending order.
+        let u = g.to_undirected();
+        assert_eq!(u.neighbors(0), &[1, 3, 2]);
+        assert_eq!(u.edge_weight(2, 3), Some(3));
     }
 
     #[test]

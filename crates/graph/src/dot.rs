@@ -12,6 +12,10 @@
 //! assert!(out.contains("0 -- 1"));
 //! ```
 
+// `DotStyle`'s label and cluster maps are rendering options keyed by the
+// caller, not graph storage, so the crate's ban on hash maps stops here.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -92,10 +96,8 @@ fn body<E: Iterator<Item = (NodeId, NodeId, i64)>>(
             let _ = writeln!(out, "  {v} [{}];", attrs.join(", "));
         }
     }
-    // Edges in a canonical order.
-    let mut es: Vec<(NodeId, NodeId, i64)> = edges.collect();
-    es.sort_unstable();
-    for (u, v, w) in es {
+    // Edges in ascending order, as both graph types yield them.
+    for (u, v, w) in edges {
         if style.show_weights && w != 1 {
             let _ = writeln!(out, "  {u} {arrow} {v} [label=\"{w}\"];");
         } else {

@@ -5,12 +5,15 @@
 //! generators ([`generators`]) and structural metrics ([`metrics`]).
 //!
 //! Both graph types use dense `usize` node identifiers in `0..n` and
-//! adjacency lists for traversal; the undirected [`Graph`] additionally
-//! keeps each neighborhood in sorted order so edge queries are hash-free
-//! binary searches, and [`Csr`] offers a flat compressed-sparse-row
-//! snapshot with dense [`EdgeId`]s for hot loops. Edge and node weights
-//! are `i64` (all constructions in the paper use integral weights; see
-//! Section 2.4 of the paper where weights such as `k⁴` appear).
+//! insertion-order adjacency lists for traversal. Beside them, each node
+//! keeps a sorted row of `(neighbor, edge weight)` pairs (out-neighbors
+//! for [`DiGraph`]), so edge and weight queries are binary searches and
+//! `edges()` yields ascending `(u, v)`. The graph storage hashes nothing:
+//! [`Csr`], the flat compressed-sparse-row snapshot with dense
+//! [`EdgeId`]s for hot loops, is read straight off the sorted rows. Edge
+//! and node weights are `i64` (all constructions in the paper use
+//! integral weights; see Section 2.4 of the paper where weights such as
+//! `k⁴` appear).
 //!
 //! # Examples
 //!

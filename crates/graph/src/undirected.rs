@@ -1,4 +1,4 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{GraphError, NodeId, Weight};
 
@@ -21,13 +21,23 @@ use crate::{GraphError, NodeId, Weight};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
+    /// `adj[u]` lists `u`'s neighbors in insertion order, the order every
+    /// traversal and the simulator's message emission follow.
     adj: Vec<Vec<NodeId>>,
-    /// `sorted_adj[u]` holds the same neighbor set as `adj[u]`, kept in
-    /// ascending order, so `has_edge` is a binary search instead of a
-    /// hash of the endpoint pair (the simulator checks it per message).
-    sorted_adj: Vec<Vec<NodeId>>,
-    weights: HashMap<(NodeId, NodeId), Weight>,
+    /// `sorted_adj[u]` holds the same neighbor set as `adj[u]` in ascending
+    /// order, each neighbor beside the weight of its edge, so `has_edge`
+    /// and `edge_weight` are binary searches instead of a hash of the
+    /// endpoint pair. Both endpoint rows carry the edge's weight.
+    sorted_adj: Vec<Vec<(NodeId, Weight)>>,
+    /// Number of edges.
+    m: usize,
     node_weights: Vec<Weight>,
+}
+
+/// The position of neighbor `v` in a sorted adjacency row, or where it
+/// would be inserted.
+pub(crate) fn find(row: &[(NodeId, Weight)], v: NodeId) -> Result<usize, usize> {
+    row.binary_search_by_key(&v, |&(x, _)| x)
 }
 
 impl Graph {
@@ -36,7 +46,7 @@ impl Graph {
         Graph {
             adj: vec![Vec::new(); n],
             sorted_adj: vec![Vec::new(); n],
-            weights: HashMap::new(),
+            m: 0,
             node_weights: vec![1; n],
         }
     }
@@ -48,7 +58,7 @@ impl Graph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.weights.len()
+        self.m
     }
 
     /// Adds a fresh node and returns its id.
@@ -57,14 +67,6 @@ impl Graph {
         self.sorted_adj.push(Vec::new());
         self.node_weights.push(1);
         self.adj.len() - 1
-    }
-
-    fn key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if u < v {
-            (u, v)
-        } else {
-            (v, u)
-        }
     }
 
     fn check(&self, u: NodeId) -> Result<(), GraphError> {
@@ -113,28 +115,37 @@ impl Graph {
         }
         self.check(u)?;
         self.check(v)?;
-        if self.weights.insert(Self::key(u, v), w).is_none() {
-            self.adj[u].push(v);
-            self.adj[v].push(u);
-            let pos = self.sorted_adj[u].partition_point(|&x| x < v);
-            self.sorted_adj[u].insert(pos, v);
-            let pos = self.sorted_adj[v].partition_point(|&x| x < u);
-            self.sorted_adj[v].insert(pos, u);
+        match find(&self.sorted_adj[u], v) {
+            Ok(i) => {
+                self.sorted_adj[u][i].1 = w;
+                let j = find(&self.sorted_adj[v], u).expect("sorted rows are symmetric");
+                self.sorted_adj[v][j].1 = w;
+            }
+            Err(i) => {
+                self.sorted_adj[u].insert(i, (v, w));
+                let j = find(&self.sorted_adj[v], u).expect_err("sorted rows are symmetric");
+                self.sorted_adj[v].insert(j, (u, w));
+                self.adj[u].push(v);
+                self.adj[v].push(u);
+                self.m += 1;
+            }
         }
         Ok(())
     }
 
-    /// Removes the edge `(u, v)` if present, returning its weight.
+    /// Removes the edge `(u, v)` if present, returning its weight. An
+    /// absent edge or an out-of-range endpoint gives `None`.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Option<Weight> {
-        let w = self.weights.remove(&Self::key(u, v))?;
+        if u >= self.adj.len() || v >= self.adj.len() {
+            return None;
+        }
+        let i = find(&self.sorted_adj[u], v).ok()?;
+        let (_, w) = self.sorted_adj[u].remove(i);
+        let j = find(&self.sorted_adj[v], u).expect("sorted rows are symmetric");
+        self.sorted_adj[v].remove(j);
         self.adj[u].retain(|&x| x != v);
         self.adj[v].retain(|&x| x != u);
-        if let Ok(pos) = self.sorted_adj[u].binary_search(&v) {
-            self.sorted_adj[u].remove(pos);
-        }
-        if let Ok(pos) = self.sorted_adj[v].binary_search(&u) {
-            self.sorted_adj[v].remove(pos);
-        }
+        self.m -= 1;
         Some(w)
     }
 
@@ -142,26 +153,30 @@ impl Graph {
     /// adjacency of the lower-degree endpoint, `O(log min-deg)` with no
     /// hashing — this runs once per message in the simulator's model check.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.edge_weight(u, v).is_some()
+    }
+
+    /// The neighbors of `u` in ascending id order, each with the weight of
+    /// its edge (a sorted view of [`Graph::neighbors`], which preserves
+    /// insertion order).
+    pub fn sorted_neighbors(&self, u: NodeId) -> &[(NodeId, Weight)] {
+        &self.sorted_adj[u]
+    }
+
+    /// The weight of edge `(u, v)`, if present: the same `O(log min-deg)`
+    /// search as [`Graph::has_edge`]. Out-of-range or self queries give
+    /// `None`.
+    pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<Weight> {
         if u >= self.adj.len() || v >= self.adj.len() || u == v {
-            return false;
+            return None;
         }
         let (probe, key) = if self.sorted_adj[u].len() <= self.sorted_adj[v].len() {
             (u, v)
         } else {
             (v, u)
         };
-        self.sorted_adj[probe].binary_search(&key).is_ok()
-    }
-
-    /// The neighbors of `u` in ascending id order (a parallel view of
-    /// [`Graph::neighbors`], which preserves insertion order).
-    pub fn sorted_neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.sorted_adj[u]
-    }
-
-    /// The weight of edge `(u, v)`, if present.
-    pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<Weight> {
-        self.weights.get(&Self::key(u, v)).copied()
+        let row = &self.sorted_adj[probe];
+        find(row, key).ok().map(|i| row[i].1)
     }
 
     /// The neighbors of `u`, in insertion order.
@@ -182,14 +197,18 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// Iterates over all edges as `(u, v, w)` with `u < v`, in arbitrary order.
+    /// Iterates over all edges as `(u, v, w)` with `u < v`, in ascending
+    /// `(u, v)` order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
-        self.weights.iter().map(|(&(u, v), &w)| (u, v, w))
+        self.sorted_adj.iter().enumerate().flat_map(|(u, row)| {
+            let above = row.partition_point(|&(v, _)| v < u);
+            row[above..].iter().map(move |&(v, w)| (u, v, w))
+        })
     }
 
     /// Sum of all edge weights.
     pub fn total_edge_weight(&self) -> Weight {
-        self.weights.values().sum()
+        self.edges().map(|(_, _, w)| w).sum()
     }
 
     /// Sets the node weight of `u`.
@@ -292,22 +311,21 @@ impl Graph {
     /// The subgraph induced by `nodes`. Returns the subgraph and the map
     /// from new ids to original ids.
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut index = HashMap::new();
+        let mut index = vec![usize::MAX; self.num_nodes()];
         for (i, &u) in nodes.iter().enumerate() {
-            index.insert(u, i);
+            index[u] = i;
         }
         let mut g = Graph::new(nodes.len());
         for (i, &u) in nodes.iter().enumerate() {
             g.set_node_weight(i, self.node_weight(u));
             for &v in &self.adj[u] {
-                if let Some(&j) = index.get(&v) {
-                    if i < j {
-                        g.add_weighted_edge(
-                            i,
-                            j,
-                            self.edge_weight(u, v).expect("adjacent edge exists"),
-                        );
-                    }
+                let j = index[v];
+                if j != usize::MAX && i < j {
+                    g.add_weighted_edge(
+                        i,
+                        j,
+                        self.edge_weight(u, v).expect("adjacent edge exists"),
+                    );
                 }
             }
         }
@@ -499,27 +517,40 @@ mod tests {
             g.add_edge(0, v);
         }
         assert_eq!(g.neighbors(0), &[5, 3, 1, 4, 2], "insertion order kept");
-        assert_eq!(g.sorted_neighbors(0), &[1, 2, 3, 4, 5]);
+        assert_eq!(
+            g.sorted_neighbors(0),
+            &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
+        );
         for v in 1..6 {
             assert!(g.has_edge(0, v));
             assert!(g.has_edge(v, 0));
+            assert_eq!(g.sorted_neighbors(v), &[(0, 1)]);
         }
         assert!(!g.has_edge(1, 2));
 
         g.remove_edge(0, 3);
-        assert_eq!(g.sorted_neighbors(0), &[1, 2, 4, 5]);
+        assert_eq!(g.sorted_neighbors(0), &[(1, 1), (2, 1), (4, 1), (5, 1)]);
         assert!(!g.has_edge(0, 3));
         assert!(!g.has_edge(3, 0));
-        assert_eq!(g.sorted_neighbors(3), &[] as &[NodeId]);
+        assert_eq!(g.sorted_neighbors(3), &[]);
 
-        // Re-inserting a removed edge restores membership.
+        // Re-inserting a removed edge restores membership, with the new
+        // weight in both endpoint rows.
         g.add_weighted_edge(3, 0, 9);
         assert!(g.has_edge(0, 3));
-        assert_eq!(g.sorted_neighbors(0), &[1, 2, 3, 4, 5]);
+        assert_eq!(
+            g.sorted_neighbors(0),
+            &[(1, 1), (2, 1), (3, 9), (4, 1), (5, 1)]
+        );
+        assert_eq!(g.sorted_neighbors(3), &[(0, 9)]);
 
-        // Duplicate insertion only overwrites the weight.
+        // Duplicate insertion only overwrites the weight, in both rows.
         g.add_weighted_edge(0, 3, 11);
-        assert_eq!(g.sorted_neighbors(0), &[1, 2, 3, 4, 5]);
+        assert_eq!(
+            g.sorted_neighbors(0),
+            &[(1, 1), (2, 1), (3, 11), (4, 1), (5, 1)]
+        );
+        assert_eq!(g.sorted_neighbors(3), &[(0, 11)]);
         assert_eq!(g.edge_weight(0, 3), Some(11));
     }
 
@@ -532,9 +563,89 @@ mod tests {
         assert!(!g.has_edge(7, 0));
         let fresh = g.add_node();
         assert!(!g.has_edge(0, fresh));
-        g.add_edge(fresh, 0);
+        g.add_weighted_edge(fresh, 0, 4);
         assert!(g.has_edge(0, fresh));
-        assert_eq!(g.sorted_neighbors(0), &[1, fresh]);
+        assert_eq!(g.sorted_neighbors(0), &[(1, 1), (fresh, 4)]);
+        assert_eq!(g.sorted_neighbors(fresh), &[(0, 4)]);
+    }
+
+    #[test]
+    fn mutations_keep_both_rows_and_the_edge_count_in_step() {
+        let mut g = Graph::new(4);
+        g.add_weighted_edge(2, 0, 5);
+        g.add_weighted_edge(1, 2, 6);
+        assert_eq!(g.num_edges(), 2);
+
+        // An overwrite, from either endpoint, rewrites both rows.
+        g.add_weighted_edge(0, 2, -8);
+        assert_eq!(g.num_edges(), 2, "an overwrite is not a new edge");
+        assert_eq!(g.edge_weight(0, 2), Some(-8));
+        assert_eq!(g.edge_weight(2, 0), Some(-8));
+        assert_eq!(g.sorted_neighbors(0), &[(2, -8)]);
+        assert_eq!(g.sorted_neighbors(2), &[(0, -8), (1, 6)]);
+        assert_eq!(
+            g.neighbors(2),
+            &[0, 1],
+            "an overwrite keeps insertion order"
+        );
+
+        assert_eq!(g.remove_edge(2, 0), Some(-8));
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.remove_edge(0, 2), None, "already removed");
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edge_weight(0, 2), None);
+
+        // A re-added edge joins the end of the insertion order.
+        g.add_weighted_edge(0, 2, 3);
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.neighbors(2), &[1, 0]);
+        assert_eq!(g.edge_weight(2, 0), Some(3));
+        assert_eq!(g.sorted_neighbors(2), &[(0, 3), (1, 6)]);
+        assert_eq!(g.total_edge_weight(), 9);
+    }
+
+    #[test]
+    fn failed_removals_return_none_and_change_nothing() {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1);
+        let before = g.clone();
+        assert_eq!(g.remove_edge(1, 2), None, "absent edge");
+        assert_eq!(g.remove_edge(1, 1), None, "self pair");
+        assert_eq!(g.remove_edge(0, 9), None, "out of range, not a panic");
+        assert_eq!(g.remove_edge(9, 0), None);
+        assert_eq!(g.remove_edge(9, 9), None);
+        assert_eq!(g, before);
+        assert_eq!(g.edge_weight(0, 9), None);
+        assert_eq!(g.edge_weight(9, 0), None);
+        assert_eq!(g.edge_weight(1, 1), None);
+    }
+
+    #[test]
+    fn edges_are_ascending() {
+        let mut g = Graph::new(6);
+        for (u, v, w) in [
+            (5, 1, 1),
+            (3, 0, 2),
+            (2, 4, 3),
+            (0, 5, 4),
+            (1, 0, 5),
+            (4, 3, 6),
+        ] {
+            g.add_weighted_edge(u, v, w);
+        }
+        let edges: Vec<_> = g.edges().collect();
+        assert_eq!(
+            edges,
+            vec![
+                (0, 1, 5),
+                (0, 3, 2),
+                (0, 5, 4),
+                (1, 5, 1),
+                (2, 4, 3),
+                (3, 4, 6)
+            ]
+        );
+        assert_eq!(g.total_edge_weight(), 21);
     }
 
     #[test]

@@ -59,9 +59,7 @@ pub fn max_matching_size(g: &Graph) -> usize {
 pub fn greedy_maximal_matching(g: &Graph) -> Vec<(NodeId, NodeId)> {
     let mut covered = vec![false; g.num_nodes()];
     let mut matching = Vec::new();
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-    edges.sort_unstable();
-    for (u, v) in edges {
+    for (u, v, _) in g.edges() {
         if !covered[u] && !covered[v] {
             covered[u] = true;
             covered[v] = true;
