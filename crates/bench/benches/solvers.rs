@@ -22,7 +22,7 @@ fn bench_set_solvers(c: &mut Criterion) {
             b.iter(|| black_box(mis::independence_number(&g)))
         });
         group.bench_with_input(BenchmarkId::new("matching_dp", n), &n, |b, _| {
-            b.iter(|| black_box(matching::max_matching_size(&g)))
+            b.iter(|| black_box(matching::max_matching(&g).len()))
         });
     }
     group.finish();

@@ -24,8 +24,7 @@
 use congest_comm::BitString;
 use congest_graph::{DiGraph, Graph, NodeId, Weight};
 use congest_solvers::hamilton::{
-    decide_directed_ham_cycle_with_stats, decide_directed_ham_path_with_stats,
-    has_directed_ham_cycle, has_directed_ham_path,
+    find_directed_ham_cycle_with_stats, find_directed_ham_path_with_stats, has_directed_ham_cycle,
 };
 use congest_solvers::SearchStats;
 
@@ -399,12 +398,12 @@ impl LowerBoundFamily for HamPathFamily {
     }
 
     fn predicate(&self, g: &DiGraph) -> bool {
-        has_directed_ham_path(g)
+        self.predicate_with_stats(g).0
     }
 
     fn predicate_with_stats(&self, g: &DiGraph) -> (bool, Option<SearchStats>) {
-        let (p, s) = decide_directed_ham_path_with_stats(g);
-        (p, Some(s))
+        let (p, s) = find_directed_ham_path_with_stats(g);
+        (p.is_some(), Some(s))
     }
 
     fn base_graph(&self) -> Option<DiGraph> {
@@ -494,12 +493,12 @@ impl LowerBoundFamily for HamCycleFamily {
     }
 
     fn predicate(&self, g: &DiGraph) -> bool {
-        has_directed_ham_cycle(g)
+        self.predicate_with_stats(g).0
     }
 
     fn predicate_with_stats(&self, g: &DiGraph) -> (bool, Option<SearchStats>) {
-        let (p, s) = decide_directed_ham_cycle_with_stats(g);
-        (p, Some(s))
+        let (c, s) = find_directed_ham_cycle_with_stats(g);
+        (c.is_some(), Some(s))
     }
 
     fn base_graph(&self) -> Option<DiGraph> {
@@ -727,7 +726,8 @@ mod tests {
     use crate::family::{all_inputs, verify_family};
     use congest_solvers::hamilton::has_ham_cycle;
     use congest_solvers::hamilton::{
-        find_directed_ham_path, held_karp_directed_ham_path, is_directed_ham_path,
+        find_directed_ham_path, has_directed_ham_path, held_karp_directed_ham_path,
+        is_directed_ham_path,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

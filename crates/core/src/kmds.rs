@@ -22,12 +22,13 @@ use congest_comm::BitString;
 use congest_graph::{Graph, NodeId, Weight};
 use congest_solvers::mds::min_weight_k_dominating_set;
 
+use crate::steiner_variants::CoveringLayout;
 use crate::LowerBoundFamily;
 
 /// The Figure 5 family for `k`-MDS (`k ≥ 2`).
 #[derive(Debug, Clone)]
 pub struct KmdsFamily {
-    collection: CoveringCollection,
+    layout: CoveringLayout,
     k: usize,
     alpha: Weight,
     /// Path interior vertices: `interior[(side, i, j)] -> Vec<NodeId>`.
@@ -46,28 +47,24 @@ impl KmdsFamily {
     /// verification, or `r < 2`.
     pub fn new(collection: CoveringCollection, k: usize) -> Self {
         assert!(k >= 2, "k-MDS needs k >= 2");
-        assert!(collection.r() >= 2, "need covering parameter r >= 2");
-        assert!(
-            collection.verify_r_covering(),
-            "collection must satisfy the r-covering property"
-        );
-        let alpha = collection.r() as Weight + 1;
-        let t = collection.num_sets();
-        let l = collection.universe();
-        // Fixed ids: a_j: j, b_j: ℓ+j, S_i: 2ℓ+i, S̄_i: 2ℓ+T+i,
-        // a: 2ℓ+2T, b: +1, R: +2, then path interiors.
-        let mut n = 2 * l + 2 * t + 3;
+        let layout = CoveringLayout::new(collection);
+        let c = layout.collection();
+        let alpha = c.r() as Weight + 1;
+        let t = c.num_sets();
+        let l = c.universe();
+        // Path interiors are numbered after the layout's vertices.
+        let mut n = layout.num_vertices();
         let mut a_paths = vec![vec![Vec::new(); l]; t];
         let mut b_paths = vec![vec![Vec::new(); l]; t];
         for i in 0..t {
             for j in 0..l {
-                if collection.contains(i, j) {
+                if c.contains(i, j) {
                     for _ in 0..k.saturating_sub(2) {
                         a_paths[i][j].push(n);
                         n += 1;
                     }
                 }
-                if collection.complement_contains(i, j) {
+                if c.complement_contains(i, j) {
                     for _ in 0..k.saturating_sub(2) {
                         b_paths[i][j].push(n);
                         n += 1;
@@ -76,7 +73,7 @@ impl KmdsFamily {
             }
         }
         KmdsFamily {
-            collection,
+            layout,
             k,
             alpha,
             a_paths,
@@ -85,9 +82,9 @@ impl KmdsFamily {
         }
     }
 
-    /// The covering collection.
-    pub fn collection(&self) -> &CoveringCollection {
-        &self.collection
+    /// The Figure 5 vertex layout (element, set, anchor and root ids).
+    pub fn layout(&self) -> &CoveringLayout {
+        &self.layout
     }
 
     /// The domination radius `k`.
@@ -98,39 +95,6 @@ impl KmdsFamily {
     /// The heavy weight `α = r + 1`.
     pub fn alpha(&self) -> Weight {
         self.alpha
-    }
-
-    /// Element vertex `a_j`.
-    pub fn a_elem(&self, j: usize) -> NodeId {
-        assert!(j < self.collection.universe());
-        j
-    }
-    /// Element vertex `b_j`.
-    pub fn b_elem(&self, j: usize) -> NodeId {
-        assert!(j < self.collection.universe());
-        self.collection.universe() + j
-    }
-    /// Set vertex `S_i`.
-    pub fn set_vertex(&self, i: usize) -> NodeId {
-        assert!(i < self.collection.num_sets());
-        2 * self.collection.universe() + i
-    }
-    /// Complement-set vertex `S̄_i`.
-    pub fn cset_vertex(&self, i: usize) -> NodeId {
-        assert!(i < self.collection.num_sets());
-        2 * self.collection.universe() + self.collection.num_sets() + i
-    }
-    /// Anchor `a`.
-    pub fn anchor_a(&self) -> NodeId {
-        2 * self.collection.universe() + 2 * self.collection.num_sets()
-    }
-    /// Anchor `b`.
-    pub fn anchor_b(&self) -> NodeId {
-        self.anchor_a() + 1
-    }
-    /// The free root `R`.
-    pub fn root(&self) -> NodeId {
-        self.anchor_a() + 2
     }
 
     fn add_path(g: &mut Graph, from: NodeId, interior: &[NodeId], to: NodeId, w: Weight) {
@@ -145,43 +109,43 @@ impl KmdsFamily {
 
     /// The fixed graph (edges never depend on inputs; only weights do).
     pub fn fixed_graph(&self) -> Graph {
-        let l = self.collection.universe();
-        let t = self.collection.num_sets();
+        let lay = &self.layout;
+        let c = lay.collection();
         let mut g = Graph::new(self.n);
-        for j in 0..l {
-            g.add_edge(self.a_elem(j), self.b_elem(j));
-            g.set_node_weight(self.a_elem(j), self.alpha);
-            g.set_node_weight(self.b_elem(j), self.alpha);
+        for j in 0..c.universe() {
+            g.add_edge(lay.a_elem(j), lay.b_elem(j));
+            g.set_node_weight(lay.a_elem(j), self.alpha);
+            g.set_node_weight(lay.b_elem(j), self.alpha);
         }
-        for i in 0..t {
-            g.add_edge(self.anchor_a(), self.set_vertex(i));
-            g.add_edge(self.anchor_b(), self.cset_vertex(i));
-            for j in 0..l {
-                if self.collection.contains(i, j) {
+        for i in 0..c.num_sets() {
+            g.add_edge(lay.anchor_a(), lay.set_vertex(i));
+            g.add_edge(lay.anchor_b(), lay.cset_vertex(i));
+            for j in 0..c.universe() {
+                if c.contains(i, j) {
                     Self::add_path(
                         &mut g,
-                        self.set_vertex(i),
+                        lay.set_vertex(i),
                         &self.a_paths[i][j],
-                        self.a_elem(j),
+                        lay.a_elem(j),
                         self.alpha,
                     );
                 }
-                if self.collection.complement_contains(i, j) {
+                if c.complement_contains(i, j) {
                     Self::add_path(
                         &mut g,
-                        self.cset_vertex(i),
+                        lay.cset_vertex(i),
                         &self.b_paths[i][j],
-                        self.b_elem(j),
+                        lay.b_elem(j),
                         self.alpha,
                     );
                 }
             }
         }
-        g.set_node_weight(self.anchor_a(), self.alpha);
-        g.set_node_weight(self.anchor_b(), self.alpha);
-        g.add_edge(self.root(), self.anchor_a());
-        g.add_edge(self.root(), self.anchor_b());
-        g.set_node_weight(self.root(), 0);
+        g.set_node_weight(lay.anchor_a(), self.alpha);
+        g.set_node_weight(lay.anchor_b(), self.alpha);
+        g.add_edge(lay.root(), lay.anchor_a());
+        g.add_edge(lay.root(), lay.anchor_b());
+        g.set_node_weight(lay.root(), 0);
         g
     }
 }
@@ -190,17 +154,18 @@ impl LowerBoundFamily for KmdsFamily {
     type GraphType = Graph;
 
     fn name(&self) -> String {
+        let c = self.layout.collection();
         format!(
             "Weighted {}-MDS gap (Theorems 4.4/4.5), T = {}, ℓ = {}, r = {}",
             self.k,
-            self.collection.num_sets(),
-            self.collection.universe(),
-            self.collection.r()
+            c.num_sets(),
+            c.universe(),
+            c.r()
         )
     }
 
     fn input_len(&self) -> usize {
-        self.collection.num_sets()
+        self.layout.collection().num_sets()
     }
 
     fn num_vertices(&self) -> usize {
@@ -208,27 +173,24 @@ impl LowerBoundFamily for KmdsFamily {
     }
 
     fn alice_vertices(&self) -> Vec<NodeId> {
-        let l = self.collection.universe();
-        let t = self.collection.num_sets();
-        let mut va: Vec<NodeId> = (0..l).map(|j| self.a_elem(j)).collect();
-        va.extend((0..t).map(|i| self.set_vertex(i)));
-        va.push(self.anchor_a());
-        for i in 0..t {
-            for j in 0..l {
-                va.extend(self.a_paths[i][j].iter().copied());
+        let mut va = self.layout.alice_vertices();
+        for paths in &self.a_paths {
+            for path in paths {
+                va.extend(path.iter().copied());
             }
         }
         va
     }
 
     fn build(&self, x: &BitString, y: &BitString) -> Graph {
-        let t = self.collection.num_sets();
+        let t = self.input_len();
         assert_eq!(x.len(), t, "x has wrong length");
         assert_eq!(y.len(), t, "y has wrong length");
+        let lay = &self.layout;
         let mut g = self.fixed_graph();
         for i in 0..t {
-            g.set_node_weight(self.set_vertex(i), if x.get(i) { 1 } else { self.alpha });
-            g.set_node_weight(self.cset_vertex(i), if y.get(i) { 1 } else { self.alpha });
+            g.set_node_weight(lay.set_vertex(i), if x.get(i) { 1 } else { self.alpha });
+            g.set_node_weight(lay.cset_vertex(i), if y.get(i) { 1 } else { self.alpha });
         }
         g
     }
@@ -242,7 +204,8 @@ impl LowerBoundFamily for KmdsFamily {
 
 /// The Lemma 4.3 witness: `{R, S_i, S̄_i}` for an intersecting index `i`.
 pub fn witness_k_dominating_set(fam: &KmdsFamily, i: usize) -> Vec<NodeId> {
-    vec![fam.root(), fam.set_vertex(i), fam.cset_vertex(i)]
+    let lay = fam.layout();
+    vec![lay.root(), lay.set_vertex(i), lay.cset_vertex(i)]
 }
 
 #[cfg(test)]
@@ -313,9 +276,9 @@ mod tests {
         let g = fam.build(&x, &y);
         let opt = min_weight_k_dominating_set(&g, 2).weight;
         assert!(
-            opt > fam.collection().r() as Weight,
+            opt > fam.layout().collection().r() as Weight,
             "gap: opt {opt} vs r {}",
-            fam.collection().r()
+            fam.layout().collection().r()
         );
     }
 
@@ -323,7 +286,7 @@ mod tests {
     fn gap_ratio_is_at_least_r_over_two() {
         // The inapproximability ratio the family certifies.
         let fam = KmdsFamily::new(collection(), 2);
-        let ratio = (fam.collection().r() as f64 + 1.0) / 2.0;
+        let ratio = (fam.layout().collection().r() as f64 + 1.0) / 2.0;
         assert!(ratio >= 1.5);
     }
 }

@@ -19,7 +19,7 @@
 
 use congest_comm::BitString;
 use congest_graph::{Graph, NodeId, Weight};
-use congest_solvers::maxcut::{has_cut_of_weight, has_cut_of_weight_with_stats};
+use congest_solvers::maxcut::has_cut_of_weight_with_stats;
 use congest_solvers::SearchStats;
 
 use crate::LowerBoundFamily;
@@ -360,7 +360,7 @@ impl LowerBoundFamily for MaxCutFamily {
     }
 
     fn predicate(&self, g: &Graph) -> bool {
-        has_cut_of_weight(g, self.target_weight())
+        self.predicate_with_stats(g).0
     }
 
     fn predicate_with_stats(&self, g: &Graph) -> (bool, Option<SearchStats>) {

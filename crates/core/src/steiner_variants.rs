@@ -19,8 +19,8 @@ use congest_solvers::steiner::{min_directed_steiner, min_node_weight_steiner};
 
 use crate::LowerBoundFamily;
 
-/// Shared vertex layout for the Figure 5/6 substrate (no path
-/// subdivision).
+/// Shared vertex layout for the Figure 5/6 substrate. The `k`-MDS family
+/// numbers its path-subdivision vertices after these.
 #[derive(Debug, Clone)]
 pub struct CoveringLayout {
     collection: CoveringCollection,
@@ -53,14 +53,17 @@ impl CoveringLayout {
     }
     /// `b_j`.
     pub fn b_elem(&self, j: usize) -> NodeId {
+        assert!(j < self.collection.universe());
         self.collection.universe() + j
     }
     /// `S_i`.
     pub fn set_vertex(&self, i: usize) -> NodeId {
+        assert!(i < self.collection.num_sets());
         2 * self.collection.universe() + i
     }
     /// `S̄_i`.
     pub fn cset_vertex(&self, i: usize) -> NodeId {
+        assert!(i < self.collection.num_sets());
         2 * self.collection.universe() + self.collection.num_sets() + i
     }
     /// Anchor `a`.

@@ -33,6 +33,7 @@
 use std::collections::HashSet;
 
 use congest_graph::{Graph, NodeId, Weight};
+use congest_solvers::matching::max_matching;
 
 /// A per-vertex label: a small tuple of integers. The bit size is the
 /// sum of the two's-complement bit lengths of its fields.
@@ -958,29 +959,18 @@ impl ProofLabelingScheme for MatchingScheme {
     }
 
     fn predicate(&self, inst: &MarkedGraph) -> bool {
-        congest_solvers::matching::max_matching_size(&inst.graph) >= self.k
+        max_matching(&inst.graph).len() >= self.k
     }
 
     fn prove(&self, inst: &MarkedGraph) -> Option<Vec<Label>> {
-        if !self.predicate(inst) {
-            return None;
-        }
         let g = &inst.graph;
         let n = g.num_nodes();
-        // A matching of size >= k: greedy + augment via exact solver is
-        // overkill; reuse the exact size and find one by brute pairing on
-        // the small instances used here.
-        let matching = {
-            // Greedy first; if too small, fall back to exhaustive search.
-            let greedy = congest_solvers::matching::greedy_maximal_matching(g);
-            if greedy.len() >= self.k {
-                greedy
-            } else {
-                find_matching_of_size(g, self.k)?
-            }
-        };
+        let matching = max_matching(g);
+        if matching.len() < self.k {
+            return None;
+        }
         let mut partner = vec![-1i64; n];
-        for &(u, v) in matching.iter().take(self.k.max(matching.len())) {
+        for &(u, v) in &matching {
             partner[u] = v as i64;
             partner[v] = u as i64;
         }
@@ -1037,44 +1027,6 @@ impl ProofLabelingScheme for MatchingScheme {
             return false;
         }
         true
-    }
-}
-
-/// Finds a matching of exactly `k` edges by backtracking (small graphs).
-fn find_matching_of_size(g: &Graph, k: usize) -> Option<Vec<(NodeId, NodeId)>> {
-    fn rec(
-        edges: &[(NodeId, NodeId)],
-        start: usize,
-        left: usize,
-        used: &mut Vec<bool>,
-        acc: &mut Vec<(NodeId, NodeId)>,
-    ) -> bool {
-        if left == 0 {
-            return true;
-        }
-        for i in start..edges.len() {
-            let (u, v) = edges[i];
-            if !used[u] && !used[v] {
-                used[u] = true;
-                used[v] = true;
-                acc.push((u, v));
-                if rec(edges, i + 1, left - 1, used, acc) {
-                    return true;
-                }
-                acc.pop();
-                used[u] = false;
-                used[v] = false;
-            }
-        }
-        false
-    }
-    let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-    let mut used = vec![false; g.num_nodes()];
-    let mut acc = Vec::new();
-    if rec(&edges, 0, k, &mut used, &mut acc) {
-        Some(acc)
-    } else {
-        None
     }
 }
 

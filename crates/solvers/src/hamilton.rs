@@ -1,17 +1,15 @@
 //! Hamiltonian path and cycle deciders (directed and undirected).
 //!
-//! Decides the predicates of the paper's Section 2.2 families. Two engines:
-//!
-//! * a word-packed Held–Karp dynamic program (`n ≤ 20`), dispatched
-//!   automatically by the `has_*` / `decide_*` deciders and used as ground
-//!   truth in tests;
-//! * a pruned backtracking search for the construction sizes (≈ 40–130
-//!   vertices). The pruning mirrors the paper's own forcing arguments
-//!   (Claims 2.3–2.5): a partial path dies as soon as some unvisited vertex
-//!   becomes unreachable, more than one unvisited vertex has lost all
-//!   remaining in-neighbors, or more than one has lost all out-neighbors.
-//!   On the gadget graphs the search space is thin by design, so the
-//!   backtracker terminates quickly on both YES and NO instances.
+//! Decides the predicates of the paper's Section 2.2 families with one
+//! engine at every size: a pruned backtracking search, built for the
+//! construction sizes (≈ 40–130 vertices). The pruning mirrors the
+//! paper's own forcing arguments (Claims 2.3–2.5): a partial path dies as
+//! soon as some unvisited vertex becomes unreachable, more than one
+//! unvisited vertex has lost all remaining in-neighbors, or more than one
+//! has lost all out-neighbors. On the gadget graphs the search space is
+//! thin by design, so the backtracker terminates quickly on both YES and
+//! NO instances. Every decision is the search for a witness: `has_*` is
+//! `find_*(g).is_some()`.
 //!
 //! The backtracker is monomorphized over the vertex-set word count
 //! (`Words<W>`): the K ≤ 5 gadget graphs fit one or two 64-bit words,
@@ -23,14 +21,19 @@
 //! successor (counted in [`SearchStats::forced_moves`]), and successor
 //! ordering (Warnsdorff's fewest-onward-options rule) runs on a small
 //! stack buffer instead of allocating and sorting a `Vec` per DFS node.
+//!
+//! A word-packed Held–Karp dynamic program (`n ≤ HELD_KARP_MAX_N`) is
+//! kept only as an independent reference for tests and the ablation
+//! bench; no decision runs it.
 
 use congest_graph::{DiGraph, Graph, NodeId};
 
 use crate::bitset::{directed_masks, Words};
 use crate::stats::{timed, SearchStats};
 
-/// Largest instance the [`held_karp_directed_ham_path`] DP accepts; the
-/// `has_*` deciders switch to it at or below this size.
+/// Largest instance the Held–Karp reference DP
+/// ([`held_karp_directed_ham_path`], [`held_karp_directed_ham_cycle`])
+/// accepts.
 pub const HELD_KARP_MAX_N: usize = 20;
 
 /// Verifies that `path` is a directed Hamiltonian path of `g`.
@@ -364,7 +367,14 @@ fn run_path_search<const W: usize>(g: &DiGraph) -> (Option<Vec<NodeId>>, SearchS
         // means no Hamiltonian path exists.
         let sources: Vec<usize> = (0..n).filter(|&v| s.inm[v].is_empty()).collect();
         if sources.len() > 1 {
-            return (None, SearchStats::default());
+            // The root itself is dead: count it as `dfs` counts a pruned
+            // node.
+            let root = SearchStats {
+                nodes: 1,
+                prunes: 1,
+                ..SearchStats::default()
+            };
+            return (None, root);
         }
         let starts: Vec<usize> = if sources.len() == 1 {
             sources
@@ -399,8 +409,6 @@ fn word_count(g: &DiGraph) -> usize {
 }
 
 /// Finds a directed Hamiltonian path starting anywhere, if one exists.
-/// Always runs the backtracker (the Held–Karp decider cannot produce a
-/// witness); use [`has_directed_ham_path`] when only the answer matters.
 pub fn find_directed_ham_path(g: &DiGraph) -> Option<Vec<NodeId>> {
     find_directed_ham_path_with_stats(g).0
 }
@@ -419,25 +427,13 @@ pub fn find_directed_ham_path_with_stats(g: &DiGraph) -> (Option<Vec<NodeId>>, S
     }
 }
 
-/// Whether `g` has a directed Hamiltonian path. Dispatches to the
-/// Held–Karp DP at `n ≤ HELD_KARP_MAX_N`, the backtracker above.
+/// Whether `g` has a directed Hamiltonian path.
 pub fn has_directed_ham_path(g: &DiGraph) -> bool {
-    decide_directed_ham_path_with_stats(g).0
-}
-
-/// [`has_directed_ham_path`] plus the effort counters of whichever
-/// engine ran (DP transitions count as `nodes`).
-pub fn decide_directed_ham_path_with_stats(g: &DiGraph) -> (bool, SearchStats) {
-    if g.num_nodes() <= HELD_KARP_MAX_N {
-        held_karp_directed_ham_path_with_stats(g)
-    } else {
-        let (p, stats) = find_directed_ham_path_with_stats(g);
-        (p.is_some(), stats)
-    }
+    find_directed_ham_path(g).is_some()
 }
 
 /// Finds a directed Hamiltonian cycle (returned without repeating the
-/// start), if one exists. Always runs the backtracker.
+/// start), if one exists.
 pub fn find_directed_ham_cycle(g: &DiGraph) -> Option<Vec<NodeId>> {
     find_directed_ham_cycle_with_stats(g).0
 }
@@ -455,21 +451,9 @@ pub fn find_directed_ham_cycle_with_stats(g: &DiGraph) -> (Option<Vec<NodeId>>, 
     }
 }
 
-/// Whether `g` has a directed Hamiltonian cycle. Dispatches to the
-/// Held–Karp DP at `n ≤ HELD_KARP_MAX_N`, the backtracker above.
+/// Whether `g` has a directed Hamiltonian cycle.
 pub fn has_directed_ham_cycle(g: &DiGraph) -> bool {
-    decide_directed_ham_cycle_with_stats(g).0
-}
-
-/// [`has_directed_ham_cycle`] plus the effort counters of whichever
-/// engine ran.
-pub fn decide_directed_ham_cycle_with_stats(g: &DiGraph) -> (bool, SearchStats) {
-    if g.num_nodes() <= HELD_KARP_MAX_N {
-        held_karp_directed_ham_cycle_with_stats(g)
-    } else {
-        let (c, stats) = find_directed_ham_cycle_with_stats(g);
-        (c.is_some(), stats)
-    }
+    find_directed_ham_cycle(g).is_some()
 }
 
 fn to_digraph(g: &Graph) -> DiGraph {
@@ -494,114 +478,59 @@ pub fn has_ham_cycle(g: &Graph) -> bool {
     has_directed_ham_cycle(&to_digraph(g))
 }
 
-/// Held–Karp ground truth: whether a directed Hamiltonian path exists.
+/// Held–Karp reference: whether a directed Hamiltonian path exists.
 ///
 /// # Panics
 ///
 /// Panics if `n > HELD_KARP_MAX_N`.
 pub fn held_karp_directed_ham_path(g: &DiGraph) -> bool {
-    held_karp_directed_ham_path_with_stats(g).0
-}
-
-/// [`held_karp_directed_ham_path`] with effort counters: `nodes` is the
-/// number of `(mask, end)` states expanded, `incumbents` is 1 when the
-/// full mask is reached.
-pub fn held_karp_directed_ham_path_with_stats(g: &DiGraph) -> (bool, SearchStats) {
     let n = g.num_nodes();
-    assert!(
-        n <= HELD_KARP_MAX_N,
-        "Held-Karp limited to {HELD_KARP_MAX_N} vertices"
-    );
-    if n == 0 {
-        return (true, SearchStats::default());
-    }
-    timed(|| {
-        let (out, _) = directed_masks::<1>(g);
-        let out: Vec<u32> = out.iter().map(|m| m.0[0] as u32).collect();
-        let mut stats = SearchStats::default();
-        // ends[mask] = set of vertices at which a path visiting exactly
-        // `mask` can end.
-        let mut ends = vec![0u32; 1 << n];
-        for v in 0..n {
-            ends[1 << v] = 1 << v;
-        }
-        for mask in 1u32..(1 << n) {
-            let e = ends[mask as usize];
-            if e == 0 {
-                continue;
-            }
-            for u in Words([u64::from(e)]).iter() {
-                stats.nodes += 1;
-                let nexts = out[u] & !mask;
-                for v in Words([u64::from(nexts)]).iter() {
-                    ends[(mask | (1 << v)) as usize] |= 1 << v;
-                }
-            }
-        }
-        let found = ends[(1usize << n) - 1] != 0;
-        if found {
-            stats.incumbents = 1;
-        }
-        (found, stats)
-    })
+    n == 0 || held_karp_full_ends(g, None) != 0
 }
 
-/// Held–Karp ground truth: whether a directed Hamiltonian cycle exists.
-/// Anchors the cycle at vertex 0 (DP over paths starting there), then
-/// closes it with an edge back to 0.
+/// Held–Karp reference: whether a directed Hamiltonian cycle exists. The
+/// cycle is a Hamiltonian path from vertex 0 closed by an edge into 0.
 ///
 /// # Panics
 ///
 /// Panics if `n > HELD_KARP_MAX_N`.
 pub fn held_karp_directed_ham_cycle(g: &DiGraph) -> bool {
-    held_karp_directed_ham_cycle_with_stats(g).0
+    if g.num_nodes() == 0 {
+        return false;
+    }
+    let ends = held_karp_full_ends(g, Some(0));
+    Words([u64::from(ends)]).iter().any(|u| g.has_edge(u, 0))
 }
 
-/// [`held_karp_directed_ham_cycle`] with effort counters (same
-/// conventions as the path DP).
-pub fn held_karp_directed_ham_cycle_with_stats(g: &DiGraph) -> (bool, SearchStats) {
+/// The Held–Karp DP over paths through all `n ≥ 1` vertices that start
+/// at `start`, or anywhere when `None`: the set of vertices at which such
+/// a path can end.
+fn held_karp_full_ends(g: &DiGraph, start: Option<NodeId>) -> u32 {
     let n = g.num_nodes();
     assert!(
         n <= HELD_KARP_MAX_N,
         "Held-Karp limited to {HELD_KARP_MAX_N} vertices"
     );
-    if n == 0 {
-        return (false, SearchStats::default());
+    let (out, _) = directed_masks::<1>(g);
+    let out: Vec<u32> = out.iter().map(|m| m.0[0] as u32).collect();
+    // ends[mask] = set of vertices at which a path visiting exactly
+    // `mask` can end.
+    let mut ends = vec![0u32; 1 << n];
+    for v in 0..n {
+        if start.is_none_or(|s| s == v) {
+            ends[1 << v] = 1 << v;
+        }
     }
-    if n == 1 {
-        return (g.has_edge(0, 0), SearchStats::default());
-    }
-    timed(|| {
-        let (out, _) = directed_masks::<1>(g);
-        let out: Vec<u32> = out.iter().map(|m| m.0[0] as u32).collect();
-        let mut stats = SearchStats::default();
-        // Paths anchored at 0: ends[mask] for masks containing bit 0.
-        let mut ends = vec![0u32; 1 << n];
-        ends[1] = 1;
-        for mask in 1u32..(1 << n) {
-            if mask & 1 == 0 {
-                continue;
-            }
-            let e = ends[mask as usize];
-            if e == 0 {
-                continue;
-            }
-            for u in Words([u64::from(e)]).iter() {
-                stats.nodes += 1;
-                let nexts = out[u] & !mask;
-                for v in Words([u64::from(nexts)]).iter() {
-                    ends[(mask | (1 << v)) as usize] |= 1 << v;
-                }
+    for mask in 1u32..(1 << n) {
+        let e = ends[mask as usize];
+        for u in Words([u64::from(e)]).iter() {
+            let nexts = out[u] & !mask;
+            for v in Words([u64::from(nexts)]).iter() {
+                ends[(mask | (1 << v)) as usize] |= 1 << v;
             }
         }
-        let full = (1u32 << n) - 1;
-        let closes = ends[full as usize] & !1;
-        let found = Words([u64::from(closes)]).iter().any(|u| out[u] & 1 != 0);
-        if found {
-            stats.incumbents = 1;
-        }
-        (found, stats)
-    })
+    }
+    ends[(1usize << n) - 1]
 }
 
 #[cfg(test)]
@@ -622,9 +551,6 @@ mod tests {
         assert!(!has_ham_path(&generators::complete_bipartite(3, 5)));
         assert!(has_ham_cycle(&generators::complete_bipartite(4, 4)));
         assert!(!has_ham_cycle(&generators::complete_bipartite(3, 4)));
-        // Same graphs through the pure backtracker (no DP dispatch).
-        assert!(find_directed_ham_cycle(&to_digraph(&generators::cycle(8))).is_some());
-        assert!(find_directed_ham_path(&to_digraph(&generators::star(5))).is_none());
     }
 
     #[test]
@@ -768,23 +694,6 @@ mod tests {
         assert_eq!(stats.nodes, 10);
         assert_eq!(stats.backtracks, 0);
         assert!(stats.forced_moves >= 8, "chain steps are forced");
-    }
-
-    #[test]
-    fn decider_dispatches_to_held_karp_below_threshold() {
-        let small = to_digraph(&generators::cycle(8));
-        let (yes, stats) = decide_directed_ham_cycle_with_stats(&small);
-        assert!(yes);
-        // The DP never backtracks or forces; the backtracker on C8 would
-        // count forced moves, so this distinguishes the engines.
-        assert_eq!(stats.backtracks, 0);
-        assert_eq!(stats.forced_moves, 0);
-        assert!(stats.nodes > 0);
-
-        let big = to_digraph(&generators::cycle(HELD_KARP_MAX_N + 2));
-        let (yes, stats) = decide_directed_ham_cycle_with_stats(&big);
-        assert!(yes);
-        assert!(stats.forced_moves > 0, "backtracker engine above threshold");
     }
 
     #[test]

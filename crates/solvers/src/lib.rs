@@ -16,9 +16,9 @@
 //! |--------|----------|
 //! | [`mis`] | max (weight) independent set, max clique, min vertex cover |
 //! | [`mds`] | min (weight) dominating set, `k`-MDS, decision variants |
-//! | [`maxcut`] | exact weighted max-cut (gray-code), random/greedy approx |
-//! | [`hamilton`] | directed/undirected Hamiltonian path & cycle |
-//! | [`steiner`] | cardinality / node-weighted / directed Steiner tree |
+//! | [`maxcut`] | exact weighted max-cut and its decision (one gray-code walk), random/local-search approx |
+//! | [`hamilton`] | directed/undirected Hamiltonian path & cycle (one backtracker; Held–Karp as test reference) |
+//! | [`steiner`] | cardinality / directed Steiner tree; node-weighted through the directed program |
 //! | [`flow`] | max-flow / min-cut (Dinic), weighted s–t distance |
 //! | [`matching`] | maximum cardinality matching (bitmask DP) |
 //! | [`two_ecss`] | minimum 2-edge-connected spanning subgraph checks |

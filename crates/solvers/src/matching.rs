@@ -1,25 +1,23 @@
 //! Maximum cardinality matching.
 //!
 //! Used by the matching proof-labeling scheme (Claim 5.12 of the paper)
-//! and the Section 5 limitation results for maximum matching. Two engines:
-//! an exact bitmask DP for ≤ 32 vertices, and a greedy/augmenting
-//! heuristic pair for larger instances where only a maximal matching is
-//! needed.
+//! and the Section 5 limitation results for maximum matching: an exact
+//! bitmask DP for ≤ 32 vertices, plus the greedy maximal matching behind
+//! the classical 2-approximation for vertex cover.
 
 use congest_graph::{Graph, NodeId};
 
-/// Exact maximum matching size by DP over vertex subsets: the lowest
-/// uncovered vertex is either left unmatched or matched to a neighbor.
+/// A maximum matching by DP over vertex subsets: the lowest uncovered
+/// vertex is either left unmatched or matched to a neighbor. The matching
+/// is read back out of the DP's memo; each edge is listed as `(u, v)`
+/// with `u < v`.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than 32 vertices.
-pub fn max_matching_size(g: &Graph) -> usize {
+pub fn max_matching(g: &Graph) -> Vec<(NodeId, NodeId)> {
     let n = g.num_nodes();
     assert!(n <= 32, "bitmask matching limited to 32 vertices");
-    if n == 0 {
-        return 0;
-    }
     let mut adj = vec![0u32; n];
     for (u, v, _) in g.edges() {
         adj[u] |= 1 << v;
@@ -50,7 +48,28 @@ pub fn max_matching_size(g: &Graph) -> usize {
         memo[mask as usize] = best;
         best
     }
-    rec(full, &adj, &mut memo) as usize
+    // Walk one optimal choice per mask back down from the full set; every
+    // mask on the way was solved by the first call, so `rec` only reads
+    // the memo after it.
+    let mut matching = Vec::new();
+    let mut mask = full;
+    while mask != 0 {
+        let best = rec(mask, &adj, &mut memo);
+        let v = mask.trailing_zeros() as usize;
+        let rest = mask & !(1 << v);
+        let mut cands = adj[v] & rest;
+        mask = rest;
+        while cands != 0 {
+            let u = cands.trailing_zeros() as usize;
+            cands &= cands - 1;
+            if 1 + rec(rest & !(1 << u), &adj, &mut memo) == best {
+                matching.push((v, u));
+                mask = rest & !(1 << u);
+                break;
+            }
+        }
+    }
+    matching
 }
 
 /// A maximal (not necessarily maximum) matching by greedy edge scanning.
@@ -92,13 +111,20 @@ mod tests {
 
     #[test]
     fn matching_numbers_of_standard_graphs() {
-        assert_eq!(max_matching_size(&generators::path(6)), 3);
-        assert_eq!(max_matching_size(&generators::path(7)), 3);
-        assert_eq!(max_matching_size(&generators::cycle(8)), 4);
-        assert_eq!(max_matching_size(&generators::cycle(7)), 3);
-        assert_eq!(max_matching_size(&generators::star(9)), 1);
-        assert_eq!(max_matching_size(&generators::complete(6)), 3);
-        assert_eq!(max_matching_size(&generators::complete_bipartite(3, 5)), 3);
+        for (g, size) in [
+            (generators::path(6), 3),
+            (generators::path(7), 3),
+            (generators::cycle(8), 4),
+            (generators::cycle(7), 3),
+            (generators::star(9), 1),
+            (generators::complete(6), 3),
+            (generators::complete_bipartite(3, 5), 3),
+            (Graph::new(0), 0),
+        ] {
+            let m = max_matching(&g);
+            assert!(is_matching(&g, &m), "read-back is a matching");
+            assert_eq!(m.len(), size);
+        }
     }
 
     #[test]
@@ -111,7 +137,7 @@ mod tests {
         g.add_edge(0, 3);
         g.add_edge(1, 4);
         g.add_edge(2, 5);
-        assert_eq!(max_matching_size(&g), 3);
+        assert_eq!(max_matching(&g).len(), 3);
     }
 
     #[test]
@@ -121,7 +147,7 @@ mod tests {
             let g = generators::gnp(14, 0.3, &mut rng);
             let m = greedy_maximal_matching(&g);
             assert!(is_matching(&g, &m));
-            let opt = max_matching_size(&g);
+            let opt = max_matching(&g).len();
             assert!(2 * m.len() >= opt, "maximal matching below half");
             assert!(m.len() <= opt);
         }

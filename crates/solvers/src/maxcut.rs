@@ -3,9 +3,11 @@
 //! local search).
 //!
 //! Decides the Theorem 2.8 predicate "is there a cut of weight `M`?" on
-//! the Figure 3 family. The gray-code walk flips one vertex per step and
-//! updates the cut weight incrementally, so the enumeration costs `O(2^n)`
-//! total rather than `O(2^n · m)`.
+//! the Figure 3 family. One gray-code walk serves both the optimization
+//! and the decision, which stops at the first cut reaching its target.
+//! The walk flips one vertex per step and updates the cut weight from
+//! that vertex's sorted `(neighbor, weight)` row, so the enumeration
+//! costs `O(2^n · Δ)` total rather than `O(2^n · m)`.
 
 use congest_graph::{Graph, NodeId, Weight};
 use rand::Rng;
@@ -45,6 +47,30 @@ pub fn max_cut(g: &Graph) -> CutSolution {
 ///
 /// Panics if the graph has more than 28 vertices (`2^{n-1}` enumeration).
 pub fn max_cut_with_stats(g: &Graph) -> (CutSolution, SearchStats) {
+    gray_code_walk(g, None)
+}
+
+/// Decision variant: does a cut of weight ≥ `target` exist?
+pub fn has_cut_of_weight(g: &Graph, target: Weight) -> bool {
+    has_cut_of_weight_with_stats(g, target).0
+}
+
+/// [`has_cut_of_weight`] plus enumeration counters. Unlike the full
+/// optimization, the decision walk stops as soon as the target is
+/// reached, so `nodes` counts only the gray-code steps actually taken.
+///
+/// # Panics
+///
+/// Panics if the graph has more than 28 vertices.
+pub fn has_cut_of_weight_with_stats(g: &Graph, target: Weight) -> (bool, SearchStats) {
+    let (best, stats) = gray_code_walk(g, Some(target));
+    (best.weight >= target, stats)
+}
+
+/// The gray-code walk over the `2^{n-1}` cuts that keep vertex `n-1` on
+/// one side (cut symmetry). It flips one vertex per step and keeps the
+/// heaviest cut seen, stopping early once that cut reaches `target`.
+fn gray_code_walk(g: &Graph, target: Option<Weight>) -> (CutSolution, SearchStats) {
     let n = g.num_nodes();
     assert!(n <= 28, "exact max-cut limited to 28 vertices");
     if n == 0 {
@@ -56,24 +82,25 @@ pub fn max_cut_with_stats(g: &Graph) -> (CutSolution, SearchStats) {
             SearchStats::default(),
         );
     }
+    let goal = target.unwrap_or(Weight::MAX);
     timed(|| {
         let mut stats = SearchStats::default();
-        let adj = flat_adjacency(g);
-        // delta[v] when flipping v: walk the precomputed neighbor array.
         let mut side = vec![false; n];
         let mut cur: Weight = 0;
         let mut best = 0;
         let mut best_mask = 0u64;
         let mut mask = 0u64;
-        // Vertex n-1 stays fixed on one side (cut symmetry).
         let steps = 1u64 << (n - 1);
         for i in 1..steps {
+            if best >= goal {
+                break;
+            }
             stats.nodes += 1;
             // Gray code: bit to flip.
             let v = i.trailing_zeros() as usize;
             side[v] = !side[v];
             mask ^= 1 << v;
-            cur += flip_delta(&adj[v], &side, side[v]);
+            cur += flip_delta(g.sorted_neighbors(v), &side, side[v]);
             if cur > best {
                 best = cur;
                 best_mask = mask;
@@ -90,24 +117,11 @@ pub fn max_cut_with_stats(g: &Graph) -> (CutSolution, SearchStats) {
     })
 }
 
-/// Per-vertex `(neighbor, weight)` arrays: the gray-code walk touches one
-/// vertex's neighborhood per step, and an indexed array walk is far
-/// cheaper than per-edge hash-map weight lookups.
-fn flat_adjacency(g: &Graph) -> Vec<Vec<(usize, Weight)>> {
-    let n = g.num_nodes();
-    let mut adj: Vec<Vec<(usize, Weight)>> = vec![Vec::new(); n];
-    for (u, v, w) in g.edges() {
-        adj[u].push((v, w));
-        adj[v].push((u, w));
-    }
-    adj
-}
-
 /// Cut-weight change from having just flipped a vertex with neighborhood
 /// `nbrs` to side `new_side` (`side` already reflects the flip): edges to
 /// the old side open, edges to the new side close.
 #[inline]
-fn flip_delta(nbrs: &[(usize, Weight)], side: &[bool], new_side: bool) -> Weight {
+fn flip_delta(nbrs: &[(NodeId, Weight)], side: &[bool], new_side: bool) -> Weight {
     let mut delta: Weight = 0;
     for &(u, w) in nbrs {
         if side[u] == new_side {
@@ -117,48 +131,6 @@ fn flip_delta(nbrs: &[(usize, Weight)], side: &[bool], new_side: bool) -> Weight
         }
     }
     delta
-}
-
-/// Decision variant: does a cut of weight ≥ `target` exist?
-pub fn has_cut_of_weight(g: &Graph, target: Weight) -> bool {
-    has_cut_of_weight_with_stats(g, target).0
-}
-
-/// [`has_cut_of_weight`] plus enumeration counters. Unlike the full
-/// optimization, the decision walk stops as soon as the target is
-/// reached, so `nodes` counts only the gray-code steps actually taken.
-///
-/// # Panics
-///
-/// Panics if the graph has more than 28 vertices.
-pub fn has_cut_of_weight_with_stats(g: &Graph, target: Weight) -> (bool, SearchStats) {
-    let n = g.num_nodes();
-    assert!(n <= 28, "exact max-cut limited to 28 vertices");
-    if n == 0 {
-        return (target <= 0, SearchStats::default());
-    }
-    timed(|| {
-        let mut stats = SearchStats::default();
-        let adj = flat_adjacency(g);
-        let mut side = vec![false; n];
-        let mut cur: Weight = 0;
-        if cur >= target {
-            stats.incumbents = 1;
-            return (true, stats);
-        }
-        let steps = 1u64 << (n - 1);
-        for i in 1..steps {
-            stats.nodes += 1;
-            let v = i.trailing_zeros() as usize;
-            side[v] = !side[v];
-            cur += flip_delta(&adj[v], &side, side[v]);
-            if cur >= target {
-                stats.incumbents = 1;
-                return (true, stats);
-            }
-        }
-        (false, stats)
-    })
 }
 
 /// Random assignment: each vertex picks a side uniformly. In expectation a

@@ -5,9 +5,13 @@
 //!   tree with `4k + 16·log k + 1` edges exists"). It exploits the identity
 //!   `min #edges = min{|W| - 1 : Term ⊆ W, G[W] connected}` and searches
 //!   over sets of extra (non-terminal) vertices by increasing size.
+//!   The optimization and the decision share one search; the decision
+//!   stops at its size bound.
 //! * The *node-weighted* and *directed* solvers decide the Section 4.4 gap
-//!   predicates (Figure 6). Both are Dreyfus–Wagner dynamic programs over
-//!   terminal subsets with Dijkstra-style grow steps.
+//!   predicates (Figure 6). One Dreyfus–Wagner dynamic program over
+//!   terminal subsets with Dijkstra-style grow steps solves the directed
+//!   problem; the node-weighted problem is that program on the bidirected
+//!   graph in which entering a vertex costs its weight.
 
 use std::collections::BinaryHeap;
 
@@ -20,6 +24,23 @@ use congest_graph::{DiGraph, Graph, NodeId, Weight};
 ///
 /// Panics if `terminals` is empty.
 pub fn min_steiner_tree_edges(g: &Graph, terminals: &[NodeId]) -> Option<usize> {
+    fewest_tree_edges(g, terminals, usize::MAX)
+}
+
+/// Decision variant of [`min_steiner_tree_edges`]: is there a Steiner
+/// tree with at most `max_edges` edges? Only searches vertex sets of the
+/// admissible size, so NO instances do not pay for the full optimum.
+///
+/// # Panics
+///
+/// Panics if `terminals` is empty.
+pub fn has_steiner_tree_of_size(g: &Graph, terminals: &[NodeId], max_edges: usize) -> bool {
+    fewest_tree_edges(g, terminals, max_edges).is_some()
+}
+
+/// The fewest edges of a Steiner tree with at most `max_edges` edges, by
+/// searching sets of extra (non-terminal) vertices in increasing size.
+fn fewest_tree_edges(g: &Graph, terminals: &[NodeId], max_edges: usize) -> Option<usize> {
     assert!(!terminals.is_empty(), "need at least one terminal");
     let n = g.num_nodes();
     let mut is_term = vec![false; n];
@@ -34,30 +55,15 @@ pub fn min_steiner_tree_edges(g: &Graph, terminals: &[NodeId]) -> Option<usize> 
     }
     let mut chosen: Vec<NodeId> = Vec::new();
     for extra in 0..=non_terminals.len() {
+        let edges = terminals.len() + extra - 1;
+        if edges > max_edges {
+            break;
+        }
         if search_extras(g, terminals, &non_terminals, extra, 0, &mut chosen) {
-            return Some(terminals.len() + extra - 1);
+            return Some(edges);
         }
     }
     None
-}
-
-/// Decision variant of [`min_steiner_tree_edges`]: is there a Steiner
-/// tree with at most `max_edges` edges? Only searches vertex sets of the
-/// admissible size, so NO instances do not pay for the full optimum.
-pub fn has_steiner_tree_of_size(g: &Graph, terminals: &[NodeId], max_edges: usize) -> bool {
-    assert!(!terminals.is_empty(), "need at least one terminal");
-    if max_edges + 1 < terminals.len() {
-        return false;
-    }
-    let n = g.num_nodes();
-    let mut is_term = vec![false; n];
-    for &t in terminals {
-        is_term[t] = true;
-    }
-    let non_terminals: Vec<NodeId> = (0..n).filter(|&v| !is_term[v]).collect();
-    let max_extra = (max_edges + 1 - terminals.len()).min(non_terminals.len());
-    let mut chosen = Vec::new();
-    (0..=max_extra).any(|extra| search_extras(g, terminals, &non_terminals, extra, 0, &mut chosen))
 }
 
 fn search_extras(
@@ -91,73 +97,31 @@ fn search_extras(
 /// `terminals` (the node-weighted Steiner tree of Section 4.4). Returns
 /// `None` if the terminals cannot be connected.
 ///
-/// Dreyfus–Wagner over terminal subsets; `O(3^|Term|·n + 2^|Term|·n log n)`.
+/// Solved as [`min_directed_steiner`] on the bidirected graph in which
+/// the arc `u → v` costs `w(v)`, rooted at the first terminal, whose own
+/// weight is added. This is exact for nonnegative weights: an
+/// arborescence pays for each non-root vertex once, through its one
+/// incoming arc.
 ///
 /// # Panics
 ///
 /// Panics if `terminals` is empty, has more than 16 elements, or any node
 /// weight is negative.
 pub fn min_node_weight_steiner(g: &Graph, terminals: &[NodeId]) -> Option<Weight> {
+    let &root = terminals.first().expect("need at least one terminal");
     let n = g.num_nodes();
-    let t = terminals.len();
-    assert!(t >= 1, "need at least one terminal");
-    assert!(t <= 16, "terminal-subset DP limited to 16 terminals");
+    // Checked here, not through the arc costs: an isolated vertex has no
+    // arc to carry its weight.
     assert!(
         (0..n).all(|v| g.node_weight(v) >= 0),
         "node weights must be nonnegative"
     );
-    const INF: Weight = Weight::MAX / 4;
-    let full = (1usize << t) - 1;
-    // f[s][v] = min node weight of connected subgraph containing terminal
-    // subset s and vertex v.
-    let mut f = vec![vec![INF; n]; full + 1];
-    for (i, &term) in terminals.iter().enumerate() {
-        f[1 << i][term] = g.node_weight(term);
+    let mut d = DiGraph::new(n);
+    for (u, v, _) in g.edges() {
+        d.add_weighted_edge(u, v, g.node_weight(v));
+        d.add_weighted_edge(v, u, g.node_weight(u));
     }
-    for s in 1..=full {
-        // Merge step: split s at v.
-        let mut sub = (s - 1) & s;
-        while sub > 0 {
-            let other = s & !sub;
-            if other != 0 && sub < other {
-                // Each unordered split visited once.
-                for v in 0..n {
-                    let a = f[sub][v];
-                    let b = f[other][v];
-                    if a < INF && b < INF {
-                        let cand = a + b - g.node_weight(v);
-                        if cand < f[s][v] {
-                            f[s][v] = cand;
-                        }
-                    }
-                }
-            }
-            sub = (sub - 1) & s;
-        }
-        // Grow step: Dijkstra relaxation, entering a vertex costs its weight.
-        let mut heap: BinaryHeap<std::cmp::Reverse<(Weight, usize)>> = (0..n)
-            .filter(|&v| f[s][v] < INF)
-            .map(|v| std::cmp::Reverse((f[s][v], v)))
-            .collect();
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if d != f[s][v] {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                let cand = d + g.node_weight(u);
-                if cand < f[s][u] {
-                    f[s][u] = cand;
-                    heap.push(std::cmp::Reverse((cand, u)));
-                }
-            }
-        }
-    }
-    let best = (0..n).map(|v| f[full][v]).min().unwrap_or(INF);
-    if best >= INF {
-        None
-    } else {
-        Some(best)
-    }
+    min_directed_steiner(&d, root, terminals).map(|w| w + g.node_weight(root))
 }
 
 /// Minimum total edge weight of a directed Steiner arborescence rooted at
@@ -173,10 +137,12 @@ pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> 
     let t = terminals.len();
     assert!(t >= 1, "need at least one terminal");
     assert!(t <= 16, "terminal-subset DP limited to 16 terminals");
-    assert!(
-        g.edges().all(|(_, _, w)| w >= 0),
-        "edge weights must be nonnegative"
-    );
+    // Weighted in-rows, gathered once for the 2^t grow steps.
+    let mut in_rows: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
+    for (u, v, w) in g.edges() {
+        assert!(w >= 0, "edge weights must be nonnegative");
+        in_rows[v].push((u, w));
+    }
     const INF: Weight = Weight::MAX / 4;
     let full = (1usize << t) - 1;
     // f[s][v] = min cost arborescence rooted at v spanning terminal set s.
@@ -209,8 +175,7 @@ pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> 
             if d != f[s][u] {
                 continue;
             }
-            for &v in g.in_neighbors(u) {
-                let w = g.edge_weight(v, u).expect("in-neighbor edge");
+            for &(v, w) in &in_rows[u] {
                 if d + w < f[s][v] {
                     f[s][v] = d + w;
                     heap.push(std::cmp::Reverse((d + w, v)));

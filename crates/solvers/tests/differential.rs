@@ -4,7 +4,7 @@
 //! reference on random instances with n ≤ 12: the crate's brute-force
 //! oracles where they exist, naive enumeration written here otherwise.
 //! The Hamiltonian backtracker, the Held–Karp DP, and a permutation
-//! sweep must agree three ways — two independent rewrites cross-check
+//! sweep must agree three ways — two independent engines cross-check
 //! each other against ground truth.
 //!
 //! The pinned op-count tests at the bottom freeze the pruning counters
@@ -14,8 +14,9 @@
 
 use congest_graph::{generators, DiGraph, Graph, Weight};
 use congest_solvers::hamilton::{
-    decide_directed_ham_cycle_with_stats, decide_directed_ham_path_with_stats,
-    held_karp_directed_ham_cycle, held_karp_directed_ham_path,
+    find_directed_ham_cycle_with_stats, find_directed_ham_path_with_stats,
+    held_karp_directed_ham_cycle, held_karp_directed_ham_path, is_directed_ham_cycle,
+    is_directed_ham_path,
 };
 use congest_solvers::maxcut::{has_cut_of_weight, max_cut_with_stats};
 use congest_solvers::mds::{
@@ -25,8 +26,10 @@ use congest_solvers::mds::{
 use congest_solvers::mis::{
     max_weight_independent_set_brute, max_weight_independent_set_with_stats,
 };
+use congest_solvers::steiner::{min_node_weight_steiner, min_node_weight_steiner_brute};
 use proptest::prelude::*;
 use proptest::rand::rngs::StdRng;
+use proptest::rand::seq::SliceRandom;
 use proptest::rand::{Rng, SeedableRng};
 
 /// A seeded G(n, p) with random node weights in `1..=5`.
@@ -175,7 +178,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Backtracker, Held–Karp, and permutation sweep agree on
-    /// Hamiltonian path and cycle, across sparse-to-dense digraphs.
+    /// Hamiltonian path and cycle, across sparse-to-dense digraphs, and
+    /// every path or cycle the backtracker returns is a valid witness.
     #[test]
     fn hamilton_kernels_agree_with_enumeration(
         n in 2usize..=7,
@@ -186,15 +190,46 @@ proptest! {
         let g = random_digraph(n, p, seed);
 
         let truth = brute_ham_path(&g);
-        let (bt, stats) = decide_directed_ham_path_with_stats(&g);
-        prop_assert_eq!(bt, truth, "backtracker vs enumeration");
+        let (path, stats) = find_directed_ham_path_with_stats(&g);
+        prop_assert_eq!(path.is_some(), truth, "backtracker vs enumeration");
+        if let Some(path) = &path {
+            prop_assert!(is_directed_ham_path(&g, path), "invalid path {:?}", path);
+        }
         prop_assert_eq!(held_karp_directed_ham_path(&g), truth, "Held-Karp vs enumeration");
         prop_assert!(stats.nodes > 0);
 
         let truth = brute_ham_cycle(&g);
-        let (bt, _) = decide_directed_ham_cycle_with_stats(&g);
-        prop_assert_eq!(bt, truth, "backtracker vs enumeration (cycle)");
+        let (cycle, _) = find_directed_ham_cycle_with_stats(&g);
+        prop_assert_eq!(cycle.is_some(), truth, "backtracker vs enumeration (cycle)");
+        if let Some(cycle) = &cycle {
+            prop_assert!(is_directed_ham_cycle(&g, cycle), "invalid cycle {:?}", cycle);
+        }
         prop_assert_eq!(held_karp_directed_ham_cycle(&g), truth, "Held-Karp vs enumeration (cycle)");
+    }
+
+    /// Node-weighted Steiner (the directed Dreyfus–Wagner program on the
+    /// bidirected graph) agrees with subset enumeration, on disconnected
+    /// graphs and zero weights included.
+    #[test]
+    fn node_weighted_steiner_matches_brute_force(
+        n in 1usize..=12,
+        seed in any::<u64>(),
+        sparse in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = if sparse { 0.15 } else { 0.35 };
+        let mut g = generators::gnp(n, p, &mut rng);
+        for v in 0..n {
+            g.set_node_weight(v, rng.gen_range(0..=5));
+        }
+        let mut terminals: Vec<usize> = (0..n).collect();
+        terminals.shuffle(&mut rng);
+        terminals.truncate(rng.gen_range(1..=n.min(6)));
+        prop_assert_eq!(
+            min_node_weight_steiner(&g, &terminals),
+            min_node_weight_steiner_brute(&g, &terminals),
+            "terminals {:?}", terminals
+        );
     }
 }
 
@@ -240,21 +275,22 @@ fn mds_op_counts_are_pinned_on_the_star() {
     assert_eq!(counters(stats), pinned(3, 1, 1, 1, 0, 0, 0));
 }
 
-/// On the directed 8-cycle the path search has one in-degree-1 start
-/// choice per root and no branching (64 = 8 roots × 8 forced steps);
-/// the cycle search anchors at vertex 0 and walks 8 forced steps.
+/// On the directed 8-cycle every vertex has in-degree 1, so the path
+/// search has no unique source and roots at vertex 0 first; there, like
+/// the cycle search anchored at vertex 0, it takes 7 forced steps to the
+/// full path (8 DFS nodes) without branching.
 #[test]
 fn hamilton_op_counts_are_pinned_on_the_directed_cycle() {
     let mut cyc = DiGraph::new(8);
     for v in 0..8 {
         cyc.add_edge(v, (v + 1) % 8);
     }
-    let (has, stats) = decide_directed_ham_path_with_stats(&cyc);
-    assert!(has);
-    assert_eq!(counters(stats), pinned(64, 0, 0, 1, 0, 0, 0));
-    let (has, stats) = decide_directed_ham_cycle_with_stats(&cyc);
-    assert!(has);
-    assert_eq!(counters(stats), pinned(8, 0, 0, 1, 0, 0, 0));
+    let (path, stats) = find_directed_ham_path_with_stats(&cyc);
+    assert!(path.is_some());
+    assert_eq!(counters(stats), pinned(8, 0, 0, 1, 0, 7, 0));
+    let (cycle, stats) = find_directed_ham_cycle_with_stats(&cyc);
+    assert!(cycle.is_some());
+    assert_eq!(counters(stats), pinned(8, 0, 0, 1, 0, 7, 0));
 }
 
 /// A triangle, a path, and three isolated vertices decompose into

@@ -64,7 +64,7 @@ fn main() {
     println!("  intersecting inputs: optimum = {yes} (the paper's weight-2 witness)");
     println!(
         "  disjoint inputs:     optimum = {no} > r = {} (the r-covering property at work)",
-        fam.collection().r()
+        fam.layout().collection().r()
     );
     println!(
         "  ⇒ any algorithm distinguishing a factor < {:.1} must solve DISJ",

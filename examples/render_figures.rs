@@ -142,26 +142,27 @@ fn main() -> std::io::Result<()> {
     let fam = KmdsFamily::new(coll, 2);
     let hitv = BitString::from_indices(6, &[0]);
     let g = fam.build(&hitv, &hitv);
+    let lay = fam.layout();
     let mut style = DotStyle::named("figure5_kmds");
     for j in 0..10 {
         style = style
-            .group(fam.a_elem(j), "elements_a")
-            .label(fam.a_elem(j), &format!("a{j}"))
-            .group(fam.b_elem(j), "elements_b")
-            .label(fam.b_elem(j), &format!("b{j}"));
+            .group(lay.a_elem(j), "elements_a")
+            .label(lay.a_elem(j), &format!("a{j}"))
+            .group(lay.b_elem(j), "elements_b")
+            .label(lay.b_elem(j), &format!("b{j}"));
     }
     for i in 0..6 {
         style = style
-            .group(fam.set_vertex(i), "sets")
-            .label(fam.set_vertex(i), &format!("S{i}"))
-            .group(fam.cset_vertex(i), "cosets")
-            .label(fam.cset_vertex(i), &format!("S{i}_bar"));
+            .group(lay.set_vertex(i), "sets")
+            .label(lay.set_vertex(i), &format!("S{i}"))
+            .group(lay.cset_vertex(i), "cosets")
+            .label(lay.cset_vertex(i), &format!("S{i}_bar"));
     }
     style = style
-        .label(fam.anchor_a(), "a")
-        .label(fam.anchor_b(), "b")
-        .label(fam.root(), "R");
-    style.highlighted = vec![fam.root(), fam.set_vertex(0), fam.cset_vertex(0)];
+        .label(lay.anchor_a(), "a")
+        .label(lay.anchor_b(), "b")
+        .label(lay.root(), "R");
+    style.highlighted = vec![lay.root(), lay.set_vertex(0), lay.cset_vertex(0)];
     fs::write("figures/figure5_kmds.dot", to_dot(&g, &style))?;
 
     // --- Figure 7: the restricted-MDS shared-element gadget ---

@@ -118,7 +118,7 @@ proptest! {
         let alpha = mis::independence_number(&g);
         let tau = mis::min_vertex_cover(&g).vertices.len();
         prop_assert_eq!(alpha + tau, n, "Gallai identity");
-        let mm = matching::max_matching_size(&g);
+        let mm = matching::max_matching(&g).len();
         prop_assert!(mm <= tau && tau <= 2 * mm, "König-ish sandwich: {mm} vs {tau}");
         let mc = maxcut::max_cut(&g).weight;
         prop_assert!(2 * mc >= g.num_edges() as i64);
