@@ -10,9 +10,17 @@
 //! same neighbor enumeration order. The snapshot is read straight off the
 //! graph's sorted, weighted rows: building it hashes nothing.
 //!
-//! The payoff downstream: per-edge counters become `Vec<u64>` indexed by
-//! edge id instead of `HashMap<(NodeId, NodeId), u64>` — no hashing per
-//! message, one flat array per run.
+//! Every directed edge `(u, v)` also has a *slot*: the position of `v` in
+//! `u`'s sorted row, a flat index in `0..2m`. Node `v`'s slots are the
+//! contiguous range `offsets[v]..offsets[v + 1]`, so the slots of a node
+//! range are contiguous too ([`Csr::slots`]). [`Csr::slot`] finds one by
+//! searching only the first endpoint's row, and [`Csr::slot_edge_id`]
+//! maps it to the undirected edge id.
+//!
+//! The payoff downstream: the simulator resolves each send in the
+//! sender's own row and keeps its per-edge counters in flat arrays
+//! indexed by slot or edge id instead of a
+//! `HashMap<(NodeId, NodeId), u64>` — no hashing per message.
 
 use crate::{Graph, NodeId, Weight};
 
@@ -131,12 +139,45 @@ impl Csr {
         } else {
             (v, u)
         };
-        let lo = self.offsets[probe];
-        let hi = self.offsets[probe + 1];
+        self.slot(probe, key).map(|s| self.slot_edge_id(s))
+    }
+
+    /// The slot of `v` in `u`'s sorted row (see the module docs), or
+    /// `None` when `v` is not a neighbor of `u` — which includes `v == u`
+    /// and any `v >= n`. `O(log deg(u))`, reading `u`'s row only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= n`.
+    #[inline]
+    pub fn slot(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        let lo = self.offsets[u];
+        let hi = self.offsets[u + 1];
         self.sorted_targets[lo..hi]
-            .binary_search(&key)
+            .binary_search(&v)
             .ok()
-            .map(|i| self.sorted_edge_ids[lo + i])
+            .map(|i| lo + i)
+    }
+
+    /// The undirected edge id of slot `slot`: both slots of an edge map
+    /// to the same id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 2m`.
+    #[inline]
+    pub fn slot_edge_id(&self, slot: usize) -> EdgeId {
+        self.sorted_edge_ids[slot]
+    }
+
+    /// The slots of the node range `nodes`: `offsets[lo]..offsets[hi]`,
+    /// the rows of `lo..hi` laid end to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.start > n` or `nodes.end > n`.
+    pub fn slots(&self, nodes: std::ops::Range<NodeId>) -> std::ops::Range<usize> {
+        self.offsets[nodes.start]..self.offsets[nodes.end]
     }
 
     /// Whether `(u, v)` is an edge.
@@ -446,11 +487,39 @@ mod tests {
     }
 
     #[test]
+    fn slots_index_the_first_endpoints_row() {
+        for seed in 0..30 {
+            let (g, _) = mutated_gnp(seed);
+            let csr = Csr::from_graph(&g);
+            let n = g.num_nodes();
+            assert_eq!(csr.slots(0..n), 0..2 * g.num_edges(), "seed {seed}");
+            for u in 0..n {
+                let row = csr.slots(u..u + 1);
+                assert_eq!(row.len(), csr.degree(u), "seed {seed}");
+                for v in 0..n + 2 {
+                    let slot = csr.slot(u, v);
+                    assert_eq!(
+                        slot.is_some(),
+                        csr.has_edge(u, v),
+                        "seed {seed}, ({u}, {v})"
+                    );
+                    if let Some(s) = slot {
+                        assert!(row.contains(&s), "seed {seed}, ({u}, {v})");
+                        assert_eq!(Some(csr.slot_edge_id(s)), csr.edge_id(u, v));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn degenerate_lookups_are_none() {
         let csr = Csr::from_graph(&sample_graph());
         assert_eq!(csr.edge_id(0, 0), None);
         assert_eq!(csr.edge_id(0, 99), None);
         assert_eq!(csr.edge_id(99, 0), None);
+        assert_eq!(csr.slot(0, 0), None);
+        assert_eq!(csr.slot(0, 99), None);
         assert!(!csr.has_edge(1, 2));
     }
 

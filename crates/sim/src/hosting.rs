@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use congest_graph::{Graph, NodeId};
+use congest_graph::{Csr, Graph, NodeId};
 
 use crate::bits::id_bits;
 use crate::error::HostingError;
@@ -31,6 +31,9 @@ pub struct HostMapping {
     owner: Vec<NodeId>,
     /// The reduced graph (communication topology of the inner algorithm).
     reduced: Graph,
+    /// The reduced graph's CSR snapshot, built once: every inner
+    /// [`NodeContext`] reads it.
+    csr: Csr,
 }
 
 impl HostMapping {
@@ -53,7 +56,12 @@ impl HostMapping {
                 vertices: reduced.num_nodes(),
             });
         }
-        Ok(HostMapping { owner, reduced })
+        let csr = Csr::from_graph(&reduced);
+        Ok(HostMapping {
+            owner,
+            reduced,
+            csr,
+        })
     }
 
     /// The Lemma 2.2 mapping: host vertex `v` simulates `3v` (in),
@@ -231,7 +239,7 @@ impl<A: CongestAlgorithm> CongestAlgorithm for HostedAlgorithm<A> {
             outboxes,
             ..
         } = self;
-        let inner_ctx = crate::model::make_context(mapping.reduced());
+        let inner_ctx = crate::model::make_context(&mapping.csr);
         for vp in 0..mapping.reduced().num_nodes() {
             if mapping.owner(vp) == node {
                 let out = inner.init(vp, &inner_ctx);
@@ -279,7 +287,7 @@ impl<A: CongestAlgorithm> CongestAlgorithm for HostedAlgorithm<A> {
                 inner_aborted,
                 ..
             } = self;
-            let inner_ctx = crate::model::make_context(mapping.reduced());
+            let inner_ctx = crate::model::make_context(&mapping.csr);
             for vp in 0..mapping.reduced().num_nodes() {
                 if mapping.owner(vp) != node || inner_halted[vp] {
                     continue;

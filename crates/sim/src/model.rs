@@ -21,22 +21,28 @@ pub fn default_bandwidth(n: usize) -> u64 {
     2 * log + 16
 }
 
-/// Builds a [`NodeContext`] over a graph (used by the hosted-execution
-/// adapter to present the *reduced* topology to an inner algorithm).
-pub(crate) fn make_context(graph: &Graph) -> NodeContext<'_> {
+/// Builds a [`NodeContext`] over a CSR snapshot (used by the
+/// hosted-execution adapter to present the *reduced* topology to an inner
+/// algorithm).
+pub(crate) fn make_context(csr: &Csr) -> NodeContext<'_> {
     NodeContext {
-        graph,
-        n: graph.num_nodes(),
-        bandwidth: default_bandwidth(graph.num_nodes()),
+        csr,
+        n: csr.num_nodes(),
+        bandwidth: default_bandwidth(csr.num_nodes()),
     }
 }
 
 /// Read-only view of what a node locally knows: its id, its neighborhood,
 /// and global constants (`n`, bandwidth). This is the KT1 variant — nodes
 /// know their neighbors' identifiers.
+///
+/// The view reads the run's [`Csr`] snapshot, whose rows lie in one flat
+/// array in node order: an engine stepping nodes in ascending order walks
+/// the adjacency sequentially. [`NodeContext::neighbors`] is the graph's
+/// insertion order, exactly as [`Graph::neighbors`] returns it.
 #[derive(Debug)]
 pub struct NodeContext<'g> {
-    pub(crate) graph: &'g Graph,
+    pub(crate) csr: &'g Csr,
     pub(crate) n: usize,
     pub(crate) bandwidth: u64,
 }
@@ -52,14 +58,14 @@ impl<'g> NodeContext<'g> {
         self.bandwidth
     }
 
-    /// The neighbors of `v`.
+    /// The neighbors of `v`, in the graph's insertion order.
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.graph.neighbors(v)
+        self.csr.neighbors(v)
     }
 
     /// The degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.graph.degree(v)
+        self.csr.degree(v)
     }
 
     /// The weight of the local edge `(v, u)`.
@@ -68,7 +74,7 @@ impl<'g> NodeContext<'g> {
     ///
     /// Panics if `(v, u)` is not an edge (locality violation).
     pub fn edge_weight(&self, v: NodeId, u: NodeId) -> congest_graph::Weight {
-        self.graph
+        self.csr
             .edge_weight(v, u)
             .expect("edge_weight queried for a non-incident edge")
     }
@@ -212,12 +218,14 @@ pub trait CongestAlgorithm {
 /// Reusable per-node send buffer filled by
 /// [`CongestAlgorithm::round_into`].
 ///
-/// Each entry carries an optional metered-width hint: `0` means "engine,
-/// compute [`CongestAlgorithm::message_bits`] yourself" (what
-/// [`SendBuf::push`] records), a non-zero hint is trusted as the metered
-/// width (what [`SendBuf::push_metered`] records; debug builds assert it
-/// equals `message_bits`). Message widths are at least one bit, so `0`
-/// is never a valid width and needs no `Option` wrapper on the hot path.
+/// Each entry carries a metered-width hint: a non-zero hint is trusted as
+/// the metered width (what [`SendBuf::push_metered`] records; debug
+/// builds assert it equals `message_bits`), and a hint of `0` only means
+/// "engine, compute [`CongestAlgorithm::message_bits`] yourself" (what
+/// [`SendBuf::push`] records). A message may well be 0 bits wide — it is
+/// still a message, metered and given a `bits_per_edge` entry — but its
+/// hint needs no `Option` wrapper on the hot path: asking `message_bits`
+/// again yields the same 0.
 #[derive(Debug)]
 pub struct SendBuf<M> {
     pub(crate) items: Vec<(NodeId, M, u64)>,
@@ -338,10 +346,12 @@ impl SimStats {
 /// The synchronous executor.
 ///
 /// Construction snapshots the graph into a [`Csr`] view (dense edge ids,
-/// sorted neighborhoods), which the engine's inner loop runs on: model
-/// checks are binary searches and per-edge metering is flat array
-/// arithmetic. One `Simulator` value can be reused across runs to
-/// amortize the snapshot.
+/// sorted neighborhoods), which the engine's inner loop runs on: every
+/// [`NodeContext`] reads its rows, a send is resolved by one binary
+/// search in the sender's own sorted row (its slot, see [`Csr::slot`]),
+/// and the duplicate check and per-edge metering index shard-local
+/// arrays by that slot. One `Simulator` value can be reused across runs
+/// to amortize the snapshot.
 ///
 /// Every run method drives the same engine (the `shard` module): the
 /// serial methods are its one-shard case, stepped on the calling thread

@@ -32,10 +32,14 @@
 //!   its own sends directly would put them ahead of lower-id remote
 //!   senders, so only shard 0 does. A one-shard run stages nothing.
 //! * **Meter before link fate, shard-locally.** Each shard meters its own
-//!   senders' traffic into shard-local dense per-edge accumulators before
-//!   asking its link for the fate. The global per-edge map is the fold of
-//!   the shard meters (an edge can be metered by both endpoint shards in
-//!   one round — once per direction — so the fold adds).
+//!   senders' traffic before asking its link for the fate, into
+//!   shard-local per-slot accumulators: a send resolves to its *slot*, the
+//!   receiver's position in the sender's own sorted CSR row
+//!   ([`Csr::slot`]), and a shard's senders own the contiguous slot range
+//!   `csr.slots(lo..hi)`. The duplicate-send stamps live on the same
+//!   slots. The global per-edge map folds every slot into its edge id
+//!   once, at the end of the run (an edge has one slot per direction,
+//!   possibly on two shards, so the fold adds).
 //! * **Shard-stable link layers.** Pooled shards decide fates on their
 //!   own link clones, so the link's verdict must be a pure function of
 //!   `(round, from, to, bits)` and its configuration — the
@@ -114,30 +118,43 @@ pub trait ShardSafeLink: LinkLayer + Clone + Send {}
 impl ShardSafeLink for PerfectLink {}
 
 /// A shard's inbox buffer: one `Vec` of `(sender, message)` tuples per
-/// node, double-buffered across rounds (the per-node capacities survive
-/// the swap, so steady-state rounds allocate nothing).
+/// node of the shard, indexed `v - lo`, double-buffered across rounds
+/// (the per-node capacities survive the swap, so steady-state rounds
+/// allocate nothing).
 struct BoxedArena<M> {
+    lo: NodeId,
     bufs: Vec<Vec<(NodeId, M)>>,
 }
 
 impl<M> BoxedArena<M> {
-    /// An empty arena for `n` nodes.
-    fn with_nodes(n: usize) -> Self {
+    /// An empty arena for the nodes `lo..hi`; no inbox is allocated yet.
+    fn new(lo: NodeId, hi: NodeId) -> Self {
         BoxedArena {
-            bufs: std::iter::repeat_with(Vec::new).take(n).collect(),
+            lo,
+            bufs: std::iter::repeat_with(Vec::new).take(hi - lo).collect(),
+        }
+    }
+
+    /// Allocates every inbox at its node's degree, in ascending node
+    /// order, so the buffers lie in the order the round loop reads them.
+    /// A fault-free round delivers at most `deg(v)` on-time messages to
+    /// `v`, so those rounds never grow a buffer.
+    fn reserve_degrees(&mut self, csr: &Csr) {
+        for (v, b) in (self.lo..).zip(&mut self.bufs) {
+            b.reserve_exact(csr.degree(v));
         }
     }
 
     /// Appends a message to `to`'s inbox.
     #[inline]
     fn push(&mut self, to: NodeId, from: NodeId, msg: M) {
-        self.bufs[to].push((from, msg));
+        self.bufs[to - self.lo].push((from, msg));
     }
 
     /// Node `v`'s inbox in arrival order.
     #[inline]
     fn inbox(&self, v: NodeId) -> &[(NodeId, M)] {
-        &self.bufs[v]
+        &self.bufs[v - self.lo]
     }
 
     /// Empties the arena, keeping capacity.
@@ -213,18 +230,20 @@ fn lanes<M>(k: usize, count: usize) -> Vec<SendBatch<M>> {
 type Delayed<M> = (u64, NodeId, NodeId, M);
 
 /// One shard's engine state: its node range, double-buffered inbox arenas
-/// for its own nodes, staging lanes toward every shard, and shard-local
-/// meters. It holds no algorithm and no link — each step
-/// borrows them, so the same code steps a pooled shard and the one shard
-/// of a serial run.
+/// for its own nodes, staging lanes toward every shard, and meters and
+/// duplicate stamps over its senders' CSR slots. Nothing in it is sized
+/// by the whole graph except the per-round edge meters an observer may
+/// ask for. It holds no algorithm and no link — each step borrows them,
+/// so the same code steps a pooled shard and the one shard of a serial
+/// run.
 struct Shard<A: CongestAlgorithm> {
     lo: NodeId,
     hi: NodeId,
     /// Sends to nodes below this bound are delivered straight into
     /// `in_flight`: `hi` for the shard starting at node 0, else 0.
     direct_hi: NodeId,
-    /// Inbox arena for the *next* delivery, globally indexed. Swapped
-    /// with `deliveries` each round.
+    /// Inbox arena for the *next* delivery, over this shard's nodes.
+    /// Swapped with `deliveries` each round.
     in_flight: BoxedArena<A::Msg>,
     /// This round's inboxes after the swap, cleared at step end.
     deliveries: BoxedArena<A::Msg>,
@@ -262,27 +281,33 @@ struct Shard<A: CongestAlgorithm> {
     step_messages: u64,
     /// Bits metered this step (drained at the barrier).
     step_bits: u64,
-    /// Run-total bits per edge metered *by this shard's senders*, dense
-    /// over all edge ids.
-    edge_bits: Vec<u64>,
-    /// Whether this shard ever metered the edge. A zero-bit message still
+    /// First CSR slot of this shard's rows, `csr.slots(lo..hi).start`;
+    /// the slot arrays below are indexed `slot - slot_lo`.
+    slot_lo: usize,
+    /// Run-total bits this shard's senders metered per slot, that is
+    /// per edge and direction.
+    slot_bits: Vec<u64>,
+    /// Whether the slot was ever metered. A zero-bit message still
     /// creates a `bits_per_edge` entry.
-    edge_touched: Vec<bool>,
+    slot_touched: Vec<bool>,
     /// Per-round per-edge meters when the observer asked for them.
     round_edges: Option<RoundEdges>,
-    /// `seen[v] == seen_epoch` marks `v` as already targeted by the
-    /// current sender (duplicate-send detection without clearing).
-    seen: Vec<u64>,
-    seen_epoch: u64,
+    /// `stamp[slot - slot_lo] == stamp_epoch` marks the slot as already
+    /// used by the current sender (duplicate-send detection without
+    /// clearing between senders).
+    stamp: Vec<u32>,
+    /// Advanced once per dispatching sender; when it wraps, `stamp` is
+    /// cleared once so an old stamp cannot alias a new epoch.
+    stamp_epoch: u32,
 }
 
 /// Read-only state shared by every shard step: topology, model
 /// constants, and the partition for routing staged sends.
 struct SharedCtx<'a> {
-    csr: &'a Csr,
     /// The partition of a sharded run; `None` in a one-shard run, which
     /// never routes between shards.
     part: Option<&'a NodePartition>,
+    /// What every node sees; its CSR is the engine's topology too.
     ctx: NodeContext<'a>,
 }
 
@@ -303,13 +328,14 @@ fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) 
 }
 
 impl<A: CongestAlgorithm> Shard<A> {
-    fn new(lo: NodeId, hi: NodeId, k: usize, n: usize, m: usize, wants_edges: bool) -> Self {
+    fn new(lo: NodeId, hi: NodeId, k: usize, csr: &Csr, wants_edges: bool) -> Self {
+        let slots = csr.slots(lo..hi);
         Shard {
             lo,
             hi,
             direct_hi: if lo == 0 { hi } else { 0 },
-            in_flight: BoxedArena::with_nodes(n),
-            deliveries: BoxedArena::with_nodes(n),
+            in_flight: BoxedArena::new(lo, hi),
+            deliveries: BoxedArena::new(lo, hi),
             sendbuf: SendBuf::new(),
             matured_in: Vec::new(),
             stage_in: lanes(k, k),
@@ -324,11 +350,12 @@ impl<A: CongestAlgorithm> Shard<A> {
             halted: vec![false; hi - lo],
             step_messages: 0,
             step_bits: 0,
-            edge_bits: vec![0; m],
-            edge_touched: vec![false; m],
-            round_edges: wants_edges.then(|| RoundEdges::new(m)),
-            seen: vec![0; n],
-            seen_epoch: 0,
+            slot_lo: slots.start,
+            slot_bits: vec![0; slots.len()],
+            slot_touched: vec![false; slots.len()],
+            round_edges: wants_edges.then(|| RoundEdges::new(csr.num_edges())),
+            stamp: vec![0; slots.len()],
+            stamp_epoch: 0,
         }
     }
 
@@ -348,6 +375,11 @@ impl<A: CongestAlgorithm> Shard<A> {
         let mut sendbuf = std::mem::take(&mut self.sendbuf);
         match task {
             ShardTask::Init => {
+                // On the stepping thread, before any delivery: a pooled
+                // shard allocates its inboxes on its own worker.
+                for arena in [&mut self.in_flight, &mut self.deliveries] {
+                    arena.reserve_degrees(shared.ctx.csr);
+                }
                 for v in self.lo..self.hi {
                     let t0 = prof.is_some().then(Instant::now);
                     let out = alg.init(v, &shared.ctx);
@@ -433,9 +465,11 @@ impl<A: CongestAlgorithm> Shard<A> {
 
     /// Validates, meters, and routes one node's outgoing messages through
     /// the link layer, draining `out` (also on an early model-violation
-    /// return). Model checks run before the link hook and traffic is
-    /// metered before the fate applies: faults never mask a CONGEST
-    /// violation and a lost message still cost its sender the bits.
+    /// return). Each send resolves to its slot in `from`'s own sorted
+    /// row; the duplicate stamp and the meters index that slot. Model
+    /// checks run before the link hook and traffic is metered before the
+    /// fate applies: faults never mask a CONGEST violation and a lost
+    /// message still cost its sender the bits.
     fn dispatch<L: LinkLayer>(
         &mut self,
         link: &mut L,
@@ -445,8 +479,12 @@ impl<A: CongestAlgorithm> Shard<A> {
         round: u64,
         prof: &mut Option<&mut PhaseProfile>,
     ) -> Result<(), SimError> {
-        self.seen_epoch += 1;
-        let epoch = self.seen_epoch;
+        self.stamp_epoch = self.stamp_epoch.wrapping_add(1);
+        if self.stamp_epoch == 0 {
+            self.stamp.fill(0);
+            self.stamp_epoch = 1;
+        }
+        let epoch = self.stamp_epoch;
         let bandwidth = shared.ctx.bandwidth;
         // Per-message timing only in sampled rounds; nanos accumulate in
         // locals and flush to the profiler once per call. The meter/fate
@@ -458,13 +496,18 @@ impl<A: CongestAlgorithm> Shard<A> {
         let mut timed_msgs = 0u64;
         let mut prev = prof.is_some().then(Instant::now);
         for (to, msg, hint) in out.items.drain(..) {
-            let Some(eid) = shared.csr.edge_id(from, to) else {
+            // Self-sends and ids ≥ n are in no row, so they are
+            // non-neighbor sends too.
+            let Some(slot) = shared.ctx.csr.slot(from, to) else {
                 return Err(SimError::NonNeighborSend { from, to, round });
             };
-            if self.seen[to] == epoch {
+            let stamp = &mut self.stamp[slot - self.slot_lo];
+            if *stamp == epoch {
                 return Err(SimError::DuplicateSend { from, to, round });
             }
-            self.seen[to] = epoch;
+            // Stamped before the fate: a dropped or delayed first copy
+            // still makes a second send a duplicate.
+            *stamp = epoch;
             let bits = if hint != 0 {
                 debug_assert_eq!(hint, A::message_bits(&msg), "bad SendBuf width hint");
                 hint
@@ -480,7 +523,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                     round,
                 });
             }
-            self.meter(eid, bits);
+            self.meter(shared, slot, bits);
             let t_meter = prev.is_some().then(Instant::now);
             let fault = |kind, detail| FaultEvent {
                 round,
@@ -510,7 +553,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                     self.faults.push(fault(FaultKind::Duplicate, 0));
                     // The extra copy is real traffic on the wire: metered
                     // a second time and delivered behind the original.
-                    self.meter(eid, bits);
+                    self.meter(shared, slot, bits);
                     self.route(shared, from, to, msg.clone());
                     self.route(shared, from, to, msg);
                 }
@@ -549,14 +592,17 @@ impl<A: CongestAlgorithm> Shard<A> {
         }
     }
 
-    fn meter(&mut self, eid: EdgeId, bits: u64) {
+    /// Meters one message on `slot`; the edge id is looked up only for
+    /// the per-round edge meters.
+    #[inline]
+    fn meter(&mut self, shared: &SharedCtx<'_>, slot: usize, bits: u64) {
         self.step_messages += 1;
         self.step_bits += bits;
-        let i = eid as usize;
-        self.edge_bits[i] += bits;
-        self.edge_touched[i] = true;
+        let i = slot - self.slot_lo;
+        self.slot_bits[i] += bits;
+        self.slot_touched[i] = true;
         if let Some(re) = self.round_edges.as_mut() {
-            re.meter(eid, bits);
+            re.meter(shared.ctx.csr.slot_edge_id(slot), bits);
         }
     }
 }
@@ -861,7 +907,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                 }
                 if let (Some(re), Some(map)) = (sh.round_edges.as_mut(), self.round_map.as_mut()) {
                     for &eid in &re.touched {
-                        *map.entry(self.shared.csr.endpoints(eid)).or_insert(0) +=
+                        *map.entry(self.shared.ctx.csr.endpoints(eid)).or_insert(0) +=
                             re.bits[eid as usize];
                     }
                     re.touched.clear();
@@ -946,47 +992,47 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         }
     }
 
-    /// The public `bits_per_edge` map. Every other shard's dense meters
-    /// are added into shard 0's (an edge metered by both endpoint shards
-    /// sums, once per direction), then the map is built from shard 0's.
+    /// The public `bits_per_edge` map. Every shard's slot meters fold
+    /// into dense per-edge-id totals (an edge's two slots, one per
+    /// direction, add up, whichever shards own them), then the map is
+    /// built from those in edge-id order.
     fn edge_map<S: Shards<A>>(&self, set: &mut S) -> HashMap<(NodeId, NodeId), u64> {
-        for s in 1..self.k {
-            let (bits, touched) = set.with(s, |sh| {
-                (
-                    std::mem::take(&mut sh.edge_bits),
-                    std::mem::take(&mut sh.edge_touched),
-                )
-            });
-            set.with(0, |sh| {
-                for (i, &t) in touched.iter().enumerate() {
+        let csr = self.shared.ctx.csr;
+        let mut bits = vec![0u64; csr.num_edges()];
+        let mut touched = vec![false; csr.num_edges()];
+        for s in 0..self.k {
+            set.with(s, |sh| {
+                // Taken, so each shard's slot arrays are freed before
+                // the map is allocated.
+                let slot_bits = std::mem::take(&mut sh.slot_bits);
+                let slot_touched = std::mem::take(&mut sh.slot_touched);
+                for (slot, (b, t)) in (sh.slot_lo..).zip(slot_bits.into_iter().zip(slot_touched)) {
                     if t {
-                        sh.edge_touched[i] = true;
-                        sh.edge_bits[i] += bits[i];
+                        let e = csr.slot_edge_id(slot) as usize;
+                        bits[e] += b;
+                        touched[e] = true;
                     }
                 }
             });
         }
-        set.with(0, |sh| {
-            let count = sh.edge_touched.iter().filter(|&&t| t).count();
-            let mut map = HashMap::with_capacity(count);
-            for (i, &t) in sh.edge_touched.iter().enumerate() {
-                if t {
-                    map.insert(self.shared.csr.endpoints(i as EdgeId), sh.edge_bits[i]);
-                }
+        let count = touched.iter().filter(|&&t| t).count();
+        let mut map = HashMap::with_capacity(count);
+        for (e, (&b, &t)) in bits.iter().zip(&touched).enumerate() {
+            if t {
+                map.insert(csr.endpoints(e as EdgeId), b);
             }
-            map
-        })
+        }
+        map
     }
 }
 
 impl<'g> Simulator<'g> {
     fn shared_ctx<'a>(&'a self, part: Option<&'a NodePartition>) -> SharedCtx<'a> {
         SharedCtx {
-            csr: &self.csr,
             part,
             ctx: NodeContext {
-                graph: self.graph,
-                n: self.graph.num_nodes(),
+                csr: &self.csr,
+                n: self.csr.num_nodes(),
                 bandwidth: self.bandwidth,
             },
         }
@@ -1007,7 +1053,7 @@ impl<'g> Simulator<'g> {
         let mut coord = Coordinator::new(self, &shared, observer, prof, 1, max_rounds);
         let n = shared.ctx.n;
         link.on_run_start(n);
-        let shard = Shard::new(0, n, 1, n, self.csr.num_edges(), coord.wants_edges());
+        let shard = Shard::new(0, n, 1, &self.csr, coord.wants_edges());
         coord.run(&mut OneShard {
             shard,
             alg,
@@ -1047,8 +1093,7 @@ impl<'g> Simulator<'g> {
         O: RoundObserver,
         L: ShardSafeLink,
     {
-        let n = self.graph.num_nodes();
-        let m = self.csr.num_edges();
+        let n = self.csr.num_nodes();
         let k = resolve_jobs(self.jobs).min(n.max(1));
         let part = self.csr.partition(k);
         let shared = self.shared_ctx(Some(&part));
@@ -1058,7 +1103,7 @@ impl<'g> Simulator<'g> {
             .map(|s| {
                 let r = part.range(s);
                 Pooled {
-                    shard: Shard::new(r.start, r.end, k, n, m, coord.wants_edges()),
+                    shard: Shard::new(r.start, r.end, k, &self.csr, coord.wants_edges()),
                     alg: alg.split_shard(r.start, r.end),
                     link: link.clone(),
                     task: None,
@@ -1081,5 +1126,86 @@ impl<'g> Simulator<'g> {
             alg.absorb_shard(p.alg, p.shard.lo, p.shard.hi);
         }
         res.map(|stats| (stats, pool))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shard under test only needs a message type: no test here
+    /// steps an algorithm.
+    struct Unit;
+
+    impl CongestAlgorithm for Unit {
+        type Msg = ();
+        type Output = ();
+
+        fn message_bits(_: &()) -> u64 {
+            1
+        }
+
+        fn init(&mut self, _: NodeId, _: &NodeContext<'_>) -> Vec<(NodeId, ())> {
+            Vec::new()
+        }
+
+        fn round(
+            &mut self,
+            _: NodeId,
+            _: &NodeContext<'_>,
+            _: usize,
+            _: &[(NodeId, ())],
+        ) -> (Vec<(NodeId, ())>, RoundOutcome) {
+            (Vec::new(), RoundOutcome::Continue)
+        }
+
+        fn output(&self, _: NodeId) -> Option<()> {
+            None
+        }
+    }
+
+    /// Dispatches one sender's sends in timeline round 1.
+    fn send(
+        shard: &mut Shard<Unit>,
+        shared: &SharedCtx<'_>,
+        from: NodeId,
+        to: &[NodeId],
+    ) -> Result<(), SimError> {
+        let mut out = SendBuf::new();
+        for &t in to {
+            out.push(t, ());
+        }
+        shard.dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None)
+    }
+
+    #[test]
+    fn duplicate_checks_survive_the_stamp_counter_wrap() {
+        // Path 0 - 1 - 2: node 1's row holds slots (1, 0) and (1, 2).
+        let g = congest_graph::generators::path(3);
+        let sim = Simulator::new(&g);
+        let shared = sim.shared_ctx(None);
+        let mut shard = Shard::<Unit>::new(0, 3, 1, &sim.csr, false);
+        // Slot (1, 0) is stamped at epoch 1, long before the wrap.
+        send(&mut shard, &shared, 1, &[0]).unwrap();
+        shard.stamp_epoch = u32::MAX - 1;
+        send(&mut shard, &shared, 0, &[1]).unwrap();
+        assert_eq!(shard.stamp_epoch, u32::MAX);
+        // The counter wraps for this sender. Neither the never-stamped
+        // slot (1, 2) nor the old stamp on (1, 0) is a duplicate.
+        send(&mut shard, &shared, 1, &[2, 0]).unwrap();
+        assert_eq!(shard.stamp_epoch, 1);
+        // A duplicate across the wrap still fails ...
+        shard.stamp_epoch = u32::MAX;
+        assert_eq!(
+            send(&mut shard, &shared, 2, &[1, 1]),
+            Err(SimError::DuplicateSend {
+                from: 2,
+                to: 1,
+                round: 1
+            })
+        );
+        // ... and a legal send after it does not.
+        send(&mut shard, &shared, 1, &[0, 2]).unwrap();
+        send(&mut shard, &shared, 2, &[1]).unwrap();
     }
 }
