@@ -189,11 +189,17 @@ pub(crate) fn g_tree_labels(g: &Graph, root: NodeId) -> Option<Vec<(i64, i64, i6
 }
 
 /// Verifies a `(root, depth, parent)` triple at `v` against its
-/// neighbors (fields at offset `o` in the labels).
+/// neighbors (fields at offset `o` in the labels). A label too short to
+/// hold the triple rejects.
 pub(crate) fn verify_g_tree_at(g: &Graph, v: NodeId, labels: &[Label], o: usize) -> bool {
-    let (root, d, parent) = (labels[v].0[o], labels[v].0[o + 1], labels[v].0[o + 2]);
+    let Some(&[root, d, parent]) = labels[v].0.get(o..o + 3) else {
+        return false;
+    };
     // Root agreement with all G-neighbors.
-    if g.neighbors(v).iter().any(|&u| labels[u].0[o] != root) {
+    if g.neighbors(v)
+        .iter()
+        .any(|&u| labels[u].0.get(o) != Some(&root))
+    {
         return false;
     }
     if v as i64 == root {
@@ -203,7 +209,7 @@ pub(crate) fn verify_g_tree_at(g: &Graph, v: NodeId, labels: &[Label], o: usize)
         return false;
     }
     let p = parent as usize;
-    g.has_edge(v, p) && labels[p].0[o + 1] == d - 1
+    g.has_edge(v, p) && labels[p].0.get(o + 1) == Some(&(d - 1))
 }
 
 // --- schemes --------------------------------------------------------------
@@ -263,14 +269,13 @@ impl ProofLabelingScheme for SpanningTreeScheme {
                 return false;
             }
             let p = parent as usize;
-            if p >= labels.len() || !h.has_edge(v, p) || labels[p].0[1] != d - 1 {
+            if p >= labels.len() || !h.has_edge(v, p) || labels[p].0.get(1) != Some(&(d - 1)) {
                 return false;
             }
         }
         // Every incident H-edge is a parent edge in one direction.
         for u in inst.h_neighbors(v) {
-            let their_parent = labels[u].0[2];
-            if their_parent != v as i64 && parent != u as i64 {
+            if labels[u].0.get(2) != Some(&(v as i64)) && parent != u as i64 {
                 return false;
             }
         }
@@ -470,13 +475,13 @@ impl ProofLabelingScheme for AcyclicityScheme {
                 return false;
             }
             let p = parent as usize;
-            if p >= labels.len() || !h.has_edge(v, p) || labels[p].0[1] != d - 1 {
+            if p >= labels.len() || !h.has_edge(v, p) || labels[p].0.get(1) != Some(&(d - 1)) {
                 return false;
             }
         }
         // All H-edges are parent edges.
         for u in inst.h_neighbors(v) {
-            if labels[u].0[2] != v as i64 && parent != u as i64 {
+            if labels[u].0.get(2) != Some(&(v as i64)) && parent != u as i64 {
                 return false;
             }
         }
@@ -1004,7 +1009,7 @@ impl ProofLabelingScheme for MatchingScheme {
         // Partner symmetry over a real edge.
         if partner >= 0 {
             let p = partner as usize;
-            if p >= labels.len() || !g.has_edge(v, p) || labels[p].0[0] != v as i64 {
+            if p >= labels.len() || !g.has_edge(v, p) || labels[p].0.first() != Some(&(v as i64)) {
                 return false;
             }
         }
@@ -1013,11 +1018,13 @@ impl ProofLabelingScheme for MatchingScheme {
             return false;
         }
         // Count: own matched flag plus children's counts.
+        let child_depth = labels[v].0[2] + 1;
         let children_sum: i64 = g
             .neighbors(v)
             .iter()
-            .filter(|&&u| labels[u].0[3] == v as i64 && labels[u].0[2] == labels[v].0[2] + 1)
-            .map(|&u| labels[u].0[4])
+            .map(|&u| &labels[u].0)
+            .filter(|lu| lu.get(3) == Some(&(v as i64)) && lu.get(2) == Some(&child_depth))
+            .filter_map(|lu| lu.get(4))
             .sum();
         if labels[v].0[4] != children_sum + i64::from(partner >= 0) {
             return false;

@@ -119,12 +119,9 @@ impl CongestAlgorithm for AggregateSum {
         round: usize,
         inbox: &[(NodeId, AggMsg)],
     ) -> (Vec<(NodeId, AggMsg)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(
@@ -141,11 +138,10 @@ impl CongestAlgorithm for AggregateSum {
                     if self.states[node].depth.is_none() {
                         self.states[node].depth = Some(d + 1);
                         self.states[node].parent = Some(from);
-                        out.push_metered(from, AggMsg::Child, 2);
-                        let bits = 2 + mag_bits(d as u64 + 1);
+                        out.push((from, AggMsg::Child));
                         for &u in ctx.neighbors(node) {
                             if u != from {
-                                out.push_metered(u, AggMsg::Depth(d + 1), bits);
+                                out.push((u, AggMsg::Depth(d + 1)));
                             }
                         }
                     }
@@ -169,7 +165,7 @@ impl CongestAlgorithm for AggregateSum {
             match st.parent {
                 Some(p) => {
                     st.sent_up = true;
-                    out.push(p, AggMsg::Partial(st.acc));
+                    out.push((p, AggMsg::Partial(st.acc)));
                 }
                 None => {
                     // Root (or unreachable node): the total is its acc.
@@ -184,10 +180,7 @@ impl CongestAlgorithm for AggregateSum {
         if let Some(total) = st.total {
             if !st.announced {
                 st.announced = true;
-                let bits = value_bits(total);
-                for &c in st.children.iter() {
-                    out.push_metered(c, AggMsg::Total(total), bits);
-                }
+                out.extend(st.children.iter().map(|&c| (c, AggMsg::Total(total))));
             }
         }
         if self.states[node].announced && out.is_empty() {

@@ -95,12 +95,9 @@ impl CongestAlgorithm for BfsTree {
         round: usize,
         inbox: &[(NodeId, BfsMsg)],
     ) -> (Vec<(NodeId, BfsMsg)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(
@@ -117,13 +114,10 @@ impl CongestAlgorithm for BfsTree {
                     if self.depth[node].is_none() {
                         self.depth[node] = Some(d + 1);
                         self.parent[node] = Some(from);
-                        out.push_metered(from, BfsMsg::Child, 1);
-                        // The announcement is the same for every neighbor:
-                        // one width computation for the whole fan-out.
-                        let bits = 1 + mag_bits(d as u64 + 1);
+                        out.push((from, BfsMsg::Child));
                         for &u in ctx.neighbors(node) {
                             if u != from {
-                                out.push_metered(u, BfsMsg::Depth(d + 1), bits);
+                                out.push((u, BfsMsg::Depth(d + 1)));
                             }
                         }
                         self.announced[node] = true;

@@ -66,12 +66,9 @@ impl<F: Fn(&Graph) -> bool> CongestAlgorithm for GenericExactDecision<F> {
         round: usize,
         inbox: &[(NodeId, EdgeMsg)],
     ) -> (Vec<(NodeId, EdgeMsg)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(

@@ -51,12 +51,9 @@ impl CongestAlgorithm for LeaderElection {
         round: usize,
         inbox: &[(NodeId, NodeId)],
     ) -> (Vec<(NodeId, NodeId)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(
@@ -77,12 +74,7 @@ impl CongestAlgorithm for LeaderElection {
         if improved && self.last_sent[node] != Some(self.best[node]) {
             let best = self.best[node];
             self.last_sent[node] = Some(best);
-            // The flooded value is identical for every neighbor; compute
-            // its width once and hand it to the engine as a hint.
-            let bits = id_bits(best as u64);
-            for &u in ctx.neighbors(node) {
-                out.push_metered(u, best, bits);
-            }
+            out.extend(ctx.neighbors(node).iter().map(|&u| (u, best)));
         }
         RoundOutcome::Continue
     }

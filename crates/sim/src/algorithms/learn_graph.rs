@@ -16,11 +16,8 @@
 //! instead of 24-byte tuples. This turns the dominant per-message
 //! operation — "have I seen this edge?" — into one hash probe plus a bit
 //! test, and shrinks queue traffic to a quarter of its former size. The
-//! metered width of each edge is computed once at intern time from a
-//! per-endpoint width table (endpoint ids are fixed for the whole run),
-//! so forwarding a queued edge costs no `leading_zeros` recomputation.
-//! The wire behavior is byte-identical to the historical per-node
-//! hash-set representation.
+//! wire behavior is byte-identical to the historical per-node hash-set
+//! representation.
 
 use congest_graph::{Graph, NodeId, Weight};
 
@@ -41,12 +38,6 @@ pub struct LearnGraph {
     intern: FxHashMap<EdgeMsg, u32>,
     /// Interned announcements, indexed by id.
     edges: Vec<EdgeMsg>,
-    /// Metered width of each interned announcement, computed once at
-    /// intern time (endpoint widths come from `id_w`).
-    widths: Vec<u16>,
-    /// Per-endpoint identifier widths, fixed at construction — the
-    /// announcement width is `id_w[u] + id_w[v] + mag_bits(|w|)`.
-    id_w: Vec<u16>,
     /// Per-node known-announcement bitsets over interned ids, grown
     /// lazily as ids appear at the node.
     known: Vec<Vec<u64>>,
@@ -64,8 +55,6 @@ impl LearnGraph {
             n,
             intern: FxHashMap::default(),
             edges: Vec::new(),
-            widths: Vec::new(),
-            id_w: (0..n).map(|v| id_bits(v as u64) as u16).collect(),
             known: vec![Vec::new(); n],
             count: vec![0; n],
             queues: vec![Vec::new(); n],
@@ -103,8 +92,7 @@ impl LearnGraph {
         g
     }
 
-    /// Interns an announcement, assigning the next id and pricing the
-    /// message on first sight.
+    /// Interns an announcement, assigning the next id on first sight.
     #[inline]
     fn intern_id(&mut self, edge: EdgeMsg) -> u32 {
         if let Some(&id) = self.intern.get(&edge) {
@@ -113,10 +101,6 @@ impl LearnGraph {
         let id = self.edges.len() as u32;
         self.intern.insert(edge, id);
         self.edges.push(edge);
-        let wu = self.id_w.get(edge.0).copied().unwrap_or(64) as u64;
-        let wv = self.id_w.get(edge.1).copied().unwrap_or(64) as u64;
-        self.widths
-            .push((wu + wv + mag_bits(edge.2.unsigned_abs())) as u16);
         id
     }
 
@@ -171,12 +155,9 @@ impl CongestAlgorithm for LearnGraph {
         round: usize,
         inbox: &[(NodeId, EdgeMsg)],
     ) -> (Vec<(NodeId, EdgeMsg)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(
@@ -195,11 +176,7 @@ impl CongestAlgorithm for LearnGraph {
         }
         for (i, &u) in nbrs.iter().enumerate() {
             if let Some(id) = self.queues[node][i].pop() {
-                out.push_metered(
-                    u,
-                    self.edges[id as usize],
-                    u64::from(self.widths[id as usize]),
-                );
+                out.push((u, self.edges[id as usize]));
             }
         }
         RoundOutcome::Continue
@@ -227,7 +204,6 @@ impl ShardableAlgorithm for LearnGraph {
         let mut shard = LearnGraph::new(self.n);
         shard.intern = self.intern.clone();
         shard.edges = self.edges.clone();
-        shard.widths = self.widths.clone();
         for v in lo..hi {
             shard.known[v] = std::mem::take(&mut self.known[v]);
             shard.count[v] = std::mem::replace(&mut self.count[v], 0);
@@ -315,28 +291,6 @@ mod tests {
         let mut alg = LearnGraph::new(4);
         sim.run(&mut alg, 1000);
         assert!(alg.known_edges(0).contains(&(1, 2, 77)));
-    }
-
-    #[test]
-    fn interned_widths_match_message_bits() {
-        // The precomputed per-announcement widths must agree with the
-        // (golden-trace-pinned) `message_bits` formula, including for
-        // corrupted weights and degenerate endpoints.
-        let mut lg = LearnGraph::new(1500);
-        for e in [
-            (0usize, 1usize, 1i64),
-            (0, 1023, -77),
-            (1024, 1400, i64::MAX),
-            (3, 5, 0),
-            (7, 9, i64::MIN),
-        ] {
-            let id = lg.intern_id(e);
-            assert_eq!(
-                u64::from(lg.widths[id as usize]),
-                LearnGraph::message_bits(&e),
-                "width of {e:?}"
-            );
-        }
     }
 
     #[test]

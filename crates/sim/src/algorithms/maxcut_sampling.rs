@@ -18,7 +18,7 @@ use congest_graph::{Graph, NodeId, Weight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bits::{id_bits, mag_bits};
+use crate::bits::id_bits;
 use crate::{CongestAlgorithm, NodeContext, RoundOutcome, SendBuf};
 
 /// How the root solves max-cut on the sampled subgraph.
@@ -130,7 +130,7 @@ impl SampledMaxCut {
         }
     }
 
-    fn solve_at_root(&mut self, ctx: &NodeContext<'_>) {
+    fn solve_at_root(&mut self) {
         let root = 0;
         let mut gp = Graph::new(self.n);
         for &(u, v, w) in &self.states[root].collected {
@@ -140,7 +140,6 @@ impl SampledMaxCut {
             LocalCutSolver::Exact => congest_solvers::maxcut::max_cut(&gp),
             LocalCutSolver::LocalSearch => congest_solvers::maxcut::local_search_cut(&gp, None),
         };
-        let _ = ctx;
         self.states[root].cut_value = Some(cut.weight);
         self.states[root].side = Some(cut.side[root]);
         self.states[root].down_received = self.n + 1; // root needs nothing
@@ -197,12 +196,9 @@ impl CongestAlgorithm for SampledMaxCut {
         round: usize,
         inbox: &[(NodeId, McMsg)],
     ) -> (Vec<(NodeId, McMsg)>, RoundOutcome) {
-        let mut buf = SendBuf::new();
-        let outcome = self.round_into(node, ctx, round, inbox, &mut buf);
-        (
-            buf.items.into_iter().map(|(to, m, _)| (to, m)).collect(),
-            outcome,
-        )
+        let mut sends = Vec::new();
+        let outcome = self.round_into(node, ctx, round, inbox, &mut sends);
+        (sends, outcome)
     }
 
     fn round_into(
@@ -219,11 +215,10 @@ impl CongestAlgorithm for SampledMaxCut {
                     if self.states[node].depth.is_none() {
                         self.states[node].depth = Some(d + 1);
                         self.states[node].parent = Some(from);
-                        out.push_metered(from, McMsg::Child, 3);
-                        let bits = 3 + mag_bits(d as u64 + 1);
+                        out.push((from, McMsg::Child));
                         for &u in ctx.neighbors(node) {
                             if u != from {
-                                out.push_metered(u, McMsg::Depth(d + 1), bits);
+                                out.push((u, McMsg::Depth(d + 1)));
                             }
                         }
                     }
@@ -263,9 +258,6 @@ impl CongestAlgorithm for SampledMaxCut {
             // The tree is final: allocate downcast queues.
             let nc = self.states[node].children.len();
             self.states[node].down_queues = vec![Vec::new(); nc];
-            if node == 0 && self.states[node].children.is_empty() && self.n > 1 {
-                // Disconnected root corner case: nothing to collect.
-            }
         }
         // Upcast phase.
         if !self.states[node].solved {
@@ -276,16 +268,16 @@ impl CongestAlgorithm for SampledMaxCut {
                 let own = std::mem::take(&mut self.states[node].up_queue);
                 self.states[node].collected.extend(own);
                 if all_done {
-                    self.solve_at_root(ctx);
+                    self.solve_at_root();
                 }
             } else if let Some(parent) = self.states[node].parent {
                 if let Some(e) = self.states[node].up_queue.pop() {
-                    out.push(parent, McMsg::Edge(e.0, e.1, e.2));
+                    out.push((parent, McMsg::Edge(e.0, e.1, e.2)));
                 } else if self.states[node].children_done == self.states[node].children.len()
                     && !self.states[node].up_done_sent
                 {
                     self.states[node].up_done_sent = true;
-                    out.push_metered(parent, McMsg::UpDone, 3);
+                    out.push((parent, McMsg::UpDone));
                 }
             }
         }
@@ -299,7 +291,7 @@ impl CongestAlgorithm for SampledMaxCut {
         } = &mut self.states[node];
         for (i, &c) in children.iter().enumerate() {
             if let Some(m) = down_queues[i].pop() {
-                out.push(c, m);
+                out.push((c, m));
             }
         }
         // Halt when fully informed, all queues flushed, and silent.

@@ -211,11 +211,6 @@ impl<A: CongestAlgorithm> HostedAlgorithm<A> {
     pub fn inner(&self) -> &A {
         &self.inner
     }
-
-    /// Number of inner rounds executed.
-    pub fn inner_rounds(&self) -> usize {
-        self.inner_round
-    }
 }
 
 impl<A: CongestAlgorithm> CongestAlgorithm for HostedAlgorithm<A> {

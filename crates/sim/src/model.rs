@@ -177,12 +177,10 @@ pub trait CongestAlgorithm {
     /// Allocation-free twin of [`CongestAlgorithm::round`]: append this
     /// round's sends to `out` (a buffer the engine reuses across rounds)
     /// instead of returning a fresh `Vec`. The engine always drives
-    /// rounds through this hook; the default implementation delegates to
-    /// [`CongestAlgorithm::round`], so existing algorithms keep working
-    /// unchanged. Hot algorithms override it — and may use
-    /// [`SendBuf::push_metered`] to hand the engine a precomputed
-    /// metered width, skipping the per-message `message_bits` call
-    /// (widths are cross-checked in debug builds).
+    /// rounds through this hook; the default implementation appends what
+    /// [`CongestAlgorithm::round`] returns, so existing algorithms keep
+    /// working unchanged. The engine meters every send in `out` at
+    /// [`CongestAlgorithm::message_bits`], whichever hook produced it.
     fn round_into(
         &mut self,
         node: NodeId,
@@ -192,9 +190,7 @@ pub trait CongestAlgorithm {
         out: &mut SendBuf<Self::Msg>,
     ) -> RoundOutcome {
         let (sends, outcome) = self.round(node, ctx, round, inbox);
-        for (to, msg) in sends {
-            out.push(to, msg);
-        }
+        out.extend(sends);
         outcome
     }
 
@@ -215,57 +211,12 @@ pub trait CongestAlgorithm {
     }
 }
 
-/// Reusable per-node send buffer filled by
-/// [`CongestAlgorithm::round_into`].
-///
-/// Each entry carries a metered-width hint: a non-zero hint is trusted as
-/// the metered width (what [`SendBuf::push_metered`] records; debug
-/// builds assert it equals `message_bits`), and a hint of `0` only means
-/// "engine, compute [`CongestAlgorithm::message_bits`] yourself" (what
-/// [`SendBuf::push`] records). A message may well be 0 bits wide — it is
-/// still a message, metered and given a `bits_per_edge` entry — but its
-/// hint needs no `Option` wrapper on the hot path: asking `message_bits`
-/// again yields the same 0.
-#[derive(Debug)]
-pub struct SendBuf<M> {
-    pub(crate) items: Vec<(NodeId, M, u64)>,
-}
-
-impl<M> SendBuf<M> {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        SendBuf { items: Vec::new() }
-    }
-
-    /// Queues a message; the engine computes its metered width.
-    #[inline]
-    pub fn push(&mut self, to: NodeId, msg: M) {
-        self.items.push((to, msg, 0));
-    }
-
-    /// Queues a message with a precomputed metered width (must equal
-    /// [`CongestAlgorithm::message_bits`]; asserted in debug builds).
-    #[inline]
-    pub fn push_metered(&mut self, to: NodeId, msg: M, bits: u64) {
-        self.items.push((to, msg, bits));
-    }
-
-    /// Number of queued sends.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no sends are queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-impl<M> Default for SendBuf<M> {
-    fn default() -> Self {
-        SendBuf::new()
-    }
-}
+/// One node's sends for a round, `(receiver, message)` in emission
+/// order: what [`CongestAlgorithm::init`] and [`CongestAlgorithm::round`]
+/// return and what [`CongestAlgorithm::round_into`] appends to. The
+/// engine meters each message at [`CongestAlgorithm::message_bits`] when
+/// it dispatches the list; a sender has no other say in its width.
+pub type SendBuf<M> = Vec<(NodeId, M)>;
 
 /// Traffic totals for one round of a run (an entry of
 /// [`SimStats::round_timeline`]).

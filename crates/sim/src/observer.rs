@@ -80,6 +80,10 @@ impl RoundObserver for NoopRoundObserver {
     fn on_round(&mut self, _delta: &RoundDelta<'_>) {}
 }
 
+/// How many of the heaviest edges a [`TraceObserver`] reports at
+/// termination.
+const HOT_EDGES: usize = 3;
+
 /// Streams per-round records into a `congest-obs` [`Recorder`].
 ///
 /// Emits, on target `sim`:
@@ -91,14 +95,13 @@ impl RoundObserver for NoopRoundObserver {
 ///   `round` record of the round it fired in (fault-free runs emit none);
 /// * at termination, a `summary` record (carrying the run `outcome` and
 ///   total `faults`), a `histogram` record over per-edge totals, and one
-///   `hot_edge` record per heaviest edge; runs that saw faults also get a
-///   `fault_counters` record.
+///   `hot_edge` record for each of the three heaviest edges; runs that saw
+///   faults also get a `fault_counters` record.
 #[derive(Debug)]
 pub struct TraceObserver<R: Recorder> {
     rec: R,
     cut: Vec<(NodeId, NodeId)>,
     cut_set: HashSet<(NodeId, NodeId)>,
-    hot_edges: usize,
     edge_records: bool,
 }
 
@@ -109,7 +112,6 @@ impl<R: Recorder> TraceObserver<R> {
             rec,
             cut: Vec::new(),
             cut_set: HashSet::new(),
-            hot_edges: 3,
             edge_records: false,
         }
     }
@@ -129,12 +131,6 @@ impl<R: Recorder> TraceObserver<R> {
     pub fn with_cut(mut self, cut: &[(NodeId, NodeId)]) -> Self {
         self.cut = cut.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         self.cut_set = self.cut.iter().copied().collect();
-        self
-    }
-
-    /// Number of hottest edges reported at termination (default 3).
-    pub fn with_hot_edges(mut self, k: usize) -> Self {
-        self.hot_edges = k;
         self
     }
 
@@ -203,7 +199,7 @@ impl<R: Recorder> RoundObserver for TraceObserver<R> {
         }
         self.rec
             .record(stats.congestion_histogram().to_record("sim", "edge_bits"));
-        for ((u, v), bits) in stats.hottest_edges(self.hot_edges) {
+        for ((u, v), bits) in stats.hottest_edges(HOT_EDGES) {
             self.rec.record(
                 Record::new("sim", "hot_edge")
                     .with("u", u)

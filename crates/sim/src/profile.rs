@@ -183,11 +183,6 @@ impl PhaseProfile {
         self.run_nanos / 1_000
     }
 
-    /// Wall microseconds of the sampled rounds only.
-    pub fn sampled_round_micros(&self) -> u64 {
-        self.round_nanos / 1_000
-    }
-
     /// Fraction of run wall time attributed to named phases (`None`
     /// before any run completes). With `sample_every = 1` this is the
     /// "≥95% of wall time has a name" acceptance number; with coarser

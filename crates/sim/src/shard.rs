@@ -336,7 +336,7 @@ impl<A: CongestAlgorithm> Shard<A> {
             direct_hi: if lo == 0 { hi } else { 0 },
             in_flight: BoxedArena::new(lo, hi),
             deliveries: BoxedArena::new(lo, hi),
-            sendbuf: SendBuf::new(),
+            sendbuf: Vec::new(),
             matured_in: Vec::new(),
             stage_in: lanes(k, k),
             stage_out: lanes(k, k),
@@ -372,7 +372,6 @@ impl<A: CongestAlgorithm> Shard<A> {
         prof: Option<&mut PhaseProfile>,
     ) {
         let mut prof = prof.filter(|p| p.sampling());
-        let mut sendbuf = std::mem::take(&mut self.sendbuf);
         match task {
             ShardTask::Init => {
                 // On the stepping thread, before any delivery: a pooled
@@ -382,22 +381,20 @@ impl<A: CongestAlgorithm> Shard<A> {
                 }
                 for v in self.lo..self.hi {
                     let t0 = prof.is_some().then(Instant::now);
-                    let out = alg.init(v, &shared.ctx);
+                    let mut out = alg.init(v, &shared.ctx);
                     lap(&mut prof, Phase::Compute, t0);
-                    for (to, msg) in out {
-                        sendbuf.push(to, msg);
-                    }
-                    if let Err(e) = self.dispatch(link, shared, v, &mut sendbuf, 0, &mut prof) {
+                    if let Err(e) = self.dispatch(link, shared, v, &mut out, 0, &mut prof) {
                         self.error = Some(e);
                         break;
                     }
                 }
             }
             ShardTask::Round(round) => {
+                let mut sendbuf = std::mem::take(&mut self.sendbuf);
                 self.round(alg, link, shared, round, &mut sendbuf, &mut prof);
+                self.sendbuf = sendbuf;
             }
         }
-        self.sendbuf = sendbuf;
     }
 
     fn round<L: LinkLayer>(
@@ -466,10 +463,11 @@ impl<A: CongestAlgorithm> Shard<A> {
     /// Validates, meters, and routes one node's outgoing messages through
     /// the link layer, draining `out` (also on an early model-violation
     /// return). Each send resolves to its slot in `from`'s own sorted
-    /// row; the duplicate stamp and the meters index that slot. Model
-    /// checks run before the link hook and traffic is metered before the
-    /// fate applies: faults never mask a CONGEST violation and a lost
-    /// message still cost its sender the bits.
+    /// row; the duplicate stamp and the meters index that slot. Each
+    /// message is metered at [`CongestAlgorithm::message_bits`], computed
+    /// here. Model checks run before the link hook and traffic is metered
+    /// before the fate applies: faults never mask a CONGEST violation and
+    /// a lost message still cost its sender the bits.
     fn dispatch<L: LinkLayer>(
         &mut self,
         link: &mut L,
@@ -495,7 +493,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         let mut fate_nanos = 0u64;
         let mut timed_msgs = 0u64;
         let mut prev = prof.is_some().then(Instant::now);
-        for (to, msg, hint) in out.items.drain(..) {
+        for (to, msg) in out.drain(..) {
             // Self-sends and ids ≥ n are in no row, so they are
             // non-neighbor sends too.
             let Some(slot) = shared.ctx.csr.slot(from, to) else {
@@ -508,12 +506,7 @@ impl<A: CongestAlgorithm> Shard<A> {
             // Stamped before the fate: a dropped or delayed first copy
             // still makes a second send a duplicate.
             *stamp = epoch;
-            let bits = if hint != 0 {
-                debug_assert_eq!(hint, A::message_bits(&msg), "bad SendBuf width hint");
-                hint
-            } else {
-                A::message_bits(&msg)
-            };
+            let bits = A::message_bits(&msg);
             if bits > bandwidth {
                 return Err(SimError::BandwidthExceeded {
                     from,
@@ -1171,10 +1164,7 @@ mod tests {
         from: NodeId,
         to: &[NodeId],
     ) -> Result<(), SimError> {
-        let mut out = SendBuf::new();
-        for &t in to {
-            out.push(t, ());
-        }
+        let mut out: SendBuf<()> = to.iter().map(|&t| (t, ())).collect();
         shard.dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None)
     }
 

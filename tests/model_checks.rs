@@ -258,15 +258,7 @@ impl CongestAlgorithm for ZeroBitFlood {
             return RoundOutcome::Halt;
         }
         if node.is_multiple_of(2) {
-            for &u in ctx.neighbors(node) {
-                // A metered hint of 0 and a plain push both leave the
-                // width to `message_bits`.
-                if u % 3 == 0 {
-                    out.push_metered(u, (), 0);
-                } else {
-                    out.push(u, ());
-                }
-            }
+            out.extend(ctx.neighbors(node).iter().map(|&u| (u, ())));
         }
         RoundOutcome::Continue
     }
