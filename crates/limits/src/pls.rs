@@ -1017,16 +1017,19 @@ impl ProofLabelingScheme for MatchingScheme {
         if !verify_g_tree_at(g, v, labels, 1) {
             return false;
         }
-        // Count: own matched flag plus children's counts.
-        let child_depth = labels[v].0[2] + 1;
-        let children_sum: i64 = g
+        // Count: own matched flag plus children's counts. Label values are
+        // unchecked, so a sum that overflows rejects.
+        let Some(child_depth) = labels[v].0[2].checked_add(1) else {
+            return false;
+        };
+        let count = g
             .neighbors(v)
             .iter()
             .map(|&u| &labels[u].0)
             .filter(|lu| lu.get(3) == Some(&(v as i64)) && lu.get(2) == Some(&child_depth))
             .filter_map(|lu| lu.get(4))
-            .sum();
-        if labels[v].0[4] != children_sum + i64::from(partner >= 0) {
+            .try_fold(i64::from(partner >= 0), |sum, &c| sum.checked_add(c));
+        if count != Some(labels[v].0[4]) {
             return false;
         }
         // The root checks the total.

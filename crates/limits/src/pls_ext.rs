@@ -192,7 +192,10 @@ impl ProofLabelingScheme for ECycleScheme {
                 }
             }
             // H-neighbors at positions pos±1 (cyclically via e).
-            let want: Vec<i64> = vec![(pos + 1) % len, (pos + len - 1) % len];
+            let Some(back) = pos.checked_add(len - 1) else {
+                return false;
+            };
+            let want: Vec<i64> = vec![(pos + 1) % len, back % len];
             for w in want {
                 let ok = inst
                     .h_neighbors(v)
@@ -549,7 +552,8 @@ impl ProofLabelingScheme for SimplePathScheme {
             2 => {
                 let mut np = neigh_pos.clone();
                 np.sort_unstable();
-                np == vec![pos - 1, pos + 1]
+                pos.checked_add(1)
+                    .is_some_and(|next| np == vec![pos - 1, next])
             }
             _ => false,
         }

@@ -3,7 +3,9 @@
 //! For every proof labeling scheme of `pls` and `pls_ext`, each vertex's
 //! honest label is cut to every shorter length in turn. Every vertex's
 //! `verify_at` runs on each such labeling (so a panic anywhere fails the
-//! test), and at least one vertex must reject it.
+//! test), and at least one vertex must reject it. Label fields are
+//! unchecked `i64`s, so the same holds for fields set to the extremes of
+//! that range: arithmetic on them must not overflow.
 
 use congest_graph::{generators, NodeId};
 use congest_limits::pls::*;
@@ -101,5 +103,68 @@ fn truncated_labels_are_rejected_without_panicking() {
                 );
             }
         }
+    }
+}
+
+/// Every vertex's verdict on `labels`.
+fn verdicts(scheme: &dyn ProofLabelingScheme, inst: &MarkedGraph, labels: &[Label]) -> Vec<bool> {
+    (0..inst.graph.num_nodes())
+        .map(|u| scheme.verify_at(inst, u, labels))
+        .collect()
+}
+
+#[test]
+fn extreme_label_values_never_panic() {
+    const EXTREMES: [i64; 5] = [i64::MIN, i64::MIN + 1, -1, i64::MAX - 1, i64::MAX];
+    for (scheme, inst) in &schemes() {
+        let honest = scheme
+            .prove(inst)
+            .expect("the instance satisfies the predicate");
+        for v in 0..inst.graph.num_nodes() {
+            for field in 0..honest[v].0.len() {
+                for x in EXTREMES {
+                    let mut labels = honest.clone();
+                    labels[v].0[field] = x;
+                    // Only the absence of a panic is checked: some fields
+                    // (an unmatched vertex's partner, say) accept -1.
+                    verdicts(scheme.as_ref(), inst, &labels);
+                }
+            }
+        }
+    }
+
+    // Labelings whose arithmetic would overflow at an accepting step.
+    let max = i64::MAX;
+    let ecycle = on_cycle(&cycle_edges()).with_edge(0, 1);
+    let ecycle_labels = vec![Label(vec![max - 1, max, 0]); 8];
+
+    let simple_path = on_cycle(&path_edges());
+    let mut path_labels = SimplePathScheme
+        .prove(&simple_path)
+        .expect("the cycle minus an edge is a simple path");
+    for l in &mut path_labels {
+        l.0[1] = 0;
+    }
+    path_labels[2].0[0] = max - 1;
+    path_labels[3].0[0] = max;
+
+    let matching = MarkedGraph::new(generators::path(3), &[]);
+    let matching_labels = vec![
+        Label(vec![-1, 2, max - 1, 1, 0]),
+        Label(vec![-1, 2, max, 0, 0]),
+        Label(vec![-1, 2, 0, 2, 0]),
+    ];
+
+    let crafted: [(&dyn ProofLabelingScheme, &MarkedGraph, &[Label]); 3] = [
+        (&ECycleScheme, &ecycle, &ecycle_labels),
+        (&SimplePathScheme, &simple_path, &path_labels),
+        (&MatchingScheme { k: 1 }, &matching, &matching_labels),
+    ];
+    for (scheme, inst, labels) in crafted {
+        assert!(
+            verdicts(scheme, inst, labels).contains(&false),
+            "{}: an overflowing labeling is accepted everywhere",
+            scheme.name()
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Pluggable time sources for record sinks and profilers.
+//! Pluggable time sources for record sinks.
 //!
 //! Sinks stamp every [`crate::Record`] with a `ts` (microseconds since
 //! the sink's epoch). Historically that stamp came straight from

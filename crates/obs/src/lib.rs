@@ -11,12 +11,11 @@
 //! * [`Recorder`] — a pluggable sink trait with [`MemoryRecorder`] (for
 //!   tests and in-process analysis), [`JsonlSink`] (hand-rolled JSON, no
 //!   external dependencies), and [`NullRecorder`];
-//! * [`Counter`], [`Histogram`] (log₂ buckets), and [`Span`] wall-time
-//!   timers for the metric side;
+//! * [`Histogram`] — log₂-bucket distributions for the metric side;
 //! * [`Clock`] — pluggable time for the sinks: [`MonotonicClock`] by
 //!   default, [`VirtualClock`] for byte-stable golden traces;
-//! * [`SpanTree`] — a hierarchical profiler with drop-guard scopes,
-//!   self-vs-cumulative attribution, and flame-style rendering;
+//! * [`SpanTree`] — a tree of measured totals with self-vs-cumulative
+//!   attribution and flame-style rendering;
 //! * [`QuantileSketch`] — a mergeable DDSketch-style quantile sketch
 //!   (relative-error quantiles, exactly associative merges);
 //! * [`Aggregator`] — a streaming fold of JSONL records into
@@ -66,8 +65,8 @@ mod sketch;
 
 pub use aggregate::{Aggregator, GroupSummary, NumericSummary, ValueTally};
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use metrics::{Counter, Histogram, Span};
-pub use profile::{SpanEntry, SpanGuard, SpanTree};
+pub use metrics::Histogram;
+pub use profile::{SpanEntry, SpanTree};
 pub use record::{Record, Value};
 pub use recorder::{JsonlSink, MemoryRecorder, NullRecorder, Recorder};
 pub use sketch::QuantileSketch;

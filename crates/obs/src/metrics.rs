@@ -1,55 +1,6 @@
-//! Counters, log₂-bucket histograms, and wall-time spans.
-
-use std::time::Instant;
+//! Log₂-bucket histograms.
 
 use crate::Record;
-
-/// A named monotonic counter.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Folds another counter's total into this one — the reduction step
-    /// when each parallel worker kept its own counter.
-    pub fn merge(&mut self, other: &Counter) {
-        self.value += other.value;
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Renders as a `metric` record field on `target`.
-    pub fn to_record(&self, target: &'static str) -> Record {
-        Record::new(target, "counter")
-            .with("name", self.name)
-            .with("value", self.value)
-    }
-}
 
 /// A histogram with logarithmic (base-2) buckets for `u64` observations.
 ///
@@ -191,53 +142,9 @@ impl Histogram {
     }
 }
 
-/// A wall-clock timer for one phase of work.
-#[derive(Debug, Clone)]
-pub struct Span {
-    name: &'static str,
-    start: Instant,
-}
-
-impl Span {
-    /// Starts the clock.
-    pub fn start(name: &'static str) -> Self {
-        Span {
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    /// Microseconds elapsed so far.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Stops the clock and renders a `span` record with the elapsed time.
-    pub fn finish(self, target: &'static str) -> Record {
-        Record::new(target, "span")
-            .with("name", self.name)
-            .with("micros", self.elapsed_micros())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new("nodes");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        let r = c.to_record("solver.mds");
-        assert_eq!(r.u64_field("value"), Some(10));
-    }
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -299,20 +206,5 @@ mod tests {
         a.merge(&Histogram::new());
         assert_eq!(a.nonzero_buckets(), before.nonzero_buckets());
         assert_eq!(a.min(), before.min());
-
-        let mut c1 = Counter::new("items");
-        c1.add(3);
-        let mut c2 = Counter::new("items");
-        c2.add(4);
-        c1.merge(&c2);
-        assert_eq!(c1.get(), 7);
-    }
-
-    #[test]
-    fn span_measures_time() {
-        let s = Span::start("phase");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let r = s.finish("experiments");
-        assert!(r.u64_field("micros").unwrap() >= 1_000);
     }
 }

@@ -1,169 +1,71 @@
-//! Hierarchical span-tree profiling: enter/exit scopes with parent
-//! links, self vs. cumulative time, and flame-style reporting.
+//! Hierarchical span trees of measured totals: parent links, self vs.
+//! cumulative time, and flame-style reporting.
 //!
-//! A [`SpanTree`] is a tree of named scopes. [`SpanTree::enter`] opens a
-//! scope and returns a guard; dropping the guard closes it — including
-//! during unwinding, so a panicking scope still attributes the time it
-//! spent before the panic (the drop-guard exit the tests pin). Re-entering
-//! a name under the same parent *aggregates* into the existing node
-//! (`calls` increments, elapsed time accumulates), which is what keeps a
-//! million-round loop's tree bounded by its distinct phase names rather
-//! than its iteration count.
+//! A [`SpanTree`] is a tree of named nodes assembled from
+//! already-measured totals via [`SpanTree::add_measured`]: a profiler
+//! accumulates flat nanosecond counters in its hot loop and builds the
+//! tree only at reporting time, and `tracectl spans` rebuilds one from a
+//! trace's records. Crediting a path again *aggregates* into the
+//! existing node (`calls` and time add up), so a tree stays bounded by
+//! its distinct names.
 //!
 //! Two accounting views per node:
 //!
-//! * **cumulative** — all time spent while the node was on the stack,
-//!   including descendants;
+//! * **cumulative** — the node's credited total, descendants included;
 //! * **self** — cumulative minus the children's cumulative: the time the
 //!   node spent in its *own* code.
-//!
-//! Trees can also be assembled directly from already-measured totals via
-//! [`SpanTree::add_measured`] — the path used by samplers that accumulate
-//! flat nanosecond counters in a hot loop and only build the tree at
-//! reporting time.
-//!
-//! Timing goes through the pluggable [`Clock`] (monotonic by default), so
-//! tests drive the tree with a [`crate::VirtualClock`] and assert exact
-//! durations.
 
-use std::borrow::Cow;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use crate::clock::{Clock, MonotonicClock};
 use crate::Record;
 
 /// One node of the tree.
 #[derive(Debug, Clone)]
 struct Node {
-    name: Cow<'static, str>,
+    name: String,
     parent: Option<usize>,
     children: Vec<usize>,
     /// Cumulative microseconds (includes descendants).
     cum_micros: u64,
-    /// Times this scope was entered.
+    /// Entries credited to this node.
     calls: u64,
-    /// Open-entry bookkeeping: the clock reading at the latest enter.
-    opened_at: Option<u64>,
 }
 
-#[derive(Debug)]
-struct Inner {
+/// A tree of named, measured totals (see module docs).
+#[derive(Debug, Clone, Default)]
+pub struct SpanTree {
     nodes: Vec<Node>,
     /// Indices of root nodes (no parent), in first-seen order.
     roots: Vec<usize>,
-    /// The currently open scope, innermost last.
-    stack: Vec<usize>,
-    clock: Box<dyn ClockObj>,
-}
-
-/// Object-safe clock adapter (the public [`Clock`] trait is not dyn-safe
-/// restricted, but keep the box private regardless).
-trait ClockObj {
-    fn now_micros(&mut self) -> u64;
-}
-
-impl std::fmt::Debug for dyn ClockObj {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Clock")
-    }
-}
-
-impl<C: Clock> ClockObj for C {
-    fn now_micros(&mut self) -> u64 {
-        Clock::now_micros(self)
-    }
-}
-
-/// A hierarchical profiler of named scopes (see module docs).
-///
-/// Cloning is shallow: clones share the same tree, which is what lets a
-/// guard outlive the borrow that created it.
-#[derive(Debug, Clone)]
-pub struct SpanTree {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl Default for SpanTree {
-    fn default() -> Self {
-        SpanTree::new()
-    }
 }
 
 impl SpanTree {
-    /// An empty tree timing through a [`MonotonicClock`].
+    /// An empty tree.
     pub fn new() -> Self {
-        SpanTree::with_clock(MonotonicClock::new())
-    }
-
-    /// An empty tree timing through `clock`.
-    pub fn with_clock(clock: impl Clock + 'static) -> Self {
-        SpanTree {
-            inner: Rc::new(RefCell::new(Inner {
-                nodes: Vec::new(),
-                roots: Vec::new(),
-                stack: Vec::new(),
-                clock: Box::new(clock),
-            })),
-        }
-    }
-
-    /// Opens a scope named `name` under the currently open scope (or as a
-    /// root). Dropping the returned guard closes it — also on panic.
-    pub fn enter(&self, name: impl Into<Cow<'static, str>>) -> SpanGuard {
-        let name = name.into();
-        let mut inner = self.inner.borrow_mut();
-        let parent = inner.stack.last().copied();
-        let idx = inner.find_or_insert(parent, name);
-        let now = inner.clock.now_micros();
-        let node = &mut inner.nodes[idx];
-        node.calls += 1;
-        debug_assert!(node.opened_at.is_none(), "scope re-entered while open");
-        node.opened_at = Some(now);
-        inner.stack.push(idx);
-        SpanGuard {
-            tree: Rc::clone(&self.inner),
-            idx,
-        }
-    }
-
-    /// Runs `f` inside a scope named `name` (convenience over [`enter`]).
-    ///
-    /// [`enter`]: SpanTree::enter
-    pub fn scope<T>(&self, name: impl Into<Cow<'static, str>>, f: impl FnOnce() -> T) -> T {
-        let _guard = self.enter(name);
-        f()
+        SpanTree::default()
     }
 
     /// Adds (or merges into) the node at `path`, crediting `micros` of
     /// already-measured cumulative time and `calls` entries. Ancestors are
-    /// created as zero-cost structural nodes when missing; a sampler that
+    /// created as zero-cost structural nodes when missing; a caller that
     /// wants the parent to cover its children should `add_measured` the
     /// parent's own total too.
-    pub fn add_measured(&self, path: &[&str], micros: u64, calls: u64) {
+    pub fn add_measured(&mut self, path: &[&str], micros: u64, calls: u64) {
         assert!(!path.is_empty(), "add_measured needs a non-empty path");
-        let mut inner = self.inner.borrow_mut();
         let mut parent = None;
         let mut idx = 0;
         for seg in path {
-            idx = inner.find_or_insert(parent, Cow::Owned(seg.to_string()));
+            idx = self.find_or_insert(parent, seg);
             parent = Some(idx);
         }
-        let node = &mut inner.nodes[idx];
+        let node = &mut self.nodes[idx];
         node.cum_micros += micros;
         node.calls += calls;
     }
 
     /// The flattened tree, depth-first, parents before children.
-    ///
-    /// Open scopes are reported with the time elapsed so far.
     pub fn snapshot(&self) -> Vec<SpanEntry> {
-        let mut inner = self.inner.borrow_mut();
-        let now = inner.clock.now_micros();
-        let mut out = Vec::with_capacity(inner.nodes.len());
-        let roots = inner.roots.clone();
-        for r in roots {
-            Inner::flatten(&inner.nodes, r, 0, now, &mut out);
+        let mut out = Vec::with_capacity(self.nodes.len());
+        for &r in &self.roots {
+            self.flatten(r, 0, &mut out);
         }
         out
     }
@@ -219,10 +121,8 @@ impl SpanTree {
             })
             .collect()
     }
-}
 
-impl Inner {
-    fn find_or_insert(&mut self, parent: Option<usize>, name: Cow<'static, str>) -> usize {
+    fn find_or_insert(&mut self, parent: Option<usize>, name: &str) -> usize {
         let siblings: &[usize] = match parent {
             Some(p) => &self.nodes[p].children,
             None => &self.roots,
@@ -232,12 +132,11 @@ impl Inner {
         }
         let idx = self.nodes.len();
         self.nodes.push(Node {
-            name,
+            name: name.to_string(),
             parent,
             children: Vec::new(),
             cum_micros: 0,
             calls: 0,
-            opened_at: None,
         });
         match parent {
             Some(p) => self.nodes[p].children.push(idx),
@@ -246,39 +145,33 @@ impl Inner {
         idx
     }
 
-    fn flatten(nodes: &[Node], idx: usize, depth: usize, now: u64, out: &mut Vec<SpanEntry>) {
-        let node = &nodes[idx];
-        // An open node's running entry counts up to "now".
-        let open_extra = node.opened_at.map_or(0, |t| now.saturating_sub(t));
-        let cum = node.cum_micros + open_extra;
+    fn flatten(&self, idx: usize, depth: usize, out: &mut Vec<SpanEntry>) {
+        let node = &self.nodes[idx];
         let children_cum: u64 = node
             .children
             .iter()
-            .map(|&c| {
-                let ch = &nodes[c];
-                ch.cum_micros + ch.opened_at.map_or(0, |t| now.saturating_sub(t))
-            })
+            .map(|&c| self.nodes[c].cum_micros)
             .sum();
         let path = {
-            let mut segs = vec![node.name.as_ref()];
+            let mut segs = vec![node.name.as_str()];
             let mut p = node.parent;
             while let Some(i) = p {
-                segs.push(nodes[i].name.as_ref());
-                p = nodes[i].parent;
+                segs.push(self.nodes[i].name.as_str());
+                p = self.nodes[i].parent;
             }
             segs.reverse();
             segs.join("/")
         };
         out.push(SpanEntry {
-            name: node.name.to_string(),
+            name: node.name.clone(),
             path,
             depth,
             calls: node.calls,
-            cum_micros: cum,
-            self_micros: cum.saturating_sub(children_cum),
+            cum_micros: node.cum_micros,
+            self_micros: node.cum_micros.saturating_sub(children_cum),
         });
         for &c in &node.children {
-            Self::flatten(nodes, c, depth + 1, now, out);
+            self.flatten(c, depth + 1, out);
         }
     }
 }
@@ -292,7 +185,7 @@ pub struct SpanEntry {
     pub path: String,
     /// Depth in the tree (roots are 0).
     pub depth: usize,
-    /// Times the scope was entered (or sampler-credited).
+    /// Entries credited to the node.
     pub calls: u64,
     /// Cumulative microseconds, descendants included.
     pub cum_micros: u64,
@@ -300,36 +193,9 @@ pub struct SpanEntry {
     pub self_micros: u64,
 }
 
-/// Closes its scope on drop — including during panic unwinding.
-#[must_use = "dropping the guard immediately closes the scope"]
-pub struct SpanGuard {
-    tree: Rc<RefCell<Inner>>,
-    idx: usize,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let mut inner = self.tree.borrow_mut();
-        let now = inner.clock.now_micros();
-        // Unwind any scopes opened inside this one whose guards were
-        // leaked past ours (drop order in one stack frame closes the
-        // innermost first, so this loop normally pops exactly one).
-        while let Some(top) = inner.stack.pop() {
-            let node = &mut inner.nodes[top];
-            if let Some(t) = node.opened_at.take() {
-                node.cum_micros += now.saturating_sub(t);
-            }
-            if top == self.idx {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VirtualClock;
 
     /// Finds a snapshot entry by path.
     fn entry<'a>(snap: &'a [SpanEntry], path: &str) -> &'a SpanEntry {
@@ -339,71 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn nesting_and_self_vs_cumulative() {
-        // Virtual clock: every reading advances 1µs, so durations are the
-        // number of readings between enter and exit.
-        let tree = SpanTree::with_clock(VirtualClock::sequence());
-        {
-            let _run = tree.enter("run"); // reading 0
-            {
-                let _a = tree.enter("a"); // 1
-                let _ = tree.inner.borrow_mut().clock.now_micros(); // 2: 1µs of work
-            } // a exits at 3 → cum 2
-            {
-                let _b = tree.enter("b"); // 4
-            } // b exits at 5 → cum 1
-        } // run exits at 6 → cum 6
-        let snap = tree.snapshot();
-        let run = entry(&snap, "run");
-        let a = entry(&snap, "run/a");
-        let b = entry(&snap, "run/b");
-        assert_eq!(run.cum_micros, 6);
-        assert_eq!(a.cum_micros, 2);
-        assert_eq!(b.cum_micros, 1);
-        assert_eq!(run.self_micros, 6 - 2 - 1);
-        assert_eq!(a.depth, 1);
-        assert_eq!(run.calls, 1);
-    }
-
-    #[test]
-    fn reentering_a_name_aggregates() {
-        let tree = SpanTree::with_clock(VirtualClock::sequence());
-        let _run = tree.enter("run");
-        for _ in 0..5 {
-            let _phase = tree.enter("phase");
-        }
-        drop(_run);
-        let snap = tree.snapshot();
-        assert_eq!(snap.len(), 2, "one run node, one aggregated phase node");
-        let phase = entry(&snap, "run/phase");
-        assert_eq!(phase.calls, 5);
-    }
-
-    #[test]
-    fn drop_guard_closes_scopes_on_panic() {
-        let tree = SpanTree::with_clock(VirtualClock::sequence());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _outer = tree.enter("outer");
-            let _inner = tree.enter("inner");
-            panic!("scope explodes");
-        }));
-        assert!(result.is_err());
-        // Both scopes were closed by unwinding; the stack is empty and a
-        // fresh scope nests at the root, not under a leaked "outer".
-        {
-            let _after = tree.enter("after");
-        }
-        let snap = tree.snapshot();
-        assert!(snap.iter().all(|e| e.path != "outer/after"));
-        let outer = entry(&snap, "outer");
-        let inner = entry(&snap, "outer/inner");
-        assert!(outer.cum_micros >= inner.cum_micros);
-        assert_eq!(entry(&snap, "after").depth, 0);
-    }
-
-    #[test]
-    fn measured_totals_build_a_tree_without_scopes() {
-        let tree = SpanTree::with_clock(VirtualClock::sequence());
+    fn measured_totals_build_a_tree() {
+        let mut tree = SpanTree::new();
         tree.add_measured(&["sim.run"], 100, 1);
         tree.add_measured(&["sim.run", "rounds", "deliver"], 30, 10);
         tree.add_measured(&["sim.run", "rounds", "compute"], 50, 10);

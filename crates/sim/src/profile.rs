@@ -6,7 +6,7 @@
 //! and bit accounting per message), `link_fate` (link-layer fate and
 //! routing per message), and `epilogue` (timeline flush + observer
 //! callbacks + finalization) — plus the wall time of the whole run and
-//! of each sampled round. Profiling covers one-shard runs, through
+//! of each round. Profiling covers one-shard runs, through
 //! [`crate::Simulator::try_run_profiled`]: the engine steps its one shard
 //! on the calling thread, which times deliver, compute, meter and
 //! link_fate, while the round's coordinator times the epilogue. Pooled
@@ -14,24 +14,21 @@
 //! `meter`/`link_fate` segments run on worker threads and cannot be
 //! attributed per phase.
 //!
-//! The cost model is a *sampling guard*: rounds where
-//! `round % sample_every != 0` pay exactly one branch and no clock
-//! reads, so profiling a long run at the default `sample_every = 128` is
-//! within noise of an unprofiled run (the `sim_round` bench measures the
-//! overhead and records it in `BENCH_sim_round.json`; clock reads cost
-//! tens of nanoseconds on virtualized hosts, comparable to the engine's
-//! own per-message work, which is why sampled rounds chain one read per
-//! phase boundary instead of bracketing each segment). With
-//! `sample_every = 1` every round is measured and the profile
-//! attributes ≥95% of run wall time to named phases — the mode behind
-//! `experiments --profile`.
+//! An attached profile measures every round; a run without one reads no
+//! clock. On E7, the run behind `experiments --profile`, it attributes
+//! ≥95% of run wall time to named phases. Clock reads cost tens of
+//! nanoseconds on virtualized hosts, comparable to the engine's own
+//! per-message work, so a profiled round chains one read per phase
+//! boundary instead of bracketing each segment; the `sim_round` bench
+//! records the resulting overhead and coverage on an engine-bound run in
+//! `BENCH_sim_round.json`.
 //!
 //! Timing is accumulated in nanoseconds (per-message segments are far
 //! below a microsecond) and exposed in microseconds; per-round wall
 //! times additionally feed a [`QuantileSketch`] so tail rounds are
 //! visible, not just the mean.
 
-use congest_obs::{QuantileSketch, Record, SpanTree, VirtualClock};
+use congest_obs::{QuantileSketch, Record, SpanTree};
 
 /// The five attributed phases of one simulator round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,66 +65,25 @@ struct Totals {
 /// module docs). Reusable across runs; totals accumulate.
 #[derive(Debug)]
 pub struct PhaseProfile {
-    sample_every: u64,
-    sampling_now: bool,
-    rounds_total: u64,
-    rounds_sampled: u64,
+    rounds: u64,
     totals: [Totals; 5],
-    /// Wall nanos of sampled rounds (round start → round end).
-    round_nanos: u64,
-    /// Per-sampled-round wall micros distribution.
+    /// Per-round wall micros distribution.
     round_sketch: QuantileSketch,
     /// Wall nanos of whole runs (start → stats returned).
     run_nanos: u64,
     runs: u64,
 }
 
-impl Default for PhaseProfile {
-    fn default() -> Self {
-        PhaseProfile::new(128)
-    }
-}
-
 impl PhaseProfile {
-    /// A profile sampling every `sample_every`-th round (clamped to ≥1).
-    pub fn new(sample_every: u64) -> Self {
+    /// An empty profile; attached to a run, it measures every round.
+    pub fn every_round() -> Self {
         PhaseProfile {
-            sample_every: sample_every.max(1),
-            sampling_now: false,
-            rounds_total: 0,
-            rounds_sampled: 0,
+            rounds: 0,
             totals: [Totals::default(); 5],
-            round_nanos: 0,
             round_sketch: QuantileSketch::default(),
             run_nanos: 0,
             runs: 0,
         }
-    }
-
-    /// A profile measuring every round (full attribution, higher cost).
-    pub fn every_round() -> Self {
-        PhaseProfile::new(1)
-    }
-
-    /// The configured sampling period.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// Called by the engine at the top of each round; decides whether
-    /// this round is sampled and returns the decision.
-    pub(crate) fn begin_round(&mut self, round: u64) -> bool {
-        self.rounds_total += 1;
-        self.sampling_now = round.is_multiple_of(self.sample_every);
-        if self.sampling_now {
-            self.rounds_sampled += 1;
-        }
-        self.sampling_now
-    }
-
-    /// Whether the round currently executing is being sampled.
-    pub(crate) fn sampling(&self) -> bool {
-        self.sampling_now
     }
 
     /// Adds measured time to a phase (one call).
@@ -142,9 +98,9 @@ impl PhaseProfile {
         t.calls += calls;
     }
 
-    /// Records the wall time of one sampled round.
+    /// Counts one round and records its wall time.
     pub(crate) fn note_round(&mut self, nanos: u64) {
-        self.round_nanos += nanos;
+        self.rounds += 1;
         self.round_sketch.observe(nanos / 1_000);
     }
 
@@ -152,14 +108,12 @@ impl PhaseProfile {
     pub(crate) fn note_run(&mut self, nanos: u64) {
         self.run_nanos += nanos;
         self.runs += 1;
-        self.sampling_now = false;
     }
 
-    /// Rounds executed / rounds actually sampled. Counts the round-0
-    /// init burst like the engine's `round_timeline` does, so one run
-    /// contributes `SimStats::rounds + 1`.
-    pub fn rounds(&self) -> (u64, u64) {
-        (self.rounds_total, self.rounds_sampled)
+    /// Rounds measured. Counts the round-0 init burst like the engine's
+    /// `round_timeline` does, so one run contributes `SimStats::rounds + 1`.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// Cumulative microseconds attributed to `phase`.
@@ -184,34 +138,24 @@ impl PhaseProfile {
     }
 
     /// Fraction of run wall time attributed to named phases (`None`
-    /// before any run completes). With `sample_every = 1` this is the
-    /// "≥95% of wall time has a name" acceptance number; with coarser
-    /// sampling, un-sampled rounds make it proportionally smaller.
+    /// before any run completes): the "≥95% of wall time has a name"
+    /// acceptance number.
     pub fn run_coverage(&self) -> Option<f64> {
         (self.run_nanos > 0).then(|| {
             self.totals.iter().map(|t| t.nanos).sum::<u64>() as f64 / self.run_nanos as f64
         })
     }
 
-    /// Fraction of *sampled-round* wall time attributed to named phases
-    /// (`None` until a round is sampled) — the sampling-independent
-    /// attribution quality.
-    pub fn round_coverage(&self) -> Option<f64> {
-        (self.round_nanos > 0).then(|| {
-            self.totals.iter().map(|t| t.nanos).sum::<u64>() as f64 / self.round_nanos as f64
-        })
-    }
-
-    /// The per-sampled-round wall-time distribution (microseconds).
+    /// The per-round wall-time distribution (microseconds).
     pub fn round_sketch(&self) -> &QuantileSketch {
         &self.round_sketch
     }
 
     /// Builds a [`SpanTree`] of the measured totals: `run` at the root,
     /// the five phases beneath it. The tree's unattributed remainder
-    /// (`run` self time) is loop control plus un-sampled rounds.
+    /// (`run` self time) is loop control between the timed segments.
     pub fn span_tree(&self) -> SpanTree {
-        let tree = SpanTree::with_clock(VirtualClock::new(0, 0));
+        let mut tree = SpanTree::new();
         tree.add_measured(&["run"], self.run_micros(), self.runs.max(1));
         for (i, name) in PHASE_NAMES.iter().enumerate() {
             let t = self.totals[i];
@@ -221,14 +165,11 @@ impl PhaseProfile {
     }
 
     /// Flame-style rendering of [`PhaseProfile::span_tree`], with the
-    /// sampling context on a header line.
+    /// round and run counts on a header line.
     pub fn render(&self) -> String {
-        let (total, sampled) = self.rounds();
         let mut out = format!(
-            "phase profile: {total} rounds, {sampled} sampled (every {}), \
-             round coverage {:.1}%\n",
-            self.sample_every,
-            self.round_coverage().unwrap_or(0.0) * 100.0,
+            "phase profile: {} rounds in {} runs\n",
+            self.rounds, self.runs
         );
         out.push_str(&self.span_tree().render());
         out
@@ -247,16 +188,12 @@ impl PhaseProfile {
                     .with("calls", t.calls),
             );
         }
-        let (total, sampled) = self.rounds();
         out.push(
             Record::new(target, "profile_summary")
-                .with("rounds", total)
-                .with("rounds_sampled", sampled)
-                .with("sample_every", self.sample_every)
+                .with("rounds", self.rounds)
                 .with("run_micros", self.run_micros())
                 .with("attributed_micros", self.attributed_micros())
-                .with("run_coverage", self.run_coverage().unwrap_or(0.0))
-                .with("round_coverage", self.round_coverage().unwrap_or(0.0)),
+                .with("run_coverage", self.run_coverage().unwrap_or(0.0)),
         );
         out.push(self.round_sketch.to_record(target, "round_micros"));
         out
@@ -268,20 +205,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sampling_guard_skips_unsampled_rounds() {
-        let mut p = PhaseProfile::new(4);
-        let sampled: Vec<bool> = (0..8).map(|r| p.begin_round(r)).collect();
-        assert_eq!(
-            sampled,
-            [true, false, false, false, true, false, false, false]
-        );
-        assert_eq!(p.rounds(), (8, 2));
-    }
-
-    #[test]
     fn totals_and_coverage_accumulate() {
         let mut p = PhaseProfile::every_round();
-        p.begin_round(0);
         p.add(Phase::Deliver, 10_000);
         p.add_n(Phase::Compute, 70_000, 16);
         p.add_n(Phase::Meter, 5_000, 40);
@@ -292,9 +217,9 @@ mod tests {
         assert_eq!(p.phase_micros(Phase::Compute), 70);
         assert_eq!(p.phase_calls(Phase::Meter), 40);
         assert_eq!(p.attributed_micros(), 95);
-        let cov = p.round_coverage().unwrap();
-        assert!((cov - 0.95).abs() < 1e-9, "coverage {cov}");
-        assert!(p.run_coverage().unwrap() < cov);
+        assert_eq!(p.rounds(), 1);
+        let cov = p.run_coverage().unwrap();
+        assert!((cov - 95.0 / 105.0).abs() < 1e-9, "coverage {cov}");
         let text = p.render();
         assert!(text.contains("compute"), "render names phases:\n{text}");
     }
@@ -302,7 +227,6 @@ mod tests {
     #[test]
     fn records_cover_all_phases() {
         let mut p = PhaseProfile::every_round();
-        p.begin_round(0);
         p.add(Phase::Deliver, 1_000);
         p.note_round(2_000);
         p.note_run(2_500);

@@ -165,46 +165,6 @@ impl<M> BoxedArena<M> {
     }
 }
 
-/// Per-round per-edge traffic meters, allocated only when the observer
-/// asks for edge deltas.
-///
-/// Bits live in a dense edge-id-indexed array; `stamp[e] == epoch` marks
-/// entries valid for the current round, so the barrier resets the meters
-/// by walking the (usually short) `touched` list and bumping the epoch —
-/// never an `O(m)` clear.
-struct RoundEdges {
-    /// Bits metered this round, valid only where `stamp[e] == epoch`.
-    bits: Vec<u64>,
-    /// Round-epoch stamp per edge id.
-    stamp: Vec<u64>,
-    /// Edge ids metered this round, in first-touch order.
-    touched: Vec<EdgeId>,
-    /// Current round epoch (starts at 1 so a zeroed `stamp` is invalid).
-    epoch: u64,
-}
-
-impl RoundEdges {
-    fn new(m: usize) -> Self {
-        RoundEdges {
-            bits: vec![0; m],
-            stamp: vec![0; m],
-            touched: Vec::new(),
-            epoch: 1,
-        }
-    }
-
-    fn meter(&mut self, eid: EdgeId, bits: u64) {
-        let i = eid as usize;
-        if self.stamp[i] == self.epoch {
-            self.bits[i] += bits;
-        } else {
-            self.stamp[i] = self.epoch;
-            self.bits[i] = bits;
-            self.touched.push(eid);
-        }
-    }
-}
-
 /// What one step of every shard does.
 #[derive(Debug, Clone, Copy)]
 enum ShardTask {
@@ -232,10 +192,9 @@ type Delayed<M> = (u64, NodeId, NodeId, M);
 /// One shard's engine state: its node range, double-buffered inbox arenas
 /// for its own nodes, staging lanes toward every shard, and meters and
 /// duplicate stamps over its senders' CSR slots. Nothing in it is sized
-/// by the whole graph except the per-round edge meters an observer may
-/// ask for. It holds no algorithm and no link — each step borrows them,
-/// so the same code steps a pooled shard and the one shard of a serial
-/// run.
+/// by the whole graph. It holds no algorithm and no link — each step
+/// borrows them, so the same code steps a pooled shard and the one shard
+/// of a serial run.
 struct Shard<A: CongestAlgorithm> {
     lo: NodeId,
     hi: NodeId,
@@ -290,8 +249,10 @@ struct Shard<A: CongestAlgorithm> {
     /// Whether the slot was ever metered. A zero-bit message still
     /// creates a `bits_per_edge` entry.
     slot_touched: Vec<bool>,
-    /// Per-round per-edge meters when the observer asked for them.
-    round_edges: Option<RoundEdges>,
+    /// This step's metered `(slot, bits)`, one per meter call, kept only
+    /// when the observer asks for per-round edge traffic; the coordinator
+    /// drains it at the barrier.
+    round_edges: Option<Vec<(usize, u64)>>,
     /// `stamp[slot - slot_lo] == stamp_epoch` marks the slot as already
     /// used by the current sender (duplicate-send detection without
     /// clearing between senders).
@@ -318,8 +279,8 @@ impl SharedCtx<'_> {
     }
 }
 
-/// Attributes the time since `t0` to `phase`; `t0` is `Some` only while
-/// an attached profiler samples the current round.
+/// Attributes the time since `t0` to `phase`; `t0` is `Some` only when a
+/// profiler is attached.
 #[inline]
 fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) {
     if let (Some(t0), Some(p)) = (t0, prof.as_deref_mut()) {
@@ -353,25 +314,23 @@ impl<A: CongestAlgorithm> Shard<A> {
             slot_lo: slots.start,
             slot_bits: vec![0; slots.len()],
             slot_touched: vec![false; slots.len()],
-            round_edges: wants_edges.then(|| RoundEdges::new(csr.num_edges())),
+            round_edges: wants_edges.then(Vec::new),
             stamp: vec![0; slots.len()],
             stamp_epoch: 0,
         }
     }
 
     /// Runs one step of `task` over this shard's nodes with `alg` and
-    /// `link` borrowed for the step. When `prof` samples the current
-    /// round, the step's deliver, compute, meter and link-fate time is
-    /// attributed to it.
+    /// `link` borrowed for the step. With `prof` attached, the step's
+    /// deliver, compute, meter and link-fate time is attributed to it.
     fn step<L: LinkLayer>(
         &mut self,
         task: ShardTask,
         alg: &mut A,
         link: &mut L,
         shared: &SharedCtx<'_>,
-        prof: Option<&mut PhaseProfile>,
+        mut prof: Option<&mut PhaseProfile>,
     ) {
-        let mut prof = prof.filter(|p| p.sampling());
         match task {
             ShardTask::Init => {
                 // On the stepping thread, before any delivery: a pooled
@@ -484,8 +443,8 @@ impl<A: CongestAlgorithm> Shard<A> {
         }
         let epoch = self.stamp_epoch;
         let bandwidth = shared.ctx.bandwidth;
-        // Per-message timing only in sampled rounds; nanos accumulate in
-        // locals and flush to the profiler once per call. The meter/fate
+        // Per-message timing only with a profiler attached; nanos
+        // accumulate in locals and flush to it once per call. The meter/fate
         // segments are contiguous, so each boundary is read once and
         // chained — two clock reads per message, the dominant profiling
         // cost on hosts with slow clocks.
@@ -516,7 +475,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                     round,
                 });
             }
-            self.meter(shared, slot, bits);
+            self.meter(slot, bits);
             let t_meter = prev.is_some().then(Instant::now);
             let fault = |kind, detail| FaultEvent {
                 round,
@@ -546,7 +505,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                     self.faults.push(fault(FaultKind::Duplicate, 0));
                     // The extra copy is real traffic on the wire: metered
                     // a second time and delivered behind the original.
-                    self.meter(shared, slot, bits);
+                    self.meter(slot, bits);
                     self.route(shared, from, to, msg.clone());
                     self.route(shared, from, to, msg);
                 }
@@ -585,17 +544,16 @@ impl<A: CongestAlgorithm> Shard<A> {
         }
     }
 
-    /// Meters one message on `slot`; the edge id is looked up only for
-    /// the per-round edge meters.
+    /// Meters one message on `slot`.
     #[inline]
-    fn meter(&mut self, shared: &SharedCtx<'_>, slot: usize, bits: u64) {
+    fn meter(&mut self, slot: usize, bits: u64) {
         self.step_messages += 1;
         self.step_bits += bits;
         let i = slot - self.slot_lo;
         self.slot_bits[i] += bits;
         self.slot_touched[i] = true;
         if let Some(re) = self.round_edges.as_mut() {
-            re.meter(shared.ctx.csr.slot_edge_id(slot), bits);
+            re.push((slot, bits));
         }
     }
 }
@@ -748,7 +706,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
     /// observer's `on_done`).
     fn run<S: Shards<A>>(&mut self, set: &mut S) -> Result<SimStats, SimError> {
         let outcome = self.run_rounds(set)?;
-        let t0 = self.prof.is_some().then(Instant::now);
+        let t0 = self.now();
         let mut stats = std::mem::take(&mut self.stats);
         stats.bits_per_edge = self.edge_map(set);
         lap(&mut self.prof, Phase::Epilogue, t0);
@@ -769,10 +727,9 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
     /// The round loop: the init burst (timeline round 0), then one step
     /// per round until an outcome is decided.
     fn run_rounds<S: Shards<A>>(&mut self, set: &mut S) -> Result<RunOutcome, SimError> {
-        let sampled = self.begin_round(0);
-        let round_t0 = sampled.then(Instant::now);
+        let round_t0 = self.now();
         set.step(ShardTask::Init, self.prof.as_deref_mut());
-        let t0 = sampled.then(Instant::now);
+        let t0 = self.now();
         self.collect(set)?;
         self.flush_round(0);
         lap(&mut self.prof, Phase::Epilogue, t0);
@@ -786,8 +743,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
             if round >= self.max_rounds {
                 return Ok(RunOutcome::RoundBudget);
             }
-            let sampled = self.begin_round(round + 1);
-            let round_t0 = sampled.then(Instant::now);
+            let round_t0 = self.now();
             self.apply_crashes(set, round);
             if self.halted_count == self.n {
                 return Ok(RunOutcome::Halted);
@@ -801,7 +757,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                 && self.delayed.is_empty();
             self.mature_delays(set);
             set.step(ShardTask::Round(round as usize), self.prof.as_deref_mut());
-            let t0 = sampled.then(Instant::now);
+            let t0 = self.now();
             let any_out = self.collect(set)?;
             self.stats.rounds += 1;
             self.flush_round(round + 1);
@@ -827,11 +783,10 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         self.bit_budget.is_some_and(|b| self.stats.total_bits > b)
     }
 
-    /// Whether an attached profiler samples timeline round `round`.
-    fn begin_round(&mut self, round: u64) -> bool {
-        self.prof
-            .as_deref_mut()
-            .is_some_and(|p| p.begin_round(round))
+    /// The time now when a profiler is attached, else `None` (no clock
+    /// read).
+    fn now(&self) -> Option<Instant> {
+        self.prof.is_some().then(Instant::now)
     }
 
     fn note_round(&mut self, t0: Option<Instant>) {
@@ -868,7 +823,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
 
     /// Drains every shard in ascending order after a step: fault events,
     /// halt/abort bookkeeping, delayed sends, traffic counters, staged
-    /// sends, and the per-round edge meters. Returns whether any node
+    /// sends, and the per-round edge lists. Returns whether any node
     /// emitted sends. On a model violation it returns the lowest shard's
     /// error right after that shard's fault events — exactly the events a
     /// one-shard run emits before the violation, since the erring shard
@@ -899,12 +854,11 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                     std::mem::swap(lane, slot);
                 }
                 if let (Some(re), Some(map)) = (sh.round_edges.as_mut(), self.round_map.as_mut()) {
-                    for &eid in &re.touched {
-                        *map.entry(self.shared.ctx.csr.endpoints(eid)).or_insert(0) +=
-                            re.bits[eid as usize];
+                    let csr = self.shared.ctx.csr;
+                    for (slot, b) in re.drain(..) {
+                        *map.entry(csr.endpoints(csr.slot_edge_id(slot)))
+                            .or_insert(0) += b;
                     }
-                    re.touched.clear();
-                    re.epoch += 1;
                 }
                 Ok(())
             })?;
@@ -922,11 +876,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         if self.delayed.is_empty() {
             return;
         }
-        let t0 = self
-            .prof
-            .as_deref()
-            .is_some_and(PhaseProfile::sampling)
-            .then(Instant::now);
+        let t0 = self.now();
         debug_assert!(self.delayed_spare.is_empty());
         self.matured.resize_with(self.k, Vec::new);
         for (remaining, to, from, msg) in self.delayed.drain(..) {

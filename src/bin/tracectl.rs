@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use congest_faults::FaultTimeline;
 use congest_obs::json::parse_record;
-use congest_obs::{Aggregator, Record, SpanTree, Value, VirtualClock};
+use congest_obs::{Aggregator, Record, SpanTree, Value};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -94,7 +94,7 @@ fn cmd_spans(path: &str) -> Result<(), (u64, String)> {
     // Rebuild measured span trees from the three record shapes that carry
     // hierarchy: `span_tree` (full paths), `phase_profile` (sim round
     // phases under a run root), and `phase` (experiments sections).
-    let tree = SpanTree::with_clock(VirtualClock::new(0, 0));
+    let mut tree = SpanTree::new();
     let mut found = 0u64;
     for_each_record(path, |rec| match &*rec.event {
         "span_tree" => {

@@ -9,14 +9,15 @@ use congest_hardness::faults::{
     run_certified_with_retry, CertifiedError, FaultAction, FaultPlan, RetryPolicy, RoundFilter,
     TargetedFault,
 };
-use congest_hardness::graph::{generators, Graph, Weight};
-use congest_hardness::obs::{Record, Recorder};
+use congest_hardness::graph::{generators, Graph, NodeId, Weight};
+use congest_hardness::obs::{MemoryRecorder, Record, Recorder, VirtualClock};
 use congest_hardness::sim::algorithms::{
     AggregateSum, BfsTree, GenericExactDecision, LeaderElection, LearnGraph, LocalCutSolver,
     SampledMaxCut,
 };
 use congest_hardness::sim::{
-    NoopRoundObserver, ProtocolFailure, RunOutcome, SelfCertify, SimStats, Simulator, TraceObserver,
+    NoopRoundObserver, Phase, PhaseProfile, ProtocolFailure, RunOutcome, SelfCertify, SimStats,
+    Simulator, TraceObserver,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,6 +151,63 @@ fn same_seed_gives_byte_identical_traces() {
     // A different seed genuinely perturbs the execution.
     let (s3, t3) = traced_run(&g, &plan.clone().with_seed(78), 2_000);
     assert!(s3 != s1 || t3 != t1, "reseeding changed nothing at all");
+}
+
+// ---------------------------------------------------------------------
+// Profiling: a profiled faulty run is the same execution, and its
+// profile times every round, matured delays included.
+// ---------------------------------------------------------------------
+
+#[test]
+fn profiled_run_under_delays_and_a_crash_matches_the_plain_run() {
+    let g = test_graph(12, 5);
+    let cut: Vec<(NodeId, NodeId)> = g
+        .edges()
+        .map(|(u, v, _)| (u, v))
+        .filter(|&(u, v)| (u < 6) != (v < 6))
+        .collect();
+    let plan = FaultPlan::new(23).with_delay_prob(0.3, 3).with_crash(7, 2);
+    let sim = Simulator::new(&g);
+    let observer =
+        || TraceObserver::new(MemoryRecorder::with_clock(VirtualClock::sequence())).with_cut(&cut);
+
+    let mut alg = LeaderElection::new(12);
+    let mut obs = observer();
+    let stats = sim
+        .try_run_with(&mut alg, 2_000, &mut obs, &mut plan.clone())
+        .expect("leader election is CONGEST-legal");
+
+    let mut prof = PhaseProfile::every_round();
+    let mut prof_alg = LeaderElection::new(12);
+    let mut prof_obs = observer();
+    let profiled = sim
+        .try_run_profiled(
+            &mut prof_alg,
+            2_000,
+            &mut prof_obs,
+            &mut plan.clone(),
+            &mut prof,
+        )
+        .expect("leader election is CONGEST-legal");
+
+    assert!(
+        stats.faults.delays > 0,
+        "plan delayed nothing — seed too tame"
+    );
+    assert_eq!(stats.faults.crashes, 1);
+    assert_eq!(profiled, stats);
+    assert_eq!(
+        prof_obs.into_recorder().records(),
+        obs.into_recorder().records()
+    );
+    assert_eq!(prof.rounds(), stats.rounds + 1, "init burst is round 0");
+    assert_eq!(prof.phase_calls(Phase::Meter), stats.messages);
+    // Each round step times its inbox swap and its clears; rounds with
+    // pending delays add one more `deliver` call for the maturation.
+    assert!(
+        prof.phase_calls(Phase::Deliver) > 2 * stats.rounds,
+        "matured delays were not timed"
+    );
 }
 
 // ---------------------------------------------------------------------
