@@ -5,8 +5,9 @@
 //!
 //! * MDS: branch-and-bound with neighborhood-packing lower bound
 //!   vs. subset enumeration;
-//! * max-cut: gray-code incremental evaluation vs. full recomputation
-//!   per assignment;
+//! * max-cut: the branch and bound vs. the gray-code walk (its reference
+//!   and the simplest exhaustive alternative) vs. full recomputation per
+//!   assignment;
 //! * MWIS: clique-cover-bounded search vs. 2^n scan;
 //! * Hamiltonicity: pruned backtracking vs. Held–Karp DP.
 
@@ -62,16 +63,24 @@ fn bench_mds_ablation(c: &mut Criterion) {
 fn bench_maxcut_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_maxcut");
     group.sample_size(10);
-    for n in [14usize, 18] {
+    for n in [14usize, 18, 22] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let g = generators::gnp(n, 0.4, &mut rng);
-        group.bench_with_input(BenchmarkId::new("graycode_incremental", n), &n, |b, _| {
+        // The search returns the walk's cut, ties included.
+        let (walk, _) = maxcut::gray_code_max_cut_with_stats(&g);
+        assert_eq!(maxcut::max_cut(&g), walk);
+        group.bench_with_input(BenchmarkId::new("branch_bound", n), &n, |b, _| {
             b.iter(|| black_box(maxcut::max_cut(&g).weight))
         });
-        group.bench_with_input(BenchmarkId::new("naive_recompute", n), &n, |b, _| {
-            b.iter(|| black_box(naive_maxcut(&g)))
+        group.bench_with_input(BenchmarkId::new("graycode_walk", n), &n, |b, _| {
+            b.iter(|| black_box(maxcut::gray_code_max_cut_with_stats(&g).0.weight))
         });
-        assert_eq!(maxcut::max_cut(&g).weight, naive_maxcut(&g));
+        if n <= 18 {
+            group.bench_with_input(BenchmarkId::new("naive_recompute", n), &n, |b, _| {
+                b.iter(|| black_box(naive_maxcut(&g)))
+            });
+            assert_eq!(walk.weight, naive_maxcut(&g));
+        }
     }
     group.finish();
 }

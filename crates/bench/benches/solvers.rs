@@ -28,13 +28,13 @@ fn bench_set_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_maxcut_gray(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exact_maxcut_graycode");
+fn bench_maxcut(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exact_maxcut");
     group.sample_size(10);
     for n in [16usize, 20, 22] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let g = generators::gnp(n, 0.4, &mut rng);
-        group.bench_with_input(BenchmarkId::new("graycode", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("branch_bound", n), &n, |b, _| {
             b.iter(|| black_box(maxcut::max_cut(&g)))
         });
     }
@@ -86,7 +86,7 @@ fn bench_steiner(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_set_solvers,
-    bench_maxcut_gray,
+    bench_maxcut,
     bench_hamiltonicity,
     bench_steiner
 );

@@ -268,7 +268,7 @@ pub struct CutOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the graph exceeds the exact max-cut solver's 28-vertex
+/// Panics if the graph exceeds the exact max-cut solver's 64-vertex
 /// limit (the players solve their sides optimally).
 pub fn maxcut_2_3_approx(s: &SplitGraph, ch: &mut Channel) -> CutOutcome {
     let n = s.graph().num_nodes();

@@ -24,7 +24,7 @@ use crate::{CongestAlgorithm, NodeContext, RoundOutcome, SendBuf};
 /// How the root solves max-cut on the sampled subgraph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalCutSolver {
-    /// Exact gray-code solver (`n ≤ 28`), as the paper assumes.
+    /// Exact branch-and-bound solver (`n ≤ 64`), as the paper assumes.
     Exact,
     /// Local-search fallback for larger benchmarking instances.
     LocalSearch,

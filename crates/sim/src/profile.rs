@@ -15,12 +15,13 @@
 //! attributed per phase.
 //!
 //! An attached profile measures every round; a run without one reads no
-//! clock. On E7, the run behind `experiments --profile`, it attributes
-//! ≥95% of run wall time to named phases. Clock reads cost tens of
-//! nanoseconds on virtualized hosts, comparable to the engine's own
-//! per-message work, so a profiled round chains one read per phase
-//! boundary instead of bracketing each segment; the `sim_round` bench
-//! records the resulting overhead and coverage on an engine-bound run in
+//! clock. Clock reads cost tens of nanoseconds on virtualized hosts,
+//! comparable to the engine's own per-message work, so a profiled shard
+//! step is one chain of reads: each read ends one segment and starts the
+//! next. What stays unattributed is the coordinator's per-round
+//! bookkeeping between phases: about 5% of E7, the run behind
+//! `experiments --profile`, whose rounds are short; the `sim_round`
+//! bench records the overhead and coverage on an engine-bound run in
 //! `BENCH_sim_round.json`.
 //!
 //! Timing is accumulated in nanoseconds (per-message segments are far

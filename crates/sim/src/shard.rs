@@ -279,13 +279,15 @@ impl SharedCtx<'_> {
     }
 }
 
-/// Attributes the time since `t0` to `phase`; `t0` is `Some` only when a
+/// Attributes the time since `t0` to `phase` and returns the instant it
+/// read, which starts the next segment; `t0` is `Some` only when a
 /// profiler is attached.
 #[inline]
-fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) {
-    if let (Some(t0), Some(p)) = (t0, prof.as_deref_mut()) {
-        p.add(phase, t0.elapsed().as_nanos() as u64);
-    }
+fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) -> Option<Instant> {
+    let (t0, p) = (t0?, prof.as_deref_mut()?);
+    let now = Instant::now();
+    p.add(phase, now.duration_since(t0).as_nanos() as u64);
+    Some(now)
 }
 
 impl<A: CongestAlgorithm> Shard<A> {
@@ -322,7 +324,9 @@ impl<A: CongestAlgorithm> Shard<A> {
 
     /// Runs one step of `task` over this shard's nodes with `alg` and
     /// `link` borrowed for the step. With `prof` attached, the step's
-    /// deliver, compute, meter and link-fate time is attributed to it.
+    /// deliver, compute, meter and link-fate time is attributed to it
+    /// along one chain of clock reads: each segment starts at the read
+    /// that ended the one before.
     fn step<L: LinkLayer>(
         &mut self,
         task: ShardTask,
@@ -338,13 +342,16 @@ impl<A: CongestAlgorithm> Shard<A> {
                 for arena in [&mut self.in_flight, &mut self.deliveries] {
                     arena.reserve_degrees(shared.ctx.csr);
                 }
+                let mut t = prof.is_some().then(Instant::now);
                 for v in self.lo..self.hi {
-                    let t0 = prof.is_some().then(Instant::now);
                     let mut out = alg.init(v, &shared.ctx);
-                    lap(&mut prof, Phase::Compute, t0);
-                    if let Err(e) = self.dispatch(link, shared, v, &mut out, 0, &mut prof) {
-                        self.error = Some(e);
-                        break;
+                    t = lap(&mut prof, Phase::Compute, t);
+                    match self.dispatch(link, shared, v, &mut out, 0, &mut prof, t) {
+                        Ok(end) => t = end,
+                        Err(e) => {
+                            self.error = Some(e);
+                            break;
+                        }
                     }
                 }
             }
@@ -365,7 +372,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         sendbuf: &mut SendBuf<A::Msg>,
         prof: &mut Option<&mut PhaseProfile>,
     ) {
-        let t0 = prof.is_some().then(Instant::now);
+        let mut t = prof.is_some().then(Instant::now);
         // `in_flight` already holds last step's matured delays and (on
         // the shard starting at node 0) its own direct deliveries; staged
         // sends follow in ascending source-shard order.
@@ -382,7 +389,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         for (to, from, msg) in self.matured_in.drain(..) {
             self.in_flight.push(to, from, msg);
         }
-        lap(prof, Phase::Deliver, t0);
+        t = lap(prof, Phase::Deliver, t);
         let event_round = round as u64 + 1;
         for v in self.lo..self.hi {
             let i = v - self.lo;
@@ -391,14 +398,16 @@ impl<A: CongestAlgorithm> Shard<A> {
                 // nodes are dropped; the sender already paid the bits.
                 continue;
             }
-            let t0 = prof.is_some().then(Instant::now);
             let action = alg.round_into(v, &shared.ctx, round, self.deliveries.inbox(v), sendbuf);
-            lap(prof, Phase::Compute, t0);
+            t = lap(prof, Phase::Compute, t);
             if !sendbuf.is_empty() {
                 self.any_out = true;
-                if let Err(e) = self.dispatch(link, shared, v, sendbuf, event_round, prof) {
-                    self.error = Some(e);
-                    break;
+                match self.dispatch(link, shared, v, sendbuf, event_round, prof, t) {
+                    Ok(end) => t = end,
+                    Err(e) => {
+                        self.error = Some(e);
+                        break;
+                    }
                 }
             }
             match action {
@@ -414,9 +423,8 @@ impl<A: CongestAlgorithm> Shard<A> {
                 RoundOutcome::Continue => {}
             }
         }
-        let t0 = prof.is_some().then(Instant::now);
         self.deliveries.clear();
-        lap(prof, Phase::Deliver, t0);
+        lap(prof, Phase::Deliver, t);
     }
 
     /// Validates, meters, and routes one node's outgoing messages through
@@ -426,7 +434,10 @@ impl<A: CongestAlgorithm> Shard<A> {
     /// message is metered at [`CongestAlgorithm::message_bits`], computed
     /// here. Model checks run before the link hook and traffic is metered
     /// before the fate applies: faults never mask a CONGEST violation and
-    /// a lost message still cost its sender the bits.
+    /// a lost message still cost its sender the bits. With a profiler
+    /// attached, the first meter segment starts at `start`, and the
+    /// instant that ended the last segment is returned.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch<L: LinkLayer>(
         &mut self,
         link: &mut L,
@@ -435,7 +446,8 @@ impl<A: CongestAlgorithm> Shard<A> {
         out: &mut SendBuf<A::Msg>,
         round: u64,
         prof: &mut Option<&mut PhaseProfile>,
-    ) -> Result<(), SimError> {
+        start: Option<Instant>,
+    ) -> Result<Option<Instant>, SimError> {
         self.stamp_epoch = self.stamp_epoch.wrapping_add(1);
         if self.stamp_epoch == 0 {
             self.stamp.fill(0);
@@ -451,7 +463,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         let mut meter_nanos = 0u64;
         let mut fate_nanos = 0u64;
         let mut timed_msgs = 0u64;
-        let mut prev = prof.is_some().then(Instant::now);
+        let mut prev = start;
         for (to, msg) in out.drain(..) {
             // Self-sends and ids ≥ n are in no row, so they are
             // non-neighbor sends too.
@@ -528,7 +540,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                 p.add_n(Phase::LinkFate, fate_nanos, timed_msgs);
             }
         }
-        Ok(())
+        Ok(prev)
     }
 
     /// Queues a message for delivery next round: straight into the next
@@ -1115,7 +1127,9 @@ mod tests {
         to: &[NodeId],
     ) -> Result<(), SimError> {
         let mut out: SendBuf<()> = to.iter().map(|&t| (t, ())).collect();
-        shard.dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None)
+        shard
+            .dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None, None)
+            .map(drop)
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!
 //! All exact solvers are exponential-time branch-and-bound or dynamic
 //! programs with pruning, sized for the constructions (the MIS/clique,
-//! dominating-set and Hamiltonian searches take up to 256 vertices; small
-//! optima). Each is validated against brute force on random small
-//! instances in its own test module.
+//! dominating-set and Hamiltonian searches take up to 256 vertices, the
+//! max-cut search up to 64; small optima). Each is validated against
+//! brute force on random small instances in its own test module.
 //!
 //! | Module | Problems |
 //! |--------|----------|
 //! | [`mis`] | max (weight) independent set, max clique, min vertex cover |
 //! | [`mds`] | min (weight) dominating set, `k`-MDS, decision variants |
-//! | [`maxcut`] | exact weighted max-cut and its decision (one gray-code walk), random/local-search approx |
+//! | [`maxcut`] | exact weighted max-cut and its decision (one branch and bound in gray-code order; the walk as test reference), random/local-search approx |
 //! | [`hamilton`] | directed/undirected Hamiltonian path & cycle (one backtracker; Held–Karp as test reference) |
 //! | [`steiner`] | cardinality / directed Steiner tree; node-weighted through the directed program |
 //! | [`flow`] | max-flow / min-cut (Dinic), weighted s–t distance |

@@ -5,7 +5,8 @@
 //! oracles where they exist, naive enumeration written here otherwise.
 //! The Hamiltonian backtracker, the Held–Karp DP, and a permutation
 //! sweep must agree three ways — two independent engines cross-check
-//! each other against ground truth.
+//! each other against ground truth. The max-cut search must also return
+//! the gray-code walk's exact cut, ties included, up to n = 22.
 //!
 //! The pinned op-count tests at the bottom freeze the pruning counters
 //! of [`congest_solvers::SearchStats`] on fixed instances, so a
@@ -18,7 +19,9 @@ use congest_solvers::hamilton::{
     held_karp_directed_ham_cycle, held_karp_directed_ham_path, is_directed_ham_cycle,
     is_directed_ham_path,
 };
-use congest_solvers::maxcut::{has_cut_of_weight, max_cut_with_stats};
+use congest_solvers::maxcut::{
+    gray_code_max_cut_with_stats, has_cut_of_weight, max_cut, max_cut_with_stats,
+};
 use congest_solvers::mds::{
     has_dominating_set_of_size_with_stats, min_weight_dominating_set_brute,
     min_weight_dominating_set_with_stats,
@@ -168,9 +171,65 @@ proptest! {
         let best = brute_max_cut(&g);
         let (sol, _) = max_cut_with_stats(&g);
         prop_assert_eq!(sol.weight, best);
-        for t in [0, best.saturating_sub(1), best, best + 1] {
+        for t in [-1, 0, best - 1, best, best + 1] {
             prop_assert_eq!(has_cut_of_weight(&g, t), t <= best, "target {}", t);
         }
+    }
+}
+
+/// A seeded graph for the max-cut identity checks: G(n, p) at one of
+/// three densities (the sparsest leaves isolated vertices) with unit,
+/// positive or mixed-sign weights, zero included.
+fn cut_instance(n: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let p = [0.12, 0.35, 0.7][(seed % 3) as usize];
+    let kind = seed / 3 % 3;
+    let mut g = Graph::new(n);
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.gen_bool(p) {
+                let w = match kind {
+                    0 => 1,
+                    1 => rng.gen_range(1..=9),
+                    _ => rng.gen_range(-5..=5),
+                };
+                g.add_weighted_edge(u, v, w);
+            }
+        }
+    }
+    g
+}
+
+/// The max-cut search returns the walk's `CutSolution`, side vector
+/// included, and its decision is exactly "target ≤ optimum".
+fn assert_search_matches_walk(g: &Graph, seed: u64) {
+    let (walk, _) = gray_code_max_cut_with_stats(g);
+    assert_eq!(max_cut(g), walk, "seed {seed}");
+    let best = walk.weight;
+    for t in [-1, 0, best - 1, best, best + 1] {
+        assert_eq!(
+            has_cut_of_weight(g, t),
+            t <= best,
+            "seed {seed}, target {t}"
+        );
+    }
+}
+
+/// 1,200 graphs with n = 0..=16, every (n, density, weight kind)
+/// combination included.
+#[test]
+fn maxcut_search_returns_the_walks_cut() {
+    for seed in 0..1_200 {
+        assert_search_matches_walk(&cut_instance((seed % 17) as usize, seed), seed);
+    }
+}
+
+/// 63 graphs with n = 16..=22, where the walk takes 2^15 to 2^21 steps.
+#[test]
+fn maxcut_search_returns_the_walks_cut_up_to_n_22() {
+    for i in 0..63 {
+        let seed = 5_000 + i;
+        assert_search_matches_walk(&cut_instance(16 + (i % 7) as usize, seed), seed);
     }
 }
 
