@@ -2,13 +2,12 @@
 //! the MaxIS code gadget (Figure 4), the k-MDS covering gadget
 //! (Figure 5), and the Steiner variants (Figure 6).
 
-use congest_bench::{disjoint_pair, intersecting_pair};
 use congest_codes::CoveringCollection;
 use congest_comm::BitString;
 use congest_core::approx_maxis::{LinearMaxIsGapFamily, WeightedMaxIsGapFamily};
 use congest_core::kmds::KmdsFamily;
 use congest_core::steiner_variants::{DirectedSteinerFamily, NodeWeightedSteinerFamily};
-use congest_core::LowerBoundFamily;
+use congest_core::{disjoint_pair, intersecting_pair, LowerBoundFamily};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,13 +4,12 @@
 //! deciding the paper's predicate with the exact oracle, on intersecting
 //! (YES) and disjoint (NO) inputs.
 
-use congest_bench::{disjoint_pair, intersecting_pair};
 use congest_core::hamiltonian::HamPathFamily;
 use congest_core::maxcut::MaxCutFamily;
 use congest_core::mds::MdsFamily;
 use congest_core::mvc_ckp::MvcMaxIsFamily;
 use congest_core::steiner::SteinerFamily;
-use congest_core::LowerBoundFamily;
+use congest_core::{disjoint_pair, intersecting_pair, LowerBoundFamily};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

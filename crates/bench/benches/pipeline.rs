@@ -1,7 +1,7 @@
 //! E22: the Theorem 1.1 pipeline — simulating the generic exact CONGEST
 //! algorithm under Alice/Bob partitioning and metering the cut traffic.
 
-use congest_bench::intersecting_pair;
+use congest_core::intersecting_pair;
 use congest_core::maxcut::MaxCutFamily;
 use congest_core::mds::MdsFamily;
 use congest_core::mvc_ckp::MvcMaxIsFamily;

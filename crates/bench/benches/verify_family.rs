@@ -27,36 +27,12 @@ use congest_comm::BitString;
 use congest_core::hamiltonian::HamPathFamily;
 use congest_core::maxcut::{MaxCutFamily, StructuralMaxCutFamily};
 use congest_core::mds::MdsFamily;
-use congest_core::{verify_family_with, LowerBoundFamily, VerifyOptions, VerifyStats};
+use congest_core::{
+    ham_k5_subset, padded_inputs, verify_family_with, LowerBoundFamily, VerifyOptions, VerifyStats,
+};
 use criterion::black_box;
 use std::io::Write;
 use std::time::{Duration, Instant};
-
-/// All `(x, y)` pairs over `K` live bits embedded in `width`-bit strings
-/// (trailing bits zero). Padding with zeros cannot create intersections,
-/// so set-disjointness — and with it condition 4 — is preserved on the
-/// subcube: this is how a `K = 3` sweep runs on families whose gadget
-/// width is fixed at `K = 4`, and a `K = 5` sweep on gadget width 16.
-fn prefix_inputs(k: usize, width: usize) -> Vec<(BitString, BitString)> {
-    assert!(k <= width);
-    let mut out = Vec::with_capacity(1 << (2 * k));
-    for xm in 0u64..(1 << k) {
-        for ym in 0u64..(1 << k) {
-            out.push(prefix_pair(xm, ym, k, width));
-        }
-    }
-    out
-}
-
-fn prefix_pair(xm: u64, ym: u64, k: usize, width: usize) -> (BitString, BitString) {
-    let mut x = BitString::zeros(width);
-    let mut y = BitString::zeros(width);
-    for i in 0..k {
-        x.set(i, (xm >> i) & 1 == 1);
-        y.set(i, (ym >> i) & 1 == 1);
-    }
-    (x, y)
-}
 
 /// Median wall time of `samples` runs, plus the stats of the last run.
 fn measure<F: LowerBoundFamily + Sync>(
@@ -175,7 +151,7 @@ fn main() {
     let ham2 = HamPathFamily::new(2);
     let width2 = mds2.input_len();
     for k in [3usize, 4] {
-        let inputs = prefix_inputs(k, width2);
+        let inputs = padded_inputs(k, width2);
         entries.push(bench_one("mds", &mds2, 2, k, &inputs, 5));
         entries.push(bench_one("hamiltonian_path", &ham2, 2, k, &inputs, 5));
     }
@@ -185,7 +161,7 @@ fn main() {
     let mc4 = StructuralMaxCutFamily(MaxCutFamily::new(4));
     let width4 = mds4.input_len();
     for (k, samples) in [(5usize, 3usize), (6, 2)] {
-        let inputs = prefix_inputs(k, width4);
+        let inputs = padded_inputs(k, width4);
         entries.push(bench_one("mds", &mds4, 4, k, &inputs, samples));
         entries.push(bench_one("maxcut_structural", &mc4, 4, k, &inputs, samples));
     }
@@ -193,9 +169,7 @@ fn main() {
     // Hamiltonian K = 5 on the documented fixed subset (see module doc):
     // 15 cheap intersecting diagonals and one exhaustive disjoint pair.
     let ham4 = HamPathFamily::new(4);
-    let mut inputs: Vec<(BitString, BitString)> =
-        (1u64..16).map(|m| prefix_pair(m, m, 5, width4)).collect();
-    inputs.push(prefix_pair(1, 30, 5, width4));
+    let inputs = ham_k5_subset(width4);
     entries.push(bench_one("hamiltonian_path", &ham4, 4, 5, &inputs, 2));
     println!();
 

@@ -16,6 +16,12 @@
 //! cargo bench -p congest-bench --bench sim_round
 //! benchdiff baseline/BENCH_sim_round.json BENCH_sim_round.json
 //! ```
+//!
+//! The median normalization assumes both files ran the same code on
+//! possibly different machines. To compare a parent's file with a
+//! change's, run on one machine, read the `raw` column: a change that
+//! speeds up most rows shifts the median and makes untouched rows look
+//! regressed in the normalized one.
 
 use std::process::ExitCode;
 

@@ -20,19 +20,3 @@
 //! `benchdiff` binary) and gates CI on regressions.
 
 pub mod regress;
-
-/// Shared bench inputs: a deterministic intersecting pair at index (0, 0).
-pub fn intersecting_pair(k: usize) -> (congest_comm::BitString, congest_comm::BitString) {
-    let mut x = congest_comm::BitString::zeros(k * k);
-    x.set_pair(k, 0, 0, true);
-    (x.clone(), x)
-}
-
-/// Shared bench inputs: a deterministic disjoint pair.
-pub fn disjoint_pair(k: usize) -> (congest_comm::BitString, congest_comm::BitString) {
-    let mut x = congest_comm::BitString::zeros(k * k);
-    let mut y = congest_comm::BitString::zeros(k * k);
-    x.set_pair(k, 0, 0, true);
-    y.set_pair(k, 0, k - 1, true);
-    (x, y)
-}

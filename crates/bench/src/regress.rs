@@ -23,6 +23,13 @@
 //!   median at 1.0 and sticks out at its full 1.2x. An entry regresses
 //!   when its normalized ratio exceeds `1 + noise_band` (default 15%).
 //!
+//!   The normalization assumes both files ran the *same code*, so that
+//!   the suite median measures the machine alone. A parent/change diff
+//!   on one machine breaks that assumption: a change that speeds up most
+//!   rows moves the median, and the rows it leaves alone then read as
+//!   regressed. For such a diff, read the raw ratios the report prints
+//!   next to the normalized ones; the gate itself is unchanged.
+//!
 //! Derived rates (`*_per_sec`, `speedup`, `*_rate`, `*_pct`) are
 //! recomputable from the other columns and are ignored. Missing or extra
 //! entries are hard failures: a shrunken suite must not pass the gate by

@@ -844,6 +844,7 @@ pub fn all_inputs_iter(k: usize) -> AllInputs {
     );
     AllInputs {
         k,
+        width: k,
         next: 0,
         total: 1u64 << (2 * k),
     }
@@ -854,6 +855,8 @@ pub fn all_inputs_iter(k: usize) -> AllInputs {
 #[derive(Debug, Clone)]
 pub struct AllInputs {
     k: usize,
+    /// Length of the yielded strings; bits `k..width` are zero.
+    width: usize,
     next: u64,
     total: u64,
 }
@@ -870,8 +873,8 @@ impl Iterator for AllInputs {
         let y_mask = c & ((1u64 << self.k) - 1);
         let x_mask = c >> self.k;
         Some((
-            bitstring_from_mask(self.k, x_mask),
-            bitstring_from_mask(self.k, y_mask),
+            bitstring_from_mask(self.width, x_mask),
+            bitstring_from_mask(self.width, y_mask),
         ))
     }
 
@@ -883,8 +886,66 @@ impl Iterator for AllInputs {
 
 impl ExactSizeIterator for AllInputs {}
 
-fn bitstring_from_mask(k: usize, mask: u64) -> BitString {
-    let bits: Vec<bool> = (0..k).map(|i| (mask >> i) & 1 == 1).collect();
+/// The pair-indexed YES input of the `k × k`-bit families: `x = y =
+/// {(0, 0)}`, which intersect at index `(0, 0)`.
+pub fn intersecting_pair(k: usize) -> (BitString, BitString) {
+    let mut x = BitString::zeros(k * k);
+    x.set_pair(k, 0, 0, true);
+    (x.clone(), x)
+}
+
+/// The pair-indexed NO input of the `k × k`-bit families: `x = {(0, 0)}`
+/// and `y = {(0, k − 1)}`, disjoint for `k ≥ 2`.
+pub fn disjoint_pair(k: usize) -> (BitString, BitString) {
+    let mut x = BitString::zeros(k * k);
+    let mut y = BitString::zeros(k * k);
+    x.set_pair(k, 0, 0, true);
+    y.set_pair(k, 0, k - 1, true);
+    (x, y)
+}
+
+/// All `2^{2K}` pairs with `k` live bits embedded in `width`-bit strings,
+/// in [`all_inputs`] order (`x` outer, `y` inner, masks ascending); at
+/// `width = k` this is `all_inputs(k)`. Zero padding cannot create an
+/// intersection, so set-disjointness, and with it condition 4, is
+/// exercised on the subcube exactly as on a native width-`k` family:
+/// this is how a `K = 3` sweep runs on a family of gadget width 4, and a
+/// `K = 5` sweep on gadget width 16.
+///
+/// # Panics
+///
+/// Panics if `k > width` or `k > MAX_EXHAUSTIVE_K`.
+pub fn padded_inputs(k: usize, width: usize) -> Vec<(BitString, BitString)> {
+    assert!(k <= width, "{k} live bits do not fit in width {width}");
+    assert!(
+        k <= MAX_EXHAUSTIVE_K,
+        "padded_inputs materializes 2^(2K) pairs; K = {k}"
+    );
+    AllInputs {
+        width,
+        ..all_inputs_iter(k)
+    }
+    .collect()
+}
+
+/// The fixed 16-pair `K = 5` subset that stands in for the full sweep of
+/// the `n = 126` Hamiltonian-path family, whose disjoint pairs cost
+/// seconds each: the 15 intersecting diagonal pairs `x = y = m`
+/// (`m = 1..=15`) and the disjoint pair `(1, 30)`, padded to `width`.
+pub fn ham_k5_subset(width: usize) -> Vec<(BitString, BitString)> {
+    let pair = |x, y| (bitstring_from_mask(width, x), bitstring_from_mask(width, y));
+    let mut out: Vec<_> = (1..16).map(|m| pair(m, m)).collect();
+    out.push(pair(1, 30));
+    out
+}
+
+/// The `len`-bit string whose set positions are the bits of `mask`.
+fn bitstring_from_mask(len: usize, mask: u64) -> BitString {
+    assert!(
+        len >= 64 || mask >> len == 0,
+        "mask {mask:#x} does not fit in {len} bits"
+    );
+    let bits: Vec<bool> = (0..len).map(|i| i < 64 && (mask >> i) & 1 == 1).collect();
     BitString::from_bits(&bits)
 }
 
@@ -1326,6 +1387,31 @@ mod tests {
         assert_eq!(x.len(), 12);
         assert_eq!(y.len(), 12);
         assert_eq!(x.count_ones() + y.count_ones(), 0);
+    }
+
+    #[test]
+    fn padded_sweep_at_full_width_is_all_inputs() {
+        for k in 0..=3usize {
+            assert_eq!(padded_inputs(k, k), all_inputs(k), "k = {k}");
+        }
+        // Padding keeps the order and only appends zero bits.
+        let padded = padded_inputs(2, 5);
+        for ((px, py), (x, y)) in padded.iter().zip(all_inputs(2)) {
+            for i in 0..5 {
+                assert_eq!(px.get(i), i < 2 && x.get(i));
+                assert_eq!(py.get(i), i < 2 && y.get(i));
+            }
+        }
+        let subset = ham_k5_subset(16);
+        assert_eq!(subset.len(), 16);
+        let ones = |s: &BitString| (0..16).filter(|&i| s.get(i)).collect::<Vec<_>>();
+        assert_eq!(ones(&subset[2].0), [0, 1]);
+        assert_eq!(ones(&subset[2].1), [0, 1]);
+        assert_eq!(ones(&subset[15].0), [0]);
+        assert_eq!(ones(&subset[15].1), [1, 2, 3, 4]);
+        let meet = |(x, y): (BitString, BitString)| (0..x.len()).any(|i| x.get(i) && y.get(i));
+        assert!(meet(intersecting_pair(3)));
+        assert!(!meet(disjoint_pair(3)));
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub mod steiner;
 pub mod steiner_variants;
 
 pub use family::{
-    all_inputs, all_inputs_iter, sample_inputs, try_all_inputs, verify_family, verify_family_with,
-    AllInputs, EdgeListGraph, FamilyReport, FamilyViolation, InputEnumerationError,
-    LowerBoundFamily, VerifyOptions, VerifyStats, MAX_EXHAUSTIVE_K,
+    all_inputs, all_inputs_iter, disjoint_pair, ham_k5_subset, intersecting_pair, padded_inputs,
+    sample_inputs, try_all_inputs, verify_family, verify_family_with, AllInputs, EdgeListGraph,
+    FamilyReport, FamilyViolation, InputEnumerationError, LowerBoundFamily, VerifyOptions,
+    VerifyStats, MAX_EXHAUSTIVE_K,
 };

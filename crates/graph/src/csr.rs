@@ -220,7 +220,7 @@ impl Csr {
     /// Partitions the node set into `k` contiguous id ranges, balancing
     /// the per-shard load `Σ (degree + 1)` so shards of a skewed graph
     /// still carry similar message work. Deterministic: the bounds depend
-    /// only on the degree sequence. `O(n + m)`.
+    /// only on the degree sequence. `O(n + k)`.
     ///
     /// Ranges may be empty when `k > n`, so any worker count is valid.
     ///
@@ -253,26 +253,12 @@ impl Csr {
                 *slot = s as u32;
             }
         }
-
-        // Cross-edge index: each undirected edge counted once at
-        // (shard(min), shard(max)); contiguous ranges make the matrix
-        // upper-triangular.
-        let mut cross_counts = vec![0u64; k * k];
-        for &(u, v) in &self.endpoints {
-            let (su, sv) = (shard_of[u] as usize, shard_of[v] as usize);
-            cross_counts[su * k + sv] += 1;
-        }
-
-        NodePartition {
-            bounds,
-            shard_of,
-            cross_counts,
-        }
+        NodePartition { bounds, shard_of }
     }
 }
 
-/// A contiguous node-range partition of a [`Csr`] with a cross-shard
-/// edge index, produced by [`Csr::partition`].
+/// A contiguous node-range partition of a [`Csr`], produced by
+/// [`Csr::partition`].
 ///
 /// Shard `s` owns the node ids `bounds[s]..bounds[s + 1]`; because the
 /// ranges are contiguous and ascending, `u < v` implies
@@ -285,9 +271,6 @@ pub struct NodePartition {
     bounds: Vec<NodeId>,
     /// Per node: the shard that owns it (dense `O(1)` routing lookup).
     shard_of: Vec<u32>,
-    /// Row-major `k × k` edge counts: entry `(s, t)` with `s <= t` counts
-    /// the edges whose `(min, max)` endpoints live in shards `s` and `t`.
-    cross_counts: Vec<u64>,
 }
 
 impl NodePartition {
@@ -317,26 +300,6 @@ impl NodePartition {
     /// Panics if `v >= n`.
     pub fn shard_of(&self, v: NodeId) -> usize {
         self.shard_of[v] as usize
-    }
-
-    /// Edges between shards `s` and `t` (unordered; `s == t` counts the
-    /// shard's internal edges).
-    pub fn edges_between(&self, s: usize, t: usize) -> u64 {
-        let k = self.num_shards();
-        let (s, t) = (s.min(t), s.max(t));
-        self.cross_counts[s * k + t]
-    }
-
-    /// Total number of edges crossing shard boundaries.
-    pub fn cross_edges(&self) -> u64 {
-        let k = self.num_shards();
-        let mut total = 0;
-        for s in 0..k {
-            for t in s + 1..k {
-                total += self.cross_counts[s * k + t];
-            }
-        }
-        total
     }
 }
 
@@ -553,34 +516,6 @@ mod tests {
                 }
             }
             assert_eq!(covered, csr.num_nodes(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn partition_cross_edge_index_counts_every_edge_once() {
-        let g = sample_graph();
-        let csr = Csr::from_graph(&g);
-        for k in [1usize, 2, 3, 6, 9] {
-            let part = csr.partition(k);
-            let mut internal = 0u64;
-            for s in 0..k {
-                internal += part.edges_between(s, s);
-            }
-            assert_eq!(
-                internal + part.cross_edges(),
-                csr.num_edges() as u64,
-                "k = {k}"
-            );
-            // Cross-check against a direct scan.
-            let scanned = csr
-                .edges()
-                .filter(|&(u, v, _)| part.shard_of(u) != part.shard_of(v))
-                .count() as u64;
-            assert_eq!(part.cross_edges(), scanned, "k = {k}");
-            // Symmetric accessor.
-            if k >= 2 {
-                assert_eq!(part.edges_between(0, 1), part.edges_between(1, 0));
-            }
         }
     }
 

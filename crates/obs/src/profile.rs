@@ -4,10 +4,14 @@
 //! A [`SpanTree`] is a tree of named nodes assembled from
 //! already-measured totals via [`SpanTree::add_measured`]: a profiler
 //! accumulates flat nanosecond counters in its hot loop and builds the
-//! tree only at reporting time, and `tracectl spans` rebuilds one from a
-//! trace's records. Crediting a path again *aggregates* into the
-//! existing node (`calls` and time add up), so a tree stays bounded by
-//! its distinct names.
+//! tree only at reporting time. Crediting a path again *aggregates* into
+//! the existing node (`calls` and time add up), so a tree stays bounded
+//! by its distinct names.
+//!
+//! `span_tree` records are the one shape timing trees take in a trace:
+//! [`SpanTree::to_records`] writes one per node and
+//! [`SpanTree::add_record`] reads one back, so `tracectl spans` rebuilds
+//! every tree a run wrote by feeding it each record of the trace.
 //!
 //! Two accounting views per node:
 //!
@@ -47,9 +51,14 @@ impl SpanTree {
     /// already-measured cumulative time and `calls` entries. Ancestors are
     /// created as zero-cost structural nodes when missing; a caller that
     /// wants the parent to cover its children should `add_measured` the
-    /// parent's own total too.
+    /// parent's own total too. A name must not contain `/`, the path
+    /// separator of `span_tree` records.
     pub fn add_measured(&mut self, path: &[&str], micros: u64, calls: u64) {
         assert!(!path.is_empty(), "add_measured needs a non-empty path");
+        debug_assert!(
+            path.iter().all(|seg| !seg.contains('/')),
+            "span names must not contain '/': {path:?}"
+        );
         let mut parent = None;
         let mut idx = 0;
         for seg in path {
@@ -120,6 +129,30 @@ impl SpanTree {
                     .with("self_micros", e.self_micros)
             })
             .collect()
+    }
+
+    /// Credits one `span_tree` record of [`SpanTree::to_records`] back
+    /// into the tree: its `cum_micros` and `calls` at its `path`. Returns
+    /// `false`, crediting nothing, for any other record and for one
+    /// without a non-empty `path` or without `cum_micros`. Feeding a
+    /// tree's records to an empty tree rebuilds its
+    /// [`SpanTree::snapshot`].
+    pub fn add_record(&mut self, rec: &Record) -> bool {
+        if rec.event != "span_tree" {
+            return false;
+        }
+        let (Some(path), Some(micros)) = (
+            rec.field("path").and_then(crate::Value::as_str),
+            rec.u64_field("cum_micros"),
+        ) else {
+            return false;
+        };
+        let segs: Vec<&str> = path.split('/').collect();
+        if segs.iter().any(|s| s.is_empty()) {
+            return false;
+        }
+        self.add_measured(&segs, micros, rec.u64_field("calls").unwrap_or(0));
+        true
     }
 
     fn find_or_insert(&mut self, parent: Option<usize>, name: &str) -> usize {
@@ -231,5 +264,60 @@ mod tests {
             .iter()
             .any(|r| r.field("path").and_then(crate::Value::as_str)
                 == Some("sim.run/rounds/compute")));
+    }
+
+    #[test]
+    fn records_round_trip_through_add_record() {
+        let mut tree = SpanTree::new();
+        // A structural root (never credited itself), a three-level path,
+        // and repeated credits that aggregate into one node.
+        tree.add_measured(&["experiments", "E0"], 40, 1);
+        tree.add_measured(&["experiments", "E7", "sim"], 25, 2);
+        tree.add_measured(&["experiments", "E7", "sim"], 5, 1);
+        tree.add_measured(&["experiments", "E7"], 35, 1);
+        tree.add_measured(&["sim.profile"], 12, 3);
+        tree.add_measured(&["sim.profile", "compute"], 9, 40);
+        let mut back = SpanTree::new();
+        for rec in tree.to_records("profile") {
+            assert!(back.add_record(&rec), "{rec:?}");
+        }
+        assert_eq!(back.snapshot(), tree.snapshot());
+        assert_eq!(back.render(), tree.render());
+        let snap = back.snapshot();
+        assert_eq!(entry(&snap, "experiments").cum_micros, 0);
+        assert_eq!(entry(&snap, "experiments/E7/sim").calls, 3);
+        assert_eq!(entry(&snap, "experiments/E7").self_micros, 5);
+    }
+
+    #[test]
+    fn add_record_ignores_what_is_not_a_span() {
+        let mut tree = SpanTree::new();
+        let span = |path: &str| {
+            Record::new("t", "span_tree")
+                .with("path", path)
+                .with("cum_micros", 7u64)
+        };
+        let rejected = [
+            Record::new("experiments", "phase")
+                .with("id", "E0")
+                .with("micros", 7u64),
+            Record::new("t", "span_tree").with("cum_micros", 7u64),
+            Record::new("t", "span_tree").with("path", "a/b"),
+            Record::new("t", "span_tree")
+                .with("path", 3u64)
+                .with("cum_micros", 7u64),
+            Record::new("t", "span_tree")
+                .with("path", "a")
+                .with("cum_micros", "7"),
+            span(""),
+            span("a//b"),
+            span("a/"),
+        ];
+        for rec in &rejected {
+            assert!(!tree.add_record(rec), "{rec:?}");
+        }
+        assert!(tree.snapshot().is_empty());
+        assert!(tree.add_record(&span("a/b")));
+        assert_eq!(entry(&tree.snapshot(), "a/b").cum_micros, 7);
     }
 }

@@ -17,7 +17,6 @@ pub struct BfsTree {
     depth: Vec<Option<usize>>,
     parent: Vec<Option<NodeId>>,
     children: Vec<Vec<NodeId>>,
-    announced: Vec<bool>,
 }
 
 /// Messages: a depth announcement, or a child adoption notice.
@@ -37,7 +36,6 @@ impl BfsTree {
             depth: vec![None; n],
             parent: vec![None; n],
             children: vec![Vec::new(); n],
-            announced: vec![false; n],
         }
     }
 
@@ -78,7 +76,6 @@ impl CongestAlgorithm for BfsTree {
     fn init(&mut self, node: NodeId, ctx: &NodeContext<'_>) -> Vec<(NodeId, BfsMsg)> {
         if node == self.root {
             self.depth[node] = Some(0);
-            self.announced[node] = true;
             ctx.neighbors(node)
                 .iter()
                 .map(|&u| (u, BfsMsg::Depth(0)))
@@ -120,7 +117,6 @@ impl CongestAlgorithm for BfsTree {
                                 out.push((u, BfsMsg::Depth(d + 1)));
                             }
                         }
-                        self.announced[node] = true;
                     }
                 }
                 BfsMsg::Child => {
@@ -155,7 +151,6 @@ impl ShardableAlgorithm for BfsTree {
             shard.depth[v] = self.depth[v];
             shard.parent[v] = self.parent[v];
             shard.children[v] = std::mem::take(&mut self.children[v]);
-            shard.announced[v] = self.announced[v];
         }
         shard
     }
@@ -165,7 +160,6 @@ impl ShardableAlgorithm for BfsTree {
             self.depth[v] = shard.depth[v];
             self.parent[v] = shard.parent[v];
             self.children[v] = std::mem::take(&mut shard.children[v]);
-            self.announced[v] = shard.announced[v];
         }
     }
 }

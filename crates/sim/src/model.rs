@@ -591,6 +591,11 @@ mod tests {
             "every message metered under profiling"
         );
         assert!(prof.run_micros() > 0);
+        assert_eq!(
+            prof.run_coverage(),
+            Some(1.0),
+            "the laps tile the run's wall time"
+        );
     }
 
     #[test]

@@ -66,7 +66,6 @@
 //! shards may have stepped nodes a one-shard run would not have reached).
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use congest_graph::{Csr, EdgeId, NodeId, NodePartition};
 use congest_par::{resolve_jobs, with_shards, PoolStats, ShardHandle};
@@ -279,15 +278,13 @@ impl SharedCtx<'_> {
     }
 }
 
-/// Attributes the time since `t0` to `phase` and returns the instant it
-/// read, which starts the next segment; `t0` is `Some` only when a
-/// profiler is attached.
+/// Ends the current segment of an attached profiler as `phase`
+/// ([`PhaseProfile::lap`]); without one, does nothing.
 #[inline]
-fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase, t0: Option<Instant>) -> Option<Instant> {
-    let (t0, p) = (t0?, prof.as_deref_mut()?);
-    let now = Instant::now();
-    p.add(phase, now.duration_since(t0).as_nanos() as u64);
-    Some(now)
+fn lap(prof: &mut Option<&mut PhaseProfile>, phase: Phase) {
+    if let Some(p) = prof {
+        p.lap(phase);
+    }
 }
 
 impl<A: CongestAlgorithm> Shard<A> {
@@ -323,10 +320,8 @@ impl<A: CongestAlgorithm> Shard<A> {
     }
 
     /// Runs one step of `task` over this shard's nodes with `alg` and
-    /// `link` borrowed for the step. With `prof` attached, the step's
-    /// deliver, compute, meter and link-fate time is attributed to it
-    /// along one chain of clock reads: each segment starts at the read
-    /// that ended the one before.
+    /// `link` borrowed for the step. With `prof` attached, each phase
+    /// boundary of the step is a lap of its chain.
     fn step<L: LinkLayer>(
         &mut self,
         task: ShardTask,
@@ -342,16 +337,13 @@ impl<A: CongestAlgorithm> Shard<A> {
                 for arena in [&mut self.in_flight, &mut self.deliveries] {
                     arena.reserve_degrees(shared.ctx.csr);
                 }
-                let mut t = prof.is_some().then(Instant::now);
+                lap(&mut prof, Phase::Deliver);
                 for v in self.lo..self.hi {
                     let mut out = alg.init(v, &shared.ctx);
-                    t = lap(&mut prof, Phase::Compute, t);
-                    match self.dispatch(link, shared, v, &mut out, 0, &mut prof, t) {
-                        Ok(end) => t = end,
-                        Err(e) => {
-                            self.error = Some(e);
-                            break;
-                        }
+                    lap(&mut prof, Phase::Compute);
+                    if let Err(e) = self.dispatch(link, shared, v, &mut out, 0, &mut prof) {
+                        self.error = Some(e);
+                        break;
                     }
                 }
             }
@@ -372,7 +364,6 @@ impl<A: CongestAlgorithm> Shard<A> {
         sendbuf: &mut SendBuf<A::Msg>,
         prof: &mut Option<&mut PhaseProfile>,
     ) {
-        let mut t = prof.is_some().then(Instant::now);
         // `in_flight` already holds last step's matured delays and (on
         // the shard starting at node 0) its own direct deliveries; staged
         // sends follow in ascending source-shard order.
@@ -389,7 +380,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         for (to, from, msg) in self.matured_in.drain(..) {
             self.in_flight.push(to, from, msg);
         }
-        t = lap(prof, Phase::Deliver, t);
+        lap(prof, Phase::Deliver);
         let event_round = round as u64 + 1;
         for v in self.lo..self.hi {
             let i = v - self.lo;
@@ -399,15 +390,12 @@ impl<A: CongestAlgorithm> Shard<A> {
                 continue;
             }
             let action = alg.round_into(v, &shared.ctx, round, self.deliveries.inbox(v), sendbuf);
-            t = lap(prof, Phase::Compute, t);
+            lap(prof, Phase::Compute);
             if !sendbuf.is_empty() {
                 self.any_out = true;
-                match self.dispatch(link, shared, v, sendbuf, event_round, prof, t) {
-                    Ok(end) => t = end,
-                    Err(e) => {
-                        self.error = Some(e);
-                        break;
-                    }
+                if let Err(e) = self.dispatch(link, shared, v, sendbuf, event_round, prof) {
+                    self.error = Some(e);
+                    break;
                 }
             }
             match action {
@@ -424,7 +412,7 @@ impl<A: CongestAlgorithm> Shard<A> {
             }
         }
         self.deliveries.clear();
-        lap(prof, Phase::Deliver, t);
+        lap(prof, Phase::Deliver);
     }
 
     /// Validates, meters, and routes one node's outgoing messages through
@@ -435,9 +423,7 @@ impl<A: CongestAlgorithm> Shard<A> {
     /// here. Model checks run before the link hook and traffic is metered
     /// before the fate applies: faults never mask a CONGEST violation and
     /// a lost message still cost its sender the bits. With a profiler
-    /// attached, the first meter segment starts at `start`, and the
-    /// instant that ended the last segment is returned.
-    #[allow(clippy::too_many_arguments)]
+    /// attached, each message ends one `meter` and one `link_fate` lap.
     fn dispatch<L: LinkLayer>(
         &mut self,
         link: &mut L,
@@ -446,8 +432,7 @@ impl<A: CongestAlgorithm> Shard<A> {
         out: &mut SendBuf<A::Msg>,
         round: u64,
         prof: &mut Option<&mut PhaseProfile>,
-        start: Option<Instant>,
-    ) -> Result<Option<Instant>, SimError> {
+    ) -> Result<(), SimError> {
         self.stamp_epoch = self.stamp_epoch.wrapping_add(1);
         if self.stamp_epoch == 0 {
             self.stamp.fill(0);
@@ -455,15 +440,6 @@ impl<A: CongestAlgorithm> Shard<A> {
         }
         let epoch = self.stamp_epoch;
         let bandwidth = shared.ctx.bandwidth;
-        // Per-message timing only with a profiler attached; nanos
-        // accumulate in locals and flush to it once per call. The meter/fate
-        // segments are contiguous, so each boundary is read once and
-        // chained — two clock reads per message, the dominant profiling
-        // cost on hosts with slow clocks.
-        let mut meter_nanos = 0u64;
-        let mut fate_nanos = 0u64;
-        let mut timed_msgs = 0u64;
-        let mut prev = start;
         for (to, msg) in out.drain(..) {
             // Self-sends and ids ≥ n are in no row, so they are
             // non-neighbor sends too.
@@ -488,7 +464,7 @@ impl<A: CongestAlgorithm> Shard<A> {
                 });
             }
             self.meter(slot, bits);
-            let t_meter = prev.is_some().then(Instant::now);
+            lap(prof, Phase::Meter);
             let fault = |kind, detail| FaultEvent {
                 round,
                 kind,
@@ -526,21 +502,9 @@ impl<A: CongestAlgorithm> Shard<A> {
                     self.stage_delay.push((rounds, to, from, msg));
                 }
             }
-            if let (Some(p0), Some(t1)) = (prev, t_meter) {
-                meter_nanos += t1.duration_since(p0).as_nanos() as u64;
-                let t2 = Instant::now();
-                fate_nanos += t2.duration_since(t1).as_nanos() as u64;
-                prev = Some(t2);
-                timed_msgs += 1;
-            }
+            lap(prof, Phase::LinkFate);
         }
-        if timed_msgs > 0 {
-            if let Some(p) = prof.as_deref_mut() {
-                p.add_n(Phase::Meter, meter_nanos, timed_msgs);
-                p.add_n(Phase::LinkFate, fate_nanos, timed_msgs);
-            }
-        }
-        Ok(prev)
+        Ok(())
     }
 
     /// Queues a message for delivery next round: straight into the next
@@ -649,9 +613,8 @@ impl<A: CongestAlgorithm, L: LinkLayer> Shards<A> for Pool<'_, '_, A, L> {
 struct Coordinator<'a, A: CongestAlgorithm, O> {
     shared: &'a SharedCtx<'a>,
     observer: &'a mut O,
-    /// Phase profiler of a one-shard run, with the run's start time.
+    /// Phase profiler of a one-shard run.
     prof: Option<&'a mut PhaseProfile>,
-    started: Option<Instant>,
     stop_on_quiescence: bool,
     bit_budget: Option<u64>,
     k: usize,
@@ -690,7 +653,6 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         Coordinator {
             shared,
             observer,
-            started: prof.is_some().then(Instant::now),
             prof,
             stop_on_quiescence: sim.stop_on_quiescence,
             bit_budget: sim.bit_budget,
@@ -717,11 +679,12 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
     /// Runs to completion and returns the final stats (after the
     /// observer's `on_done`).
     fn run<S: Shards<A>>(&mut self, set: &mut S) -> Result<SimStats, SimError> {
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.start_run();
+        }
         let outcome = self.run_rounds(set)?;
-        let t0 = self.now();
         let mut stats = std::mem::take(&mut self.stats);
         stats.bits_per_edge = self.edge_map(set);
-        lap(&mut self.prof, Phase::Epilogue, t0);
         // A run that used its whole round budget but ended with every
         // node halted converged; report it as such.
         stats.outcome = if outcome == RunOutcome::RoundBudget && self.halted_count == self.n {
@@ -730,22 +693,22 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
             outcome
         };
         self.observer.on_done(&stats);
-        if let (Some(t0), Some(p)) = (self.started, self.prof.as_deref_mut()) {
-            p.note_run(t0.elapsed().as_nanos() as u64);
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.end_run();
         }
         Ok(stats)
     }
 
     /// The round loop: the init burst (timeline round 0), then one step
-    /// per round until an outcome is decided.
+    /// per round until an outcome is decided. With a profiler attached,
+    /// each round's work up to the shard step's first lap is `deliver`,
+    /// and from the step's last lap to the round's end `epilogue`; what
+    /// follows the last round end is the run's closing `epilogue`.
     fn run_rounds<S: Shards<A>>(&mut self, set: &mut S) -> Result<RunOutcome, SimError> {
-        let round_t0 = self.now();
         set.step(ShardTask::Init, self.prof.as_deref_mut());
-        let t0 = self.now();
         self.collect(set)?;
         self.flush_round(0);
-        lap(&mut self.prof, Phase::Epilogue, t0);
-        self.note_round(round_t0);
+        self.end_round();
         if self.budget_exceeded() {
             return Ok(RunOutcome::BitBudget);
         }
@@ -755,7 +718,6 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
             if round >= self.max_rounds {
                 return Ok(RunOutcome::RoundBudget);
             }
-            let round_t0 = self.now();
             self.apply_crashes(set, round);
             if self.halted_count == self.n {
                 return Ok(RunOutcome::Halted);
@@ -769,7 +731,6 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                 && self.delayed.is_empty();
             self.mature_delays(set);
             set.step(ShardTask::Round(round as usize), self.prof.as_deref_mut());
-            let t0 = self.now();
             let any_out = self.collect(set)?;
             self.stats.rounds += 1;
             self.flush_round(round + 1);
@@ -783,8 +744,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                 self.install(set);
                 None
             };
-            lap(&mut self.prof, Phase::Epilogue, t0);
-            self.note_round(round_t0);
+            self.end_round();
             if let Some(outcome) = outcome {
                 return Ok(outcome);
             }
@@ -795,15 +755,10 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         self.bit_budget.is_some_and(|b| self.stats.total_bits > b)
     }
 
-    /// The time now when a profiler is attached, else `None` (no clock
-    /// read).
-    fn now(&self) -> Option<Instant> {
-        self.prof.is_some().then(Instant::now)
-    }
-
-    fn note_round(&mut self, t0: Option<Instant>) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.note_round(t0.elapsed().as_nanos() as u64);
+    /// Ends a profiled round ([`PhaseProfile::end_round`]).
+    fn end_round(&mut self) {
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.end_round();
         }
     }
 
@@ -888,7 +843,6 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
         if self.delayed.is_empty() {
             return;
         }
-        let t0 = self.now();
         debug_assert!(self.delayed_spare.is_empty());
         self.matured.resize_with(self.k, Vec::new);
         for (remaining, to, from, msg) in self.delayed.drain(..) {
@@ -907,7 +861,7 @@ impl<'a, A: CongestAlgorithm, O: RoundObserver> Coordinator<'a, A, O> {
                 });
             }
         }
-        lap(&mut self.prof, Phase::Deliver, t0);
+        lap(&mut self.prof, Phase::Deliver);
     }
 
     /// Hands the collected staging over to the destination shards for
@@ -1127,9 +1081,7 @@ mod tests {
         to: &[NodeId],
     ) -> Result<(), SimError> {
         let mut out: SendBuf<()> = to.iter().map(|&t| (t, ())).collect();
-        shard
-            .dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None, None)
-            .map(drop)
+        shard.dispatch(&mut PerfectLink, shared, from, &mut out, 1, &mut None)
     }
 
     #[test]

@@ -71,13 +71,14 @@ use congest_hardness::core::simulate::generic_exact_attack;
 use congest_hardness::core::steiner::SteinerFamily;
 use congest_hardness::core::steiner_variants::{DirectedSteinerFamily, NodeWeightedSteinerFamily};
 use congest_hardness::core::{
-    all_inputs, sample_inputs, verify_family_with, LowerBoundFamily, VerifyOptions,
+    all_inputs, disjoint_pair, intersecting_pair, sample_inputs, verify_family_with,
+    LowerBoundFamily, VerifyOptions,
 };
 use congest_hardness::graph::{generators, metrics};
 use congest_hardness::limits::nogo::corollary_5_3_ceiling;
 use congest_hardness::limits::protocols as lim;
 use congest_hardness::limits::SplitGraph;
-use congest_hardness::obs::{jsonl_file_sink, JsonlSink, NullRecorder, Record, Recorder};
+use congest_hardness::obs::{jsonl_file_sink, JsonlSink, NullRecorder, Record, Recorder, SpanTree};
 use congest_hardness::par::PoolStats;
 use congest_hardness::prelude::BitString;
 use congest_hardness::sim::algorithms::{LocalCutSolver, SampledMaxCut};
@@ -87,20 +88,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 type TraceSink = JsonlSink<BufWriter<File>>;
-
-fn hit(k: usize) -> (BitString, BitString) {
-    let mut x = BitString::zeros(k * k);
-    x.set_pair(k, 0, 0, true);
-    (x.clone(), x)
-}
-
-fn miss(k: usize) -> (BitString, BitString) {
-    let mut x = BitString::zeros(k * k);
-    let mut y = BitString::zeros(k * k);
-    x.set_pair(k, 0, 0, true);
-    y.set_pair(k, 0, k - 1, true);
-    (x, y)
-}
 
 /// Tracks section wall times for the end-of-run summary table.
 struct Sections {
@@ -131,21 +118,24 @@ impl Sections {
 
     /// Prints the wall-time table to *stderr* (timings are
     /// nondeterministic; the main report must stay byte-identical across
-    /// runs) and emits one `phase` trace record per section.
+    /// runs) and traces it as a span tree rooted at `experiments`, one
+    /// span per section, named as perfbench names its metrics (`E8/E9`
+    /// becomes `E8_E9`: a span path is `/`-joined).
     fn summarize(&mut self, trace: &mut Option<TraceSink>) {
         self.close();
         eprintln!("\n==== phase summary ====");
         eprintln!("  {:<12} {:>12}", "phase", "wall (ms)");
+        let mut tree = SpanTree::new();
         for (id, micros) in &self.done {
             eprintln!("  {:<12} {:>12.2}", id, *micros as f64 / 1000.0);
-            sink_of(trace).record(
-                Record::new("experiments", "phase")
-                    .with("id", id.clone())
-                    .with("micros", *micros),
-            );
+            tree.add_measured(&["experiments", &id.replace('/', "_")], *micros, 1);
         }
         let total: u64 = self.done.iter().map(|(_, m)| m).sum();
         eprintln!("  {:<12} {:>12.2}", "total", total as f64 / 1000.0);
+        tree.add_measured(&["experiments"], total, 1);
+        for rec in tree.to_records("experiments") {
+            sink_of(trace).record(rec);
+        }
     }
 }
 
@@ -612,7 +602,7 @@ fn run(
         pool_acc,
     );
     let fam = HamPathFamily::new(4);
-    let (x, y) = hit(4);
+    let (x, y) = intersecting_pair(4);
     let g = fam.build(&x, &y);
     let w = fam.witness_path(0, 0);
     writeln!(
@@ -673,10 +663,10 @@ fn run(
 
     sections.start(out, "E5", "Steiner tree family (Theorem 2.7)");
     let st = SteinerFamily::new(2);
-    let (x, y) = hit(2);
+    let (x, y) = intersecting_pair(2);
     let gs = st.build(&x, &y);
     let min_yes = steiner::min_steiner_tree_edges(&gs, &st.terminals()).expect("connected");
-    let (x0, y0) = miss(2);
+    let (x0, y0) = disjoint_pair(2);
     let gs0 = st.build(&x0, &y0);
     let min_no = steiner::min_steiner_tree_edges(&gs0, &st.terminals()).expect("connected");
     writeln!(
@@ -688,13 +678,13 @@ fn run(
 
     sections.start(out, "E6", "weighted max-cut family (Theorem 2.8, Figure 3)");
     let mc = MaxCutFamily::new(2);
-    let (x, y) = hit(2);
+    let (x, y) = intersecting_pair(2);
     let g = mc.build(&x, &y);
     // The YES optimum by the exhaustive reference walk, whose step count
     // the report prints; the NO optimum by the branch and bound.
     let (yes_cut, cut_stats) = maxcut::gray_code_max_cut_with_stats(&g);
     let yes = yes_cut.weight;
-    let (x0, y0) = miss(2);
+    let (x0, y0) = disjoint_pair(2);
     let no = maxcut::max_cut(&mc.build(&x0, &y0)).weight;
     writeln!(
         out,
@@ -772,7 +762,7 @@ fn run(
         pool_acc,
     );
     let bd = BoundedDegreeMaxIs::new(2);
-    let (x, y) = hit(2);
+    let (x, y) = intersecting_pair(2);
     let b = bd.build(&x, &y);
     let diam = metrics::diameter(&b.graph);
     writeln!(
@@ -800,10 +790,10 @@ fn run(
     .expect("write output");
     for (k, ell) in [(2usize, 2usize), (2, 3), (2, 5), (4, 2)] {
         let fam = WeightedMaxIsGapFamily::new(k, ell);
-        let (x, y) = hit(k);
+        let (x, y) = intersecting_pair(k);
         let (yes_sol, mis_stats) = mis::max_weight_independent_set_with_stats(&fam.build(&x, &y));
         let yes = yes_sol.weight;
-        let (x0, y0) = miss(k);
+        let (x0, y0) = disjoint_pair(k);
         let no = mis::max_weight_independent_set(&fam.build(&x0, &y0)).weight;
         writeln!(
             out,
@@ -1020,7 +1010,7 @@ fn run(
         "Theorem 1.1 pipeline: generic exact algorithm, cut-metered",
     );
     for k in [2usize, 4] {
-        let (x, y) = hit(k);
+        let (x, y) = intersecting_pair(k);
         let m = generic_exact_attack(&MdsFamily::new(k), &x, &y);
         writeln!(
             out,

@@ -15,9 +15,11 @@
 //!   (per-`(target, event)` counts, `ts` spans, numeric field stats with
 //!   p50/p90/p99, string-value tallies). Byte-identical for the same
 //!   input, run after run.
-//! * `spans` — rebuilds the hierarchical span tree from `span_tree` /
-//!   `phase_profile` / `phase` records and prints a flame-style
-//!   breakdown (cumulative vs self time, % of root).
+//! * `spans` — rebuilds every span tree of the trace from its
+//!   `span_tree` records (`SpanTree::add_record`): the `experiments`
+//!   E-block table, the `sim.profile` phase profile, and any other tree
+//!   a run wrote. Prints a flame-style breakdown (cumulative vs self
+//!   time, % of root).
 //! * `heatmap` — renders per-`(edge, round)` congestion from
 //!   `edge_round` records (`TraceObserver::with_edge_records`): the K
 //!   hottest edges as rows, round buckets as columns, intensity scaled
@@ -34,7 +36,7 @@ use std::process::ExitCode;
 
 use congest_faults::FaultTimeline;
 use congest_obs::json::parse_record;
-use congest_obs::{Aggregator, Record, SpanTree, Value};
+use congest_obs::{Aggregator, Record, SpanTree};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -66,13 +68,6 @@ fn for_each_record(path: &str, mut f: impl FnMut(Record)) -> Result<u64, (u64, S
     Ok(n)
 }
 
-fn str_field<'a>(rec: &'a Record, key: &str) -> Option<&'a str> {
-    match rec.field(key) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 fn cmd_summary(path: &str, out: Option<&str>) -> Result<(), (u64, String)> {
     let mut agg = Aggregator::new();
     let n = for_each_record(path, |rec| agg.fold(&rec))?;
@@ -91,48 +86,15 @@ fn cmd_summary(path: &str, out: Option<&str>) -> Result<(), (u64, String)> {
 }
 
 fn cmd_spans(path: &str) -> Result<(), (u64, String)> {
-    // Rebuild measured span trees from the three record shapes that carry
-    // hierarchy: `span_tree` (full paths), `phase_profile` (sim round
-    // phases under a run root), and `phase` (experiments sections).
     let mut tree = SpanTree::new();
-    let mut found = 0u64;
-    for_each_record(path, |rec| match &*rec.event {
-        "span_tree" => {
-            if let (Some(p), Some(micros)) = (str_field(&rec, "path"), rec.u64_field("cum_micros"))
-            {
-                let parts: Vec<&str> = p.split('/').collect();
-                tree.add_measured(&parts, micros, rec.u64_field("calls").unwrap_or(1));
-                found += 1;
-            }
-        }
-        "phase_profile" => {
-            if let (Some(name), Some(micros)) = (str_field(&rec, "phase"), rec.u64_field("micros"))
-            {
-                tree.add_measured(
-                    &[rec.target.as_ref(), name],
-                    micros,
-                    rec.u64_field("calls").unwrap_or(1),
-                );
-                found += 1;
-            }
-        }
-        "profile_summary" => {
-            if let Some(micros) = rec.u64_field("run_micros") {
-                tree.add_measured(&[rec.target.as_ref()], micros, 1);
-            }
-        }
-        "phase" => {
-            if let (Some(id), Some(micros)) = (str_field(&rec, "id"), rec.u64_field("micros")) {
-                tree.add_measured(&[rec.target.as_ref(), id], micros, 1);
-                found += 1;
-            }
-        }
-        _ => {}
+    for_each_record(path, |rec| {
+        tree.add_record(&rec);
     })?;
-    if found == 0 {
-        println!("no span records (span_tree / phase_profile / phase) in trace");
+    let spans = tree.render();
+    if spans.is_empty() {
+        println!("no span_tree records in trace");
     } else {
-        print!("{}", tree.render());
+        print!("{spans}");
     }
     Ok(())
 }

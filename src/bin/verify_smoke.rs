@@ -27,41 +27,12 @@ use congest_hardness::comm::BitString;
 use congest_hardness::core::hamiltonian::HamPathFamily;
 use congest_hardness::core::maxcut::{MaxCutFamily, StructuralMaxCutFamily};
 use congest_hardness::core::mds::MdsFamily;
-use congest_hardness::core::{verify_family_with, LowerBoundFamily, VerifyOptions};
+use congest_hardness::core::{
+    ham_k5_subset, padded_inputs, verify_family_with, LowerBoundFamily, VerifyOptions,
+};
 use congest_hardness::obs::{jsonl_file_sink, Recorder};
 
 const K: usize = 5;
-
-fn prefix_pair(xm: u64, ym: u64, width: usize) -> (BitString, BitString) {
-    let mut x = BitString::zeros(width);
-    let mut y = BitString::zeros(width);
-    for i in 0..K {
-        x.set(i, (xm >> i) & 1 == 1);
-        y.set(i, (ym >> i) & 1 == 1);
-    }
-    (x, y)
-}
-
-/// All `4^K` pairs with `K` live bits embedded in `width`-bit strings.
-/// Zero padding preserves set-disjointness, so condition 4 is exercised
-/// on the subcube exactly as on a native width-`K` family.
-fn prefix_inputs(width: usize) -> Vec<(BitString, BitString)> {
-    let mut out = Vec::with_capacity(1 << (2 * K));
-    for xm in 0u64..(1 << K) {
-        for ym in 0u64..(1 << K) {
-            out.push(prefix_pair(xm, ym, width));
-        }
-    }
-    out
-}
-
-/// The bench's fixed Hamiltonian K = 5 subset: 15 intersecting diagonal
-/// pairs plus one disjoint (exhaustive-search) pair.
-fn ham_subset(width: usize) -> Vec<(BitString, BitString)> {
-    let mut out: Vec<_> = (1u64..16).map(|m| prefix_pair(m, m, width)).collect();
-    out.push(prefix_pair(1, 30, width));
-    out
-}
 
 fn run<F: LowerBoundFamily + Sync>(
     fam: &F,
@@ -120,14 +91,14 @@ fn main() -> io::Result<()> {
     let opts = VerifyOptions::with_jobs(jobs);
 
     let mds = MdsFamily::new(4);
-    let sweep = prefix_inputs(mds.input_len());
+    let sweep = padded_inputs(K, mds.input_len());
     run(&mds, &sweep, &opts, &mut out, &mut sink, "smoke.mds")?;
 
     let mc = StructuralMaxCutFamily(MaxCutFamily::new(4));
     run(&mc, &sweep, &opts, &mut out, &mut sink, "smoke.maxcut")?;
 
     let ham = HamPathFamily::new(4);
-    let subset = ham_subset(ham.input_len());
+    let subset = ham_k5_subset(ham.input_len());
     run(&ham, &subset, &opts, &mut out, &mut sink, "smoke.hamilton")?;
 
     out.flush()?;

@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 use congest_faults::FaultPlan;
 use congest_graph::generators;
-use congest_obs::{JsonlSink, Recorder, VirtualClock};
+use congest_obs::{JsonlSink, Recorder, SpanTree, VirtualClock};
 use congest_sim::algorithms::LeaderElection;
 use congest_sim::{PhaseProfile, Simulator, TraceObserver};
 
@@ -21,8 +21,10 @@ fn tracectl(args: &[&str]) -> Output {
 }
 
 /// Writes a trace exercising every record shape tracectl understands:
-/// `round` + `edge_round` + `fault` from an injected run, and
-/// `phase_profile` / `profile_summary` from a profiled run.
+/// `round` + `edge_round` + `fault` from an injected run, and two span
+/// trees as `span_tree` records, the one shape timing trees take in a
+/// trace: a profiled run's phases under `sim.profile`, and an E-block
+/// table under `experiments` as the `experiments` binary writes it.
 fn write_trace(path: &PathBuf) {
     let file = std::fs::File::create(path).expect("create trace");
     let mut sink = JsonlSink::with_clock(file, VirtualClock::sequence());
@@ -48,6 +50,14 @@ fn write_trace(path: &PathBuf) {
     )
     .expect("legal run");
     for rec in prof.to_records("sim.profile") {
+        sink.record(rec);
+    }
+
+    let mut blocks = SpanTree::new();
+    blocks.add_measured(&["experiments", "E0"], 1_500, 1);
+    blocks.add_measured(&["experiments", "E8_E9"], 2_500, 1);
+    blocks.add_measured(&["experiments"], 4_000, 1);
+    for rec in blocks.to_records("experiments") {
         sink.record(rec);
     }
     assert_eq!(sink.errors(), 0);
@@ -96,6 +106,15 @@ fn spans_heatmap_and_faults_render_their_views() {
         assert!(spans.contains(phase), "missing {phase} in:\n{spans}");
     }
     assert!(spans.contains("sim.profile"), "{spans}");
+    let block_lines: Vec<&str> = spans
+        .lines()
+        .skip_while(|l| !l.starts_with("experiments "))
+        .take(3)
+        .collect();
+    assert_eq!(block_lines.len(), 3, "no experiments tree in:\n{spans}");
+    assert!(block_lines[0].contains("4000 µs cum"), "{spans}");
+    assert!(block_lines[1].starts_with("  E0 "), "{spans}");
+    assert!(block_lines[2].starts_with("  E8_E9 "), "{spans}");
 
     let heat = tracectl(&["heatmap", trace, "--edges", "4", "--cols", "20"]);
     assert!(heat.status.success());
