@@ -28,7 +28,7 @@ fn collection_small() -> CoveringCollection {
 fn bench_maxis_gap(c: &mut Criterion) {
     let mut group = c.benchmark_group("maxis_code_gadget");
     group.sample_size(10);
-    // (2, 5) is the n = 176 pair that takes most of the report's E10–E12.
+    // (2, 5) is the report's largest E10–E12 instance, n = 176.
     for (k, ell) in [(2usize, 2usize), (2, 3), (2, 5), (4, 2)] {
         let fam = WeightedMaxIsGapFamily::new(k, ell);
         let (x, y) = intersecting_pair(k);

@@ -8,10 +8,25 @@
 //! component at a time. It decides the MaxIS predicates of the paper's
 //! Section 4.1 code gadgets (68–176 vertices, small independence number).
 //!
+//! The search runs on a relabeled copy of its search graph (the
+//! complement for MWIS, the graph itself for cliques): vertices by
+//! descending degree in that graph, ties by ascending id, the initial
+//! order of Tomita and Seki's MCQ. First-fit coloring in that order gives
+//! the low-degree vertices the top colors, and the search branches on the
+//! top colors first. On the code gadgets the low-degree vertices are the
+//! weight-`ℓ` row vertices, which have few non-neighbors; once they are
+//! fixed, the coloring of the remaining codeword vertices meets Lemma
+//! 4.1's count and every subtree closes at its bound, so an `n = 176`
+//! gadget instance takes tens of search nodes.
+//!
 //! Each search node colors its candidate set one class at a time with
 //! word-wide set operations and writes the resulting order onto a scratch
 //! stack shared by the whole search, so expanding a node allocates
-//! nothing.
+//! nothing. The optimum is mapped back to the caller's labels and checked
+//! on `g`'s adjacency lists, independently of the bitset engine, before
+//! it is returned.
+
+use std::cmp::Reverse;
 
 use congest_graph::{Graph, NodeId, Weight};
 
@@ -45,7 +60,8 @@ impl<const W: usize> Search<'_, W> {
     /// including its class. A class starts at the smallest uncolored
     /// vertex and repeatedly takes the smallest candidate not adjacent to
     /// any member so far, so the classes, and their ascending member
-    /// order, are exactly those of first-fit coloring in vertex order.
+    /// order, are exactly those of first-fit coloring in label order,
+    /// which [`search`] makes the descending-degree order.
     fn push_coloring(&mut self, mut p: Words<W>) {
         let mut bound = 0;
         while !p.is_empty() {
@@ -109,28 +125,47 @@ impl<const W: usize> Search<'_, W> {
 /// complement, searched one connected component of `g` at a time (every
 /// later candidate set is an intersection with the component, so the
 /// search never leaves it).
+///
+/// The search graph is relabeled first: label `i` is the vertex of the
+/// `i`-th highest degree in it, ties by ascending id (MCQ's initial
+/// order), and the masks, weights and component roots are built in that
+/// order. The optimum is mapped back to `g`'s ids and checked on `g`.
+///
+/// # Panics
+///
+/// Panics if the mapped-back optimum is not independent in `g` (not a
+/// clique, without `complement`) or its weight under `w` is not the
+/// search's: either is a bug in the engine.
 fn search<const W: usize>(g: &Graph, w: &[Weight], complement: bool) -> (SetSolution, SearchStats) {
     let n = g.num_nodes();
     let full = Words::<W>::full(n);
-    let mut adj = adjacency_masks::<W>(g);
-    let roots = if complement {
-        for (v, a) in adj.iter_mut().enumerate() {
+    let (vertex, label) = mcq_labels(g, complement);
+    let mut adj = vec![Words::<W>::EMPTY; n];
+    for (u, v, _) in g.edges() {
+        adj[label[u]].set(label[v]);
+        adj[label[v]].set(label[u]);
+    }
+    if complement {
+        for (i, a) in adj.iter_mut().enumerate() {
             *a = full.and_not(a);
-            a.clear(v);
+            a.clear(i);
         }
-        let (label, count) = g.connected_components();
+    }
+    let search_w: Vec<Weight> = vertex.iter().map(|&v| w[v]).collect();
+    let roots = if complement {
+        let (component, count) = g.connected_components();
         let mut comps = vec![Words::EMPTY; count];
-        for (v, &c) in label.iter().enumerate() {
-            comps[c].set(v);
+        for (v, &c) in component.iter().enumerate() {
+            comps[c].set(label[v]);
         }
         comps
     } else {
         vec![full]
     };
-    timed(|| {
+    let (total, stats) = timed(|| {
         let mut s = Search {
             adj: &adj,
-            w,
+            w: &search_w,
             best: 0,
             best_set: Words::EMPTY,
             stats: SearchStats::default(),
@@ -145,14 +180,63 @@ fn search<const W: usize>(g: &Graph, w: &[Weight], complement: bool) -> (SetSolu
             s.best_set = Words::EMPTY;
             s.expand(Words::EMPTY, 0, *root);
             total.weight += s.best;
-            total.vertices.extend(s.best_set.iter());
+            total.vertices.extend(s.best_set.iter().map(|i| vertex[i]));
         }
         total.vertices.sort_unstable();
         if roots.len() > 1 {
             s.stats.components = roots.len() as u64;
         }
         (total, s.stats)
-    })
+    });
+    check_on_graph(g, w, complement, &total);
+    (total, stats)
+}
+
+/// MCQ's initial order of the search graph (`g`, or its complement with
+/// `complement`): `vertex[i]` is the vertex of the `i`-th highest degree
+/// in it, ties by ascending id, and `label` is the inverse. It sits
+/// outside the word-count generic [`search`], so the sort is compiled
+/// once rather than once per word count.
+fn mcq_labels(g: &Graph, complement: bool) -> (Vec<NodeId>, Vec<usize>) {
+    let n = g.num_nodes();
+    let degree = |v| {
+        if complement {
+            n - 1 - g.degree(v)
+        } else {
+            g.degree(v)
+        }
+    };
+    let mut vertex: Vec<NodeId> = (0..n).collect();
+    vertex.sort_unstable_by_key(|&v| (Reverse(degree(v)), v));
+    let mut label = vec![0; n];
+    for (i, &v) in vertex.iter().enumerate() {
+        label[v] = i;
+    }
+    (vertex, label)
+}
+
+/// Asserts that `sol` is independent in `g` (with `complement`) or a
+/// clique of `g` (without), and that its weight under `w` is
+/// `sol.weight`: one pass over the members' adjacency lists, `O(n + m)`.
+fn check_on_graph(g: &Graph, w: &[Weight], complement: bool, sol: &SetSolution) {
+    let mut member = vec![false; g.num_nodes()];
+    for &v in &sol.vertices {
+        member[v] = true;
+    }
+    let others = sol.vertices.len().saturating_sub(1);
+    for &v in &sol.vertices {
+        let inside = g.neighbors(v).iter().filter(|&&u| member[u]).count();
+        if complement {
+            assert_eq!(inside, 0, "the MWIS search returned a dependent set");
+        } else {
+            assert_eq!(inside, others, "the clique search returned a non-clique");
+        }
+    }
+    assert_eq!(
+        sol.vertices.iter().map(|&v| w[v]).sum::<Weight>(),
+        sol.weight,
+        "the search's weight is not its set's"
+    );
 }
 
 /// Dispatches [`search`] on the word count `⌈n / 64⌉`.

@@ -6,7 +6,9 @@
 //! The Hamiltonian backtracker, the Held–Karp DP, and a permutation
 //! sweep must agree three ways — two independent engines cross-check
 //! each other against ground truth. The max-cut search must also return
-//! the gray-code walk's exact cut, ties included, up to n = 22.
+//! the gray-code walk's exact cut, ties included, up to n = 22, and MWIS
+//! must weigh what the maximum weight clique of the complement weighs up
+//! to n = 130.
 //!
 //! The pinned op-count tests at the bottom freeze the pruning counters
 //! of [`congest_solvers::SearchStats`] on fixed instances, so a
@@ -27,7 +29,8 @@ use congest_solvers::mds::{
     min_weight_dominating_set_with_stats,
 };
 use congest_solvers::mis::{
-    max_weight_independent_set_brute, max_weight_independent_set_with_stats,
+    max_weight_clique, max_weight_independent_set, max_weight_independent_set_brute,
+    max_weight_independent_set_with_stats,
 };
 use congest_solvers::steiner::{min_node_weight_steiner, min_node_weight_steiner_brute};
 use proptest::prelude::*;
@@ -174,6 +177,64 @@ proptest! {
         for t in [-1, 0, best - 1, best, best + 1] {
             prop_assert_eq!(has_cut_of_weight(&g, t), t <= best, "target {}", t);
         }
+    }
+}
+
+/// A seeded graph of `parts` G(n / parts, p) blocks with no edge between
+/// blocks, and node weights in `0..=3`, so zero weights and ties are
+/// common.
+fn weighted_blocks(n: usize, parts: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Graph::new(n);
+    for u in 0..n {
+        g.set_node_weight(u, rng.gen_range(0..=3));
+        for v in u + 1..n {
+            if u * parts / n == v * parts / n && rng.gen_bool(p) {
+                g.add_edge(u, v);
+            }
+        }
+    }
+    g
+}
+
+/// The complement of `g`, with `g`'s node weights.
+fn complement(g: &Graph) -> Graph {
+    let n = g.num_nodes();
+    let mut h = Graph::new(n);
+    for u in 0..n {
+        h.set_node_weight(u, g.node_weight(u));
+        for v in u + 1..n {
+            if !g.has_edge(u, v) {
+                h.add_edge(u, v);
+            }
+        }
+    }
+    h
+}
+
+/// MWIS of `g` weighs what the maximum weight clique of its complement
+/// weighs. The two entry points build and relabel the same search graph
+/// from different adjacency lists, and only MWIS splits `g`'s blocks
+/// into separate searches. The sizes cross the one-, two- and three-word
+/// engines.
+#[test]
+fn mwis_weighs_the_same_as_the_clique_of_the_complement() {
+    let cases = [
+        (60, 1, 0.5),
+        (64, 2, 0.4),
+        (65, 3, 0.5),
+        (100, 2, 0.5),
+        (128, 4, 0.3),
+        (129, 1, 0.6),
+        (130, 3, 0.5),
+    ];
+    for (i, (n, parts, p)) in cases.into_iter().enumerate() {
+        let g = weighted_blocks(n, parts, p, 700 + i as u64);
+        assert_eq!(
+            max_weight_independent_set(&g).weight,
+            max_weight_clique(&complement(&g)).weight,
+            "n = {n}, {parts} blocks"
+        );
     }
 }
 
