@@ -774,117 +774,16 @@ pub fn sample_inputs<R: Rng>(
     out
 }
 
-/// The largest `K` for which [`all_inputs`] will materialize the full
-/// `2^{2K}`-pair `Vec` (beyond it, use [`all_inputs_iter`] to stream, or
-/// [`sample_inputs`]).
-pub const MAX_EXHAUSTIVE_K: usize = 8;
-
-/// Rejected request to materialize an exhaustive input sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InputEnumerationError {
-    /// The `K` that was asked for.
-    pub requested: usize,
-    /// The supported ceiling ([`MAX_EXHAUSTIVE_K`]).
-    pub limit: usize,
-}
-
-impl std::fmt::Display for InputEnumerationError {
-    fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            fm,
-            "exhaustive input enumeration materializes 2^(2K) pairs and is limited to \
-             K <= {} (requested K = {}); use all_inputs_iter to stream the sweep or \
-             sample_inputs for large K",
-            self.limit, self.requested
-        )
-    }
-}
-
-impl std::error::Error for InputEnumerationError {}
-
 /// All `2^{2K}` input pairs (exhaustive verification; only for tiny `K`),
-/// or an [`InputEnumerationError`] when `k` exceeds [`MAX_EXHAUSTIVE_K`].
-///
-/// # Errors
-///
-/// Fails when `k > MAX_EXHAUSTIVE_K` — the `Vec` would hold `2^{2K}`
-/// pairs.
-pub fn try_all_inputs(k: usize) -> Result<Vec<(BitString, BitString)>, InputEnumerationError> {
-    if k > MAX_EXHAUSTIVE_K {
-        return Err(InputEnumerationError {
-            requested: k,
-            limit: MAX_EXHAUSTIVE_K,
-        });
-    }
-    Ok(all_inputs_iter(k).collect())
-}
-
-/// All `2^{2K}` input pairs (exhaustive verification; only for tiny `K`).
+/// `x` outer, `y` inner, masks ascending.
 ///
 /// # Panics
 ///
-/// Panics if `k > MAX_EXHAUSTIVE_K` (= 8), with a message naming the
-/// limit; use [`try_all_inputs`] to handle the bound as a value, or
-/// [`all_inputs_iter`] to stream larger sweeps without materializing.
+/// Panics if `k > 8`, with a message naming the limit: the `Vec` would
+/// hold `2^{2K}` pairs.
 pub fn all_inputs(k: usize) -> Vec<(BitString, BitString)> {
-    try_all_inputs(k).unwrap_or_else(|e| panic!("{e}"))
+    mask_walk(k, k)
 }
-
-/// Streams the exhaustive `2^{2K}` sweep lazily, in the same `(x, y)`
-/// order as [`all_inputs`] (`x` outer, `y` inner, masks ascending), using
-/// `O(K)` memory instead of materializing the full `Vec`.
-///
-/// # Panics
-///
-/// Panics if `k > 31` (the pair counter must fit in `u64`).
-pub fn all_inputs_iter(k: usize) -> AllInputs {
-    assert!(
-        k <= 31,
-        "all_inputs_iter supports K <= 31 (2^(2K) pair counter must fit in u64)"
-    );
-    AllInputs {
-        k,
-        width: k,
-        next: 0,
-        total: 1u64 << (2 * k),
-    }
-}
-
-/// Streaming iterator over all `2^{2K}` input pairs; see
-/// [`all_inputs_iter`].
-#[derive(Debug, Clone)]
-pub struct AllInputs {
-    k: usize,
-    /// Length of the yielded strings; bits `k..width` are zero.
-    width: usize,
-    next: u64,
-    total: u64,
-}
-
-impl Iterator for AllInputs {
-    type Item = (BitString, BitString);
-
-    fn next(&mut self) -> Option<(BitString, BitString)> {
-        if self.next >= self.total {
-            return None;
-        }
-        let c = self.next;
-        self.next += 1;
-        let y_mask = c & ((1u64 << self.k) - 1);
-        let x_mask = c >> self.k;
-        Some((
-            bitstring_from_mask(self.width, x_mask),
-            bitstring_from_mask(self.width, y_mask),
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.total - self.next) as usize;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for AllInputs {}
 
 /// The pair-indexed YES input of the `k × k`-bit families: `x = y =
 /// {(0, 0)}`, which intersect at index `(0, 0)`.
@@ -914,18 +813,27 @@ pub fn disjoint_pair(k: usize) -> (BitString, BitString) {
 ///
 /// # Panics
 ///
-/// Panics if `k > width` or `k > MAX_EXHAUSTIVE_K`.
+/// Panics if `k > width` or `k > 8`.
 pub fn padded_inputs(k: usize, width: usize) -> Vec<(BitString, BitString)> {
     assert!(k <= width, "{k} live bits do not fit in width {width}");
+    mask_walk(k, width)
+}
+
+/// The `2^{2K}` pairs of `k`-bit masks as `width`-bit strings: `x`
+/// outer, `y` inner, masks ascending.
+fn mask_walk(k: usize, width: usize) -> Vec<(BitString, BitString)> {
     assert!(
-        k <= MAX_EXHAUSTIVE_K,
-        "padded_inputs materializes 2^(2K) pairs; K = {k}"
+        k <= 8,
+        "exhaustive input enumeration materializes 2^(2K) pairs and is limited to \
+         K <= 8 (requested K = {k}); use sample_inputs for large K"
     );
-    AllInputs {
-        width,
-        ..all_inputs_iter(k)
+    let mut out = Vec::with_capacity(1 << (2 * k));
+    for x in 0..1u64 << k {
+        for y in 0..1u64 << k {
+            out.push((bitstring_from_mask(width, x), bitstring_from_mask(width, y)));
+        }
     }
-    .collect()
+    out
 }
 
 /// The fixed 16-pair `K = 5` subset that stands in for the full sweep of
@@ -1373,20 +1281,22 @@ mod tests {
     }
 
     #[test]
-    fn all_inputs_iter_matches_materialized_sweep() {
-        for k in 0..=3usize {
-            let vec_version = all_inputs(k);
-            let iter_version: Vec<_> = all_inputs_iter(k).collect();
-            assert_eq!(vec_version, iter_version, "k = {k}");
-            assert_eq!(all_inputs_iter(k).len(), 1 << (2 * k));
-        }
-        // Streaming works past the materialization ceiling.
-        let mut big = all_inputs_iter(12);
-        assert_eq!(big.len(), 1 << 24);
-        let (x, y) = big.next().expect("nonempty");
-        assert_eq!(x.len(), 12);
-        assert_eq!(y.len(), 12);
-        assert_eq!(x.count_ones() + y.count_ones(), 0);
+    #[should_panic(expected = "K <= 8")]
+    fn all_inputs_names_its_limit() {
+        all_inputs(9);
+    }
+
+    #[test]
+    fn all_inputs_walks_x_outer_y_inner() {
+        let masks: Vec<(bool, bool)> = all_inputs(1)
+            .iter()
+            .map(|(x, y)| (x.get(0), y.get(0)))
+            .collect();
+        assert_eq!(
+            masks,
+            [(false, false), (false, true), (true, false), (true, true)]
+        );
+        assert_eq!(all_inputs(3).len(), 64);
     }
 
     #[test]
@@ -1412,19 +1322,5 @@ mod tests {
         let meet = |(x, y): (BitString, BitString)| (0..x.len()).any(|i| x.get(i) && y.get(i));
         assert!(meet(intersecting_pair(3)));
         assert!(!meet(disjoint_pair(3)));
-    }
-
-    #[test]
-    fn try_all_inputs_reports_the_limit() {
-        assert_eq!(try_all_inputs(2).expect("small k").len(), 16);
-        let err = try_all_inputs(9).unwrap_err();
-        assert_eq!(err.requested, 9);
-        assert_eq!(err.limit, MAX_EXHAUSTIVE_K);
-        let msg = err.to_string();
-        assert!(msg.contains("K <= 8"), "message names the limit: {msg}");
-        assert!(
-            msg.contains("all_inputs_iter"),
-            "message names the fix: {msg}"
-        );
     }
 }

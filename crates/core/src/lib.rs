@@ -51,8 +51,7 @@ pub mod steiner;
 pub mod steiner_variants;
 
 pub use family::{
-    all_inputs, all_inputs_iter, disjoint_pair, ham_k5_subset, intersecting_pair, padded_inputs,
-    sample_inputs, try_all_inputs, verify_family, verify_family_with, AllInputs, EdgeListGraph,
-    FamilyReport, FamilyViolation, InputEnumerationError, LowerBoundFamily, VerifyOptions,
-    VerifyStats, MAX_EXHAUSTIVE_K,
+    all_inputs, disjoint_pair, ham_k5_subset, intersecting_pair, padded_inputs, sample_inputs,
+    verify_family, verify_family_with, EdgeListGraph, FamilyReport, FamilyViolation,
+    LowerBoundFamily, VerifyOptions, VerifyStats,
 };

@@ -1,34 +1,36 @@
-//! A std-only scoped worker pool for the `congest-hardness` workspace.
+//! A std-only worker pool for the `congest-hardness` workspace.
 //!
 //! The build environment is offline (no rayon), but the workspace's hot
-//! loops — `verify_family`'s `2^{2K}` build-and-decide sweeps, curated
-//! input grids, benchmark fan-outs — are embarrassingly parallel. This
-//! crate provides the minimal primitive they need:
+//! loops — `verify_family`'s `2^{2K}` build-and-decide sweeps, the
+//! robustness sweeps' fault plans, the sharded simulator's rounds — are
+//! embarrassingly parallel. This crate has one pool for all of them:
 //!
-//! * [`par_map`] / [`par_try_map`] — order-preserving parallel maps over a
-//!   slice, built on [`std::thread::scope`]. Workers claim items from a
-//!   shared atomic cursor, so load-balancing is dynamic, yet the output
-//!   `Vec` is always in input order.
-//! * **Deterministic failure reporting.** [`par_try_map`] returns the
-//!   *lowest-index* error regardless of thread scheduling, so a parallel
-//!   run reports the same failure as the serial sweep, run after run.
-//!   Panics inside a worker are caught per-item and re-raised on the
-//!   caller thread — again for the lowest panicking index — instead of
-//!   aborting the scope or hanging siblings.
-//! * [`with_shards`] — a reusable round-barrier primitive for
-//!   iterative algorithms: long-lived mutable shard states, a driver on
-//!   the caller thread, and [`ShardHandle::step`] running one fixed body
-//!   over every shard in parallel per barrier. The sharded CONGEST
-//!   simulator is built on it.
+//! * [`with_shards`] — a round-barrier pool: long-lived mutable shard
+//!   states, a driver on the caller thread, and [`ShardHandle::step`]
+//!   running one fixed body over every shard in parallel per barrier.
+//!   The caller thread and the helper threads claim shards from a shared
+//!   atomic cursor, so load-balancing is dynamic and a step does not
+//!   wait for a helper to wake up before work starts. The sharded
+//!   CONGEST simulator is built on it.
+//! * [`par_map`] / [`par_try_map_stats`] — order-preserving parallel maps
+//!   over a slice. A map is one step of [`with_shards`] with one shard
+//!   per item, and its output `Vec` is always in input order.
+//! * **Deterministic failure reporting.** [`par_try_map_stats`] returns
+//!   the *lowest-index* error regardless of thread scheduling, so a
+//!   parallel run reports the same failure as the serial sweep, run after
+//!   run. A panic in the mapped closure is caught on its item and
+//!   re-raised on the caller thread — again for the lowest failing index
+//!   — instead of aborting the pool or hanging siblings.
 //! * [`PoolStats`] — per-worker item counters plus busy/idle wall time
 //!   (how well did the load balance?), exportable as `congest-obs`
 //!   records for trace inspection.
 //!
-//! Claims are handed out in increasing index order, so once a failure at
-//! index `i` is observed every index `< i` has already been claimed; the
-//! pool stops claiming past the lowest failure and still sees every
-//! earlier one. That is what makes the lowest-index guarantee cheap: no
-//! barrier, no retry, just a monotone cursor plus an atomic failure floor.
+//! Shards are claimed in increasing index order, so once a map sees a
+//! failure at index `i` every index `< i` has already been claimed; the
+//! map skips every item above the lowest failure seen so far and still
+//! evaluates every earlier one. That is what makes the lowest-index
+//! guarantee cheap: no retry, just the pool's monotone cursor plus an
+//! atomic failure floor.
 //!
 //! # Example
 //!
@@ -36,10 +38,9 @@
 //! let squares = congest_par::par_map(4, &[1u64, 2, 3, 4], |_, &v| v * v);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let r: Result<Vec<u64>, (usize, String)> =
-//!     congest_par::par_try_map(4, &[1u64, 0, 0, 7], |i, &v| {
-//!         if v == 0 { Err(format!("zero at {i}")) } else { Ok(v) }
-//!     });
+//! let (r, _stats) = congest_par::par_try_map_stats(4, &[1u64, 0, 0, 7], |i, &v| {
+//!     if v == 0 { Err(format!("zero at {i}")) } else { Ok(v) }
+//! });
 //! assert_eq!(r.unwrap_err(), (1, "zero at 1".to_string()));
 //! ```
 
@@ -79,24 +80,27 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 pub struct PoolStats {
     /// Number of workers the pool ran with.
     pub workers: usize,
-    /// Items fully processed by each worker (`len() == workers`).
+    /// Body calls each worker made (`len() == workers`): one per shard
+    /// per step, so for a map one per item, skipped items included.
     pub items_per_worker: Vec<u64>,
-    /// Microseconds each worker spent inside the mapped closure.
+    /// Microseconds each worker spent inside the body.
     pub busy_micros_per_worker: Vec<u64>,
-    /// Microseconds each worker spent *not* inside the closure — claim
-    /// contention plus the tail wait after its last item while siblings
-    /// finished. High idle on some workers with low idle on others means
-    /// the items were too coarse to balance.
+    /// Microseconds each worker spent *not* inside the body — claim
+    /// contention, barrier waits and the tail wait after its last item
+    /// while siblings finished, and for worker 0, the caller thread,
+    /// spawning the helpers and the driver's own work between steps. High
+    /// idle on some workers with low idle on others means the items were
+    /// too coarse to balance.
     pub idle_micros_per_worker: Vec<u64>,
 }
 
 impl PoolStats {
-    /// Total items processed across all workers.
+    /// Total body calls across all workers.
     pub fn total_items(&self) -> u64 {
         self.items_per_worker.iter().sum()
     }
 
-    /// Total microseconds spent inside the mapped closure.
+    /// Total microseconds spent inside the body.
     pub fn busy_micros(&self) -> u64 {
         self.busy_micros_per_worker.iter().sum()
     }
@@ -175,131 +179,30 @@ fn grow_add(into: &mut Vec<u64>, from: &[u64]) {
     }
 }
 
-/// How one item failed: a recoverable error or a caught panic payload.
+/// A caught panic payload.
+type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+
+/// How one map item failed: a recoverable error or a caught panic.
 enum Failure<E> {
     Err(E),
-    Panic(Box<dyn std::any::Any + Send + 'static>),
+    Panic(PanicPayload),
 }
 
-/// Per-index outcomes, the failures observed (by index), and pool counters.
-type RunOutcome<U, E> = (Vec<Option<U>>, Vec<(usize, Failure<E>)>, PoolStats);
+/// One map item's shard: its value or failure, `None` if it never ran.
+type Cell<U, E> = Option<Result<U, Failure<E>>>;
 
-/// Shared engine: maps `f` over `items` on `jobs` workers, recording each
-/// item's outcome, and returns the per-index outcomes plus pool counters.
-/// On the first observed failure the cursor stops advancing past it, so
-/// trailing items are skipped (mirroring a serial sweep's short-circuit).
-fn run<'s, T, U, E, F>(jobs: usize, items: &'s [T], f: &F) -> RunOutcome<U, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &'s T) -> Result<U, E> + Sync,
-{
-    let jobs = resolve_jobs(jobs).min(items.len()).max(1);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let mut failures: Vec<(usize, Failure<E>)> = Vec::new();
-    let mut stats = PoolStats {
-        workers: jobs,
-        items_per_worker: vec![0; jobs],
-        busy_micros_per_worker: vec![0; jobs],
-        idle_micros_per_worker: vec![0; jobs],
-    };
-
-    if jobs == 1 {
-        // Serial fast path: no threads, natural panic propagation, and
-        // byte-identical behaviour for `--jobs 1` reproduction runs.
-        let wall_t0 = Instant::now();
-        let mut busy_nanos = 0u64;
-        for (i, item) in items.iter().enumerate() {
-            let t0 = Instant::now();
-            let outcome = f(i, item);
-            busy_nanos += t0.elapsed().as_nanos() as u64;
-            stats.items_per_worker[0] += 1;
-            match outcome {
-                Ok(v) => slots[i] = Some(v),
-                Err(e) => {
-                    failures.push((i, Failure::Err(e)));
-                    break;
-                }
-            }
-        }
-        let wall_nanos = wall_t0.elapsed().as_nanos() as u64;
-        stats.busy_micros_per_worker[0] = busy_nanos / 1_000;
-        stats.idle_micros_per_worker[0] = wall_nanos.saturating_sub(busy_nanos) / 1_000;
-        return (slots, failures, stats);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let failure_floor = AtomicUsize::new(usize::MAX);
-    let worker_outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let wall_t0 = Instant::now();
-                    let mut local: Vec<(usize, Result<U, Failure<E>>)> = Vec::new();
-                    let mut processed = 0u64;
-                    let mut busy_nanos = 0u64;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() || i >= failure_floor.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                        busy_nanos += t0.elapsed().as_nanos() as u64;
-                        match outcome {
-                            Ok(Ok(v)) => local.push((i, Ok(v))),
-                            Ok(Err(e)) => {
-                                failure_floor.fetch_min(i, Ordering::Relaxed);
-                                local.push((i, Err(Failure::Err(e))));
-                            }
-                            Err(payload) => {
-                                failure_floor.fetch_min(i, Ordering::Relaxed);
-                                local.push((i, Err(Failure::Panic(payload))));
-                            }
-                        }
-                        processed += 1;
-                    }
-                    let wall_nanos = wall_t0.elapsed().as_nanos() as u64;
-                    (local, processed, busy_nanos, wall_nanos)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool workers catch their own panics"))
-            .collect::<Vec<_>>()
-    });
-
-    for (w, (local, processed, busy_nanos, wall_nanos)) in worker_outputs.into_iter().enumerate() {
-        stats.items_per_worker[w] = processed;
-        stats.busy_micros_per_worker[w] = busy_nanos / 1_000;
-        stats.idle_micros_per_worker[w] = wall_nanos.saturating_sub(busy_nanos) / 1_000;
-        for (i, outcome) in local {
-            match outcome {
-                Ok(v) => slots[i] = Some(v),
-                Err(fail) => failures.push((i, fail)),
-            }
+/// The values in index order, or the first failure in index order: an
+/// `Err` is returned, a panic re-raised on the caller thread.
+fn settle<U, E>(cells: Vec<Cell<U, E>>) -> Result<Vec<U>, (usize, E)> {
+    let mut out = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.into_iter().enumerate() {
+        match cell.expect("every index below the first failure is evaluated") {
+            Ok(v) => out.push(v),
+            Err(Failure::Err(e)) => return Err((i, e)),
+            Err(Failure::Panic(payload)) => resume_unwind(payload),
         }
     }
-    (slots, failures, stats)
-}
-
-/// Picks the lowest-index failure; panics are re-raised on the caller.
-fn settle<U, E>(
-    slots: Vec<Option<U>>,
-    mut failures: Vec<(usize, Failure<E>)>,
-) -> Result<Vec<U>, (usize, E)> {
-    failures.sort_by_key(|(i, _)| *i);
-    match failures.into_iter().next() {
-        None => Ok(slots
-            .into_iter()
-            .map(|s| s.expect("no failures ⇒ every slot filled"))
-            .collect()),
-        Some((i, Failure::Err(e))) => Err((i, e)),
-        Some((_, Failure::Panic(payload))) => resume_unwind(payload),
-    }
+    Ok(out)
 }
 
 /// Maps `f` over `items` on `jobs` workers (`0` = all cores), preserving
@@ -316,46 +219,28 @@ where
     U: Send,
     F: Fn(usize, &'s T) -> U + Sync,
 {
-    par_map_stats(jobs, items, f).0
-}
-
-/// [`par_map`] variant that also returns the per-worker [`PoolStats`].
-pub fn par_map_stats<'s, T, U, F>(jobs: usize, items: &'s [T], f: F) -> (Vec<U>, PoolStats)
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &'s T) -> U + Sync,
-{
-    let wrapped = |i: usize, item: &'s T| -> Result<U, std::convert::Infallible> { Ok(f(i, item)) };
-    let (slots, failures, stats) = run(jobs, items, &wrapped);
-    match settle(slots, failures) {
-        Ok(v) => (v, stats),
+    let infallible = |i, item| Ok::<U, std::convert::Infallible>(f(i, item));
+    match par_try_map_stats(jobs, items, infallible).0 {
+        Ok(v) => v,
         Err((_, e)) => match e {},
     }
 }
 
-/// Fallible [`par_map`]: on failure returns `Err((index, error))` for the
-/// *lowest* failing index, independent of thread scheduling.
+/// Fallible [`par_map`] that also returns the pool's [`PoolStats`]. On
+/// failure the result is `Err((index, error))` for the *lowest* failing
+/// index, independent of thread scheduling.
 ///
-/// Items past the first observed failure are skipped (as a serial sweep
-/// would), but every item before it is always evaluated, so the reported
-/// failure is exactly the one the serial sweep would have hit first.
+/// The map is one [`ShardHandle::step`] of [`with_shards`] with one shard
+/// per item. An item above the lowest failure seen so far is skipped, but
+/// every item below it is evaluated, so the reported failure is exactly
+/// the one the serial sweep would have hit first. At `jobs = 1` nothing
+/// past the first failure runs.
 ///
 /// # Panics
 ///
-/// As for [`par_map`]: the lowest-index worker panic is re-raised cleanly
-/// on the caller thread.
-pub fn par_try_map<'s, T, U, E, F>(jobs: usize, items: &'s [T], f: F) -> Result<Vec<U>, (usize, E)>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &'s T) -> Result<U, E> + Sync,
-{
-    par_try_map_stats(jobs, items, f).0
-}
-
-/// [`par_try_map`] variant that also returns the per-worker [`PoolStats`].
+/// A panic in `f` counts as its item's failure. If the lowest-index
+/// failure is a panic, it is re-raised on the caller thread after all
+/// workers have drained; an `Err` below a panic is returned.
 pub fn par_try_map_stats<'s, T, U, E, F>(
     jobs: usize,
     items: &'s [T],
@@ -367,19 +252,40 @@ where
     E: Send,
     F: Fn(usize, &'s T) -> Result<U, E> + Sync,
 {
-    let (slots, failures, stats) = run(jobs, items, &f);
-    (settle(slots, failures), stats)
+    // `Relaxed`: the floor publishes no data (the cells are read after
+    // the step's barrier), and it never drops below the lowest failure.
+    let floor = AtomicUsize::new(usize::MAX);
+    let cells = (0..items.len()).map(|_| None).collect();
+    let ((), cells, stats) = with_shards(
+        jobs,
+        cells,
+        |i, cell: &mut Cell<U, E>| {
+            if i > floor.load(Ordering::Relaxed) {
+                return;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
+                .map_err(Failure::Panic)
+                .and_then(|r| r.map_err(Failure::Err));
+            if outcome.is_err() {
+                floor.fetch_min(i, Ordering::Relaxed);
+            }
+            *cell = Some(outcome);
+        },
+        |handle| handle.step(),
+    );
+    (settle(cells), stats)
 }
 
-/// A caught worker panic payload.
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
-
-/// Barrier state shared between the [`with_shards`] coordinator and its
-/// workers. Steps are announced by bumping a generation counter (so a
-/// worker that was still parked when two steps were requested cannot miss
+/// What the caller thread and the helper workers of a [`with_shards`]
+/// pool share. Steps are announced by bumping a generation counter (so a
+/// helper that was still parked when two steps were requested cannot miss
 /// one), and completion is a count of *shards* processed, not workers —
 /// a worker that claims nothing still participates correctly.
-struct ShardControl {
+struct Pool<'a, S> {
+    shards: &'a [Mutex<S>],
+    body: &'a (dyn Fn(usize, &mut S) + Sync),
+    /// The caught panic of each shard in the current step.
+    panics: Mutex<Vec<Option<PanicPayload>>>,
     generation: Mutex<u64>,
     gen_cv: Condvar,
     done: Mutex<usize>,
@@ -388,29 +294,83 @@ struct ShardControl {
     shutdown: AtomicBool,
 }
 
+impl<S> Pool<'_, S> {
+    /// Runs the body on shards claimed from the cursor until none is left.
+    /// A panic is caught into its shard's slot, so the caller can re-raise
+    /// the lowest one deterministically. Returns the shards run and the
+    /// nanoseconds spent in the body.
+    fn drain(&self) -> (u64, u64) {
+        let (mut items, mut busy_nanos) = (0, 0);
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.shards.len() {
+                return (items, busy_nanos);
+            }
+            {
+                let shard = &mut *lock_ignore_poison(&self.shards[i]);
+                let t0 = Instant::now();
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(i, shard))) {
+                    lock_ignore_poison(&self.panics)[i] = Some(payload);
+                }
+                busy_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            items += 1;
+            let mut done = lock_ignore_poison(&self.done);
+            *done += 1;
+            if *done == self.shards.len() {
+                self.done_cv.notify_all();
+            }
+        }
+    }
+
+    /// A helper worker: drains every step until shutdown. Returns its
+    /// shards run, busy nanoseconds and wall nanoseconds.
+    fn help(&self) -> (u64, u64, u64) {
+        let wall_t0 = Instant::now();
+        let (mut seen_gen, mut items, mut busy_nanos) = (0, 0, 0);
+        loop {
+            {
+                let mut g = lock_ignore_poison(&self.generation);
+                while *g == seen_gen {
+                    g = self.gen_cv.wait(g).unwrap_or_else(|p| p.into_inner());
+                }
+                seen_gen = *g;
+            }
+            if self.shutdown.load(Ordering::Relaxed) {
+                return (items, busy_nanos, wall_t0.elapsed().as_nanos() as u64);
+            }
+            let (n, busy) = self.drain();
+            items += n;
+            busy_nanos += busy;
+        }
+    }
+
+    /// Wakes every parked helper for the next step, or for shutdown.
+    fn announce(&self) {
+        *lock_ignore_poison(&self.generation) += 1;
+        self.gen_cv.notify_all();
+    }
+}
+
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Worker panics are caught per shard and re-raised deterministically
-    // by the coordinator; a poisoned mutex carries no extra information.
+    // by the caller thread; a poisoned mutex carries no extra information.
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Coordinator-side handle to a [`with_shards`] pool: requests barrier
-/// steps and accesses shard state between steps.
+/// Caller-side handle to a [`with_shards`] pool: requests barrier steps
+/// and accesses shard state between steps.
 pub struct ShardHandle<'a, S> {
-    shards: &'a [Mutex<S>],
-    body: &'a (dyn Fn(usize, &mut S) + Sync),
-    /// `None` on the thread-free serial path.
-    ctl: Option<&'a ShardControl>,
-    panics: &'a Mutex<Vec<Option<(usize, PanicPayload)>>>,
+    pool: &'a Pool<'a, S>,
     steps: u64,
-    serial_items: u64,
-    serial_busy_nanos: u64,
+    items: u64,
+    busy_nanos: u64,
 }
 
 impl<S> ShardHandle<'_, S> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.pool.shards.len()
     }
 
     /// Barrier steps completed so far.
@@ -419,8 +379,9 @@ impl<S> ShardHandle<'_, S> {
     }
 
     /// Runs the pool's body once over every shard and returns when all
-    /// shards are done — one barrier step. With one worker the shards run
-    /// in index order on the caller thread; with more, claim order is
+    /// shards are done — one barrier step. The caller thread claims shards
+    /// alongside the helper workers. With one worker the shards run in
+    /// index order on the caller thread; with more, claim order is
     /// dynamic, which is why the body must not couple shards to each
     /// other.
     ///
@@ -430,74 +391,47 @@ impl<S> ShardHandle<'_, S> {
     /// shard index is re-raised here, after every shard of the step has
     /// settled — deterministic, and never a hang.
     pub fn step(&mut self) {
+        let pool = self.pool;
         self.steps += 1;
-        match self.ctl {
-            None => {
-                for (i, cell) in self.shards.iter().enumerate() {
-                    let shard = &mut *lock_ignore_poison(cell);
-                    let t0 = Instant::now();
-                    call_checked(self.body, i, shard, self.panics);
-                    self.serial_busy_nanos += t0.elapsed().as_nanos() as u64;
-                    self.serial_items += 1;
-                }
-            }
-            Some(ctl) => {
-                *lock_ignore_poison(&ctl.done) = 0;
-                ctl.cursor.store(0, Ordering::Relaxed);
-                {
-                    let mut g = lock_ignore_poison(&ctl.generation);
-                    *g += 1;
-                    ctl.gen_cv.notify_all();
-                }
-                let mut done = lock_ignore_poison(&ctl.done);
-                while *done < self.shards.len() {
-                    done = ctl.done_cv.wait(done).unwrap_or_else(|p| p.into_inner());
-                }
-            }
+        *lock_ignore_poison(&pool.done) = 0;
+        pool.cursor.store(0, Ordering::Relaxed);
+        pool.announce();
+        let (items, busy_nanos) = pool.drain();
+        self.items += items;
+        self.busy_nanos += busy_nanos;
+        let mut done = lock_ignore_poison(&pool.done);
+        while *done < pool.shards.len() {
+            done = pool.done_cv.wait(done).unwrap_or_else(|p| p.into_inner());
         }
-        let lowest = {
-            let mut slots = lock_ignore_poison(self.panics);
-            let hit = slots
-                .iter_mut()
-                .filter(|s| s.is_some())
-                .min_by_key(|s| s.as_ref().map(|(i, _)| *i));
-            hit.and_then(Option::take)
-        };
-        if let Some((_, payload)) = lowest {
+        drop(done);
+        let lowest = lock_ignore_poison(&pool.panics)
+            .iter_mut()
+            .find_map(Option::take);
+        if let Some(payload) = lowest {
             resume_unwind(payload);
         }
     }
 
-    /// Locks shard `i` for coordinator access between steps. Never call
-    /// while a guard for the same shard is alive (self-deadlock); a step
-    /// cannot be requested while any guard is held, because [`step`]
-    /// takes `&mut self`.
+    /// Locks shard `i` for caller access between steps. Never call while
+    /// a guard for the same shard is alive (self-deadlock); a step cannot
+    /// be requested while any guard is held, because [`step`] takes
+    /// `&mut self`.
     ///
     /// [`step`]: ShardHandle::step
     pub fn lock(&self, i: usize) -> MutexGuard<'_, S> {
-        lock_ignore_poison(&self.shards[i])
-    }
-}
-
-/// Runs the step body on one shard, funnelling a panic into that shard's
-/// slot so the coordinator can re-raise the lowest one deterministically.
-fn call_checked<S>(
-    body: &(dyn Fn(usize, &mut S) + Sync),
-    i: usize,
-    shard: &mut S,
-    panics: &Mutex<Vec<Option<(usize, PanicPayload)>>>,
-) {
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i, shard))) {
-        lock_ignore_poison(panics)[i] = Some((i, payload));
+        lock_ignore_poison(&self.pool.shards[i])
     }
 }
 
 /// Runs `driver` on the caller thread against a pool of `jobs` workers
 /// (`0` = all cores, clamped to the shard count) holding the given
-/// mutable shard states. Each [`ShardHandle::step`] call runs `body` once
-/// over every shard — concurrently where workers allow — and returns only
-/// when all shards are done, giving the driver a deterministic barrier
-/// between rounds of an iterative computation.
+/// mutable shard states. The caller thread is worker 0 and `jobs - 1`
+/// helper threads are the rest. Each [`ShardHandle::step`] call runs
+/// `body` once over every shard — concurrently where workers allow — and
+/// returns only when all shards are done, giving the driver a
+/// deterministic barrier between rounds of an iterative computation. A
+/// parallel map ([`par_try_map_stats`]) is one step with one shard per
+/// item.
 ///
 /// Between steps the driver owns the world: it can inspect and mutate any
 /// shard through [`ShardHandle::lock`] with no worker racing it, which is
@@ -505,14 +439,15 @@ fn call_checked<S>(
 ///
 /// Returns the driver's result, the final shard states, and the pool's
 /// [`PoolStats`] (busy = time inside `body`; idle = everything else a
-/// worker spent waiting, including barrier waits — the number that shows
-/// shard imbalance).
+/// worker spent, including barrier waits and, for worker 0, spawning the
+/// helpers and the driver's own work — the number that shows shard
+/// imbalance).
 ///
 /// # Panics
 ///
 /// Body panics are re-raised on the caller thread for the lowest shard
 /// index of the step (see [`ShardHandle::step`]); driver panics propagate
-/// after the workers have been shut down and joined. Neither hangs the
+/// after the helpers have been shut down and joined. Neither hangs the
 /// pool.
 pub fn with_shards<S, T>(
     jobs: usize,
@@ -526,39 +461,10 @@ where
     let num_shards = shards.len();
     let jobs = resolve_jobs(jobs).min(num_shards.max(1));
     let cells: Vec<Mutex<S>> = shards.into_iter().map(Mutex::new).collect();
-    let panics: Mutex<Vec<Option<(usize, PanicPayload)>>> =
-        Mutex::new((0..num_shards).map(|_| None).collect());
-
-    let mut stats = PoolStats {
-        workers: jobs,
-        items_per_worker: vec![0; jobs],
-        busy_micros_per_worker: vec![0; jobs],
-        idle_micros_per_worker: vec![0; jobs],
-    };
-
-    if jobs == 1 {
-        // Thread-free serial path: shards run in index order on the
-        // caller thread, natural panic propagation.
-        let wall_t0 = Instant::now();
-        let mut handle = ShardHandle {
-            shards: &cells,
-            body: &body,
-            ctl: None,
-            panics: &panics,
-            steps: 0,
-            serial_items: 0,
-            serial_busy_nanos: 0,
-        };
-        let out = driver(&mut handle);
-        let (items, busy_nanos) = (handle.serial_items, handle.serial_busy_nanos);
-        let wall_nanos = wall_t0.elapsed().as_nanos() as u64;
-        stats.items_per_worker[0] = items;
-        stats.busy_micros_per_worker[0] = busy_nanos / 1_000;
-        stats.idle_micros_per_worker[0] = wall_nanos.saturating_sub(busy_nanos) / 1_000;
-        return (out, unwrap_cells(cells), stats);
-    }
-
-    let ctl = ShardControl {
+    let pool = Pool {
+        shards: &cells,
+        body: &body,
+        panics: Mutex::new((0..num_shards).map(|_| None).collect()),
         generation: Mutex::new(0),
         gen_cv: Condvar::new(),
         done: Mutex::new(0),
@@ -567,82 +473,43 @@ where
         shutdown: AtomicBool::new(false),
     };
 
-    let (driver_outcome, worker_stats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let wall_t0 = Instant::now();
-                    let mut seen_gen = 0u64;
-                    let mut items = 0u64;
-                    let mut busy_nanos = 0u64;
-                    loop {
-                        {
-                            let mut g = lock_ignore_poison(&ctl.generation);
-                            while *g == seen_gen {
-                                g = ctl.gen_cv.wait(g).unwrap_or_else(|p| p.into_inner());
-                            }
-                            seen_gen = *g;
-                        }
-                        if ctl.shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        loop {
-                            let i = ctl.cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= num_shards {
-                                break;
-                            }
-                            {
-                                let shard = &mut *lock_ignore_poison(&cells[i]);
-                                let t0 = Instant::now();
-                                call_checked(&body, i, shard, &panics);
-                                busy_nanos += t0.elapsed().as_nanos() as u64;
-                            }
-                            items += 1;
-                            let mut done = lock_ignore_poison(&ctl.done);
-                            *done += 1;
-                            if *done == num_shards {
-                                ctl.done_cv.notify_all();
-                            }
-                        }
-                    }
-                    let wall_nanos = wall_t0.elapsed().as_nanos() as u64;
-                    (items, busy_nanos, wall_nanos)
-                })
-            })
-            .collect();
-
+    let (outcome, workers) = std::thread::scope(|scope| {
+        let wall_t0 = Instant::now();
+        let helpers: Vec<_> = (1..jobs).map(|_| scope.spawn(|| pool.help())).collect();
         let mut handle = ShardHandle {
-            shards: &cells,
-            body: &body as &(dyn Fn(usize, &mut S) + Sync),
-            ctl: Some(&ctl),
-            panics: &panics,
+            pool: &pool,
             steps: 0,
-            serial_items: 0,
-            serial_busy_nanos: 0,
+            items: 0,
+            busy_nanos: 0,
         };
         // The driver (and step()'s panic re-raise) must not unwind past
-        // the shutdown handshake, or the parked workers would hang the
+        // the shutdown handshake, or the parked helpers would hang the
         // scope forever.
         let outcome = catch_unwind(AssertUnwindSafe(|| driver(&mut handle)));
-        ctl.shutdown.store(true, Ordering::Relaxed);
-        {
-            let mut g = lock_ignore_poison(&ctl.generation);
-            *g += 1;
-            ctl.gen_cv.notify_all();
-        }
-        let worker_stats: Vec<_> = handles
+        let caller = (
+            handle.items,
+            handle.busy_nanos,
+            wall_t0.elapsed().as_nanos() as u64,
+        );
+        pool.shutdown.store(true, Ordering::Relaxed);
+        pool.announce();
+        let helpers = helpers
             .into_iter()
-            .map(|h| h.join().expect("shard workers catch their own panics"))
-            .collect();
-        (outcome, worker_stats)
+            .map(|h| h.join().expect("helpers catch the body's panics"));
+        let workers: Vec<(u64, u64, u64)> = std::iter::once(caller).chain(helpers).collect();
+        (outcome, workers)
     });
 
-    for (w, (items, busy_nanos, wall_nanos)) in worker_stats.into_iter().enumerate() {
-        stats.items_per_worker[w] = items;
-        stats.busy_micros_per_worker[w] = busy_nanos / 1_000;
-        stats.idle_micros_per_worker[w] = wall_nanos.saturating_sub(busy_nanos) / 1_000;
-    }
-    match driver_outcome {
+    let stats = PoolStats {
+        workers: jobs,
+        items_per_worker: workers.iter().map(|w| w.0).collect(),
+        busy_micros_per_worker: workers.iter().map(|w| w.1 / 1_000).collect(),
+        idle_micros_per_worker: workers
+            .iter()
+            .map(|w| w.2.saturating_sub(w.1) / 1_000)
+            .collect(),
+    };
+    match outcome {
         Ok(out) => (out, unwrap_cells(cells), stats),
         Err(payload) => resume_unwind(payload),
     }
@@ -677,11 +544,11 @@ mod tests {
     #[test]
     fn stats_account_for_every_item() {
         let items: Vec<u64> = (0..97).collect();
-        let (out, stats) = par_map_stats(5, &items, |i, &v| {
+        let (out, stats) = par_try_map_stats(5, &items, |i, &v| {
             assert_eq!(i as u64, v);
-            v
+            Ok::<u64, ()>(v)
         });
-        assert_eq!(out, items);
+        assert_eq!(out.unwrap(), items);
         assert_eq!(stats.workers, 5);
         assert_eq!(stats.total_items(), 97);
         let recs = stats.to_records("par.pool");
@@ -693,9 +560,9 @@ mod tests {
     fn busy_and_idle_time_are_recorded_per_worker() {
         let items: Vec<u64> = (0..24).collect();
         for jobs in [1usize, 4] {
-            let (_, stats) = par_map_stats(jobs, &items, |_, &v| {
+            let (_, stats) = par_try_map_stats(jobs, &items, |_, &v| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
-                v
+                Ok::<u64, ()>(v)
             });
             assert_eq!(stats.busy_micros_per_worker.len(), stats.workers);
             assert_eq!(stats.idle_micros_per_worker.len(), stats.workers);
@@ -716,8 +583,8 @@ mod tests {
     #[test]
     fn absorb_accumulates_across_invocations() {
         let items: Vec<u64> = (0..10).collect();
-        let (_, mut acc) = par_map_stats(2, &items, |_, &v| v);
-        let (_, more) = par_map_stats(4, &items, |_, &v| v);
+        let (_, mut acc) = par_try_map_stats(2, &items, |_, &v| Ok::<u64, ()>(v));
+        let (_, more) = par_try_map_stats(4, &items, |_, &v| Ok::<u64, ()>(v));
         acc.absorb(&more);
         assert_eq!(acc.workers, 4);
         assert_eq!(acc.total_items(), 20);
@@ -731,7 +598,7 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         for jobs in [1usize, 2, 3, 8] {
             for _ in 0..8 {
-                let r: Result<Vec<u64>, (usize, String)> = par_try_map(jobs, &items, |i, &v| {
+                let (r, _) = par_try_map_stats(jobs, &items, |i, &v| {
                     if v % 13 == 5 {
                         // Make high-index failures *fast* and the lowest
                         // one slow, to tempt a racy implementation.
@@ -802,14 +669,32 @@ mod tests {
     #[test]
     fn with_shards_driver_sees_barrier_completed_state() {
         // Every step() return must observe ALL shards' step applied:
-        // the driver checks after each barrier.
+        // the driver checks after each barrier. The caller's shard waits
+        // until the helper is inside the other shard, which then takes
+        // 20 ms, so a step that returned without waiting for its helpers
+        // would see the helper's shard unfinished.
+        let caller = std::thread::current().id();
+        let helper_in: Vec<Latch> = (0..5).map(|_| Latch::default()).collect();
+        let finished = AtomicUsize::new(0);
         let (steps, _, _) = with_shards(
-            4,
-            vec![0u64; 7],
-            |_, s: &mut u64| *s += 1,
+            2,
+            vec![0u64; 2],
+            |_, s: &mut u64| {
+                let latch = &helper_in[*s as usize];
+                if std::thread::current().id() == caller {
+                    latch.wait();
+                } else {
+                    latch.open();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                *s += 1;
+                finished.fetch_add(1, Ordering::Relaxed);
+            },
             |handle| {
                 for step in 1..=5u64 {
                     handle.step();
+                    let ran = finished.load(Ordering::Relaxed) as u64;
+                    assert_eq!(ran, 2 * step, "step {step} returned early");
                     for i in 0..handle.num_shards() {
                         assert_eq!(*handle.lock(i), step, "shard {i} lagged");
                     }
@@ -887,6 +772,138 @@ mod tests {
         assert_eq!(stats.total_items(), 0);
     }
 
+    /// A one-way latch: one shard or map item opens it, another waits
+    /// for it.
+    #[derive(Default)]
+    struct Latch(std::sync::Mutex<bool>, std::sync::Condvar);
+
+    impl Latch {
+        fn open(&self) {
+            *self.0.lock().expect("no latch user panics") = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let open = self.0.lock().expect("no latch user panics");
+            let wait = std::time::Duration::from_secs(10);
+            let (_open, timeout) = self
+                .1
+                .wait_timeout_while(open, wait, |open| !*open)
+                .expect("no latch user panics");
+            assert!(!timeout.timed_out(), "the later item never ran");
+        }
+    }
+
+    /// A map over 16 items where items 3 and 5 fail, one with a panic
+    /// (`panic_at`) and the other with an `Err`. With more than one
+    /// worker, item 3 waits until item 5 has run, so the higher failure
+    /// lands first, as a racy pool would wrongly report.
+    fn race_3_against_5(
+        jobs: usize,
+        panic_at: usize,
+    ) -> std::thread::Result<Result<Vec<usize>, (usize, String)>> {
+        let items: Vec<usize> = (0..16).collect();
+        let five_ran = Latch::default();
+        std::panic::catch_unwind(|| {
+            par_try_map_stats(jobs, &items, |i, &v| {
+                match i {
+                    3 if jobs > 1 => five_ran.wait(),
+                    5 => five_ran.open(),
+                    _ => {}
+                }
+                match i {
+                    3 | 5 if i == panic_at => panic!("item {i} exploded"),
+                    3 | 5 => Err(format!("bad {i}")),
+                    _ => Ok(v),
+                }
+            })
+            .0
+        })
+    }
+
+    #[test]
+    fn an_err_below_a_panic_is_returned() {
+        for jobs in [1usize, 2, 4, 8] {
+            for _ in 0..8 {
+                let r = race_3_against_5(jobs, 5).expect("the Err at 3 wins");
+                assert_eq!(r.unwrap_err(), (3, "bad 3".to_string()), "jobs = {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_below_an_err_is_reraised() {
+        for jobs in [1usize, 2, 4, 8] {
+            for _ in 0..8 {
+                let payload = race_3_against_5(jobs, 3).expect_err("the panic at 3 wins");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("item 3 exploded"),
+                    "jobs = {jobs}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_index_below_the_first_failure_runs_exactly_once() {
+        // Items 17, 23 and 30 fail; with more than one worker, item 17
+        // waits until item 23 has run, so the floor drops to 23 first.
+        let items: Vec<usize> = (0..40).collect();
+        for panics in [false, true] {
+            for jobs in [1usize, 2, 4, 8] {
+                for _ in 0..8 {
+                    let calls: Vec<AtomicUsize> =
+                        items.iter().map(|_| AtomicUsize::new(0)).collect();
+                    let later_ran = Latch::default();
+                    let outcome = std::panic::catch_unwind(|| {
+                        par_try_map_stats(jobs, &items, |i, &v| {
+                            calls[i].fetch_add(1, Ordering::Relaxed);
+                            match i {
+                                17 if jobs > 1 => later_ran.wait(),
+                                23 => later_ran.open(),
+                                17 | 30 => {}
+                                _ => return Ok(v),
+                            }
+                            if panics {
+                                panic!("item {i} exploded");
+                            }
+                            Err(i)
+                        })
+                        .0
+                    });
+                    match outcome {
+                        Ok(r) => assert_eq!(r.unwrap_err(), (17, 17)),
+                        Err(payload) => assert_eq!(
+                            payload.downcast_ref::<String>().map(String::as_str),
+                            Some("item 17 exploded")
+                        ),
+                    }
+                    let calls: Vec<usize> =
+                        calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                    let ctx = format!("jobs = {jobs}, panics = {panics}: {calls:?}");
+                    assert!(calls[..=17].iter().all(|&c| c == 1), "{ctx}");
+                    assert!(calls.iter().all(|&c| c <= 1), "{ctx}");
+                    if jobs == 1 {
+                        assert!(calls[18..].iter().all(|&c| c == 0), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_successful_map_counts_every_item() {
+        for len in [0u64, 1, 7, 100] {
+            let items: Vec<u64> = (0..len).collect();
+            for jobs in [1usize, 2, 4, 8] {
+                let (r, stats) = par_try_map_stats(jobs, &items, |_, &v| Ok::<u64, ()>(v));
+                assert_eq!(r.unwrap(), items, "jobs = {jobs}");
+                assert_eq!(stats.total_items(), len, "jobs = {jobs}, len = {len}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -910,8 +927,7 @@ mod tests {
             let fail = |i: usize| (i as u64).wrapping_mul(seed | 1).is_multiple_of(7);
             let items: Vec<usize> = (0..len).collect();
             let expected = items.iter().position(|&i| fail(i));
-            let r: Result<Vec<usize>, (usize, usize)> =
-                par_try_map(jobs, &items, |i, &v| if fail(i) { Err(i) } else { Ok(v) });
+            let (r, _) = par_try_map_stats(jobs, &items, |i, &v| if fail(i) { Err(i) } else { Ok(v) });
             match expected {
                 None => prop_assert_eq!(r.unwrap(), items),
                 Some(first) => prop_assert_eq!(r.unwrap_err(), (first, first)),

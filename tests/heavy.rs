@@ -103,35 +103,3 @@ fn maxcut_family_k2_random_sweep() {
     let report = verify_family(&fam, &inputs).expect("Lemma 2.4");
     assert_eq!(report.n, 21);
 }
-
-/// `experiments --jobs 1` must reproduce the committed report byte for
-/// byte: the serial engine is the reference semantics, and the report
-/// (unlike timings, which go to stderr) is fully deterministic.
-#[test]
-#[ignore = "full experiments run, minutes; run with --ignored"]
-fn experiments_jobs_1_is_byte_identical_to_committed_report() {
-    let exe = env!("CARGO_BIN_EXE_experiments");
-    let output = std::process::Command::new(exe)
-        .args(["--jobs", "1"])
-        .output()
-        .expect("run experiments binary");
-    assert!(
-        output.status.success(),
-        "experiments exited with {:?}:\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let committed = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/experiments_output.txt"
-    ))
-    .expect("read committed experiments_output.txt");
-    assert!(
-        output.stdout == committed,
-        "experiments --jobs 1 stdout differs from experiments_output.txt \
-         ({} vs {} bytes); regenerate the committed report if the change \
-         is intentional",
-        output.stdout.len(),
-        committed.len()
-    );
-}
