@@ -11,9 +11,11 @@
 //! remaining combinatorial rectangle). The deterministic communication
 //! complexity is the minimum depth of such a tree.
 //!
-//! The search is exponential in `2^K`; it is guarded to `K ≤ 4`.
-
-use std::collections::HashMap;
+//! The search is exponential in `2^K`. It keeps the truth table as one
+//! column mask per row and memoizes every rectangle `rows × cols` in a
+//! flat byte table of `2^(2·2^K)` cells (64 KiB at `K = 3`). It is
+//! guarded to `K ≤ 3`: at `K = 4` there are `2^32` rectangles, so neither
+//! the table nor the search would finish.
 
 use crate::{BitString, BooleanFunction};
 
@@ -49,7 +51,8 @@ impl CcSearchStats {
 ///
 /// # Panics
 ///
-/// Panics if `f.input_len() > 4` (the search is doubly exponential).
+/// Panics if `f.input_len() > 3`: at `K = 4` the search would have to
+/// memoize `2^32` rectangles.
 pub fn deterministic_cc<F: BooleanFunction>(f: &F) -> u32 {
     deterministic_cc_with_stats(f).0
 }
@@ -59,111 +62,120 @@ pub fn deterministic_cc<F: BooleanFunction>(f: &F) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if `f.input_len() > 4` (the search is doubly exponential).
+/// Panics if `f.input_len() > 3`: at `K = 4` the search would have to
+/// memoize `2^32` rectangles.
 pub fn deterministic_cc_with_stats<F: BooleanFunction>(f: &F) -> (u32, CcSearchStats) {
     let k = f.input_len();
-    assert!(k <= 4, "exact CC search is limited to K <= 4");
-    let n = 1usize << k;
+    assert!(k <= 3, "exact CC search is limited to K <= 3");
+    let n = 1u32 << k;
     let inputs = BitString::enumerate_all(k);
-    // Truth table: table[x][y] = f(x, y).
-    let table: Vec<Vec<bool>> = inputs
+    // Truth table: bit y of ones[x] is f(x, y).
+    let ones = inputs
         .iter()
-        .map(|x| inputs.iter().map(|y| f.eval(x, y)).collect())
+        .map(|x| {
+            (0u32..)
+                .zip(&inputs)
+                .filter(|(_, y)| f.eval(x, y))
+                .fold(0, |mask, (i, _)| mask | 1 << i)
+        })
         .collect();
+    let mut search = Search {
+        ones,
+        n,
+        memo: vec![UNKNOWN; 1 << (2 * n)],
+        stats: CcSearchStats::default(),
+    };
     let full = (1u32 << n) - 1;
-    let mut memo: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut stats = CcSearchStats::default();
-    let cc = cc_rect(&table, full, full, &mut memo, &mut stats);
-    (cc, stats)
+    let cc = search.rect(full, full);
+    (u32::from(cc), search.stats)
 }
 
-/// Minimum protocol depth on the rectangle `rows × cols` (bitmask-encoded).
-fn cc_rect(
-    table: &[Vec<bool>],
-    rows: u32,
-    cols: u32,
-    memo: &mut HashMap<(u32, u32), u32>,
-    stats: &mut CcSearchStats,
-) -> u32 {
-    if rows == 0 || cols == 0 {
-        return 0;
-    }
-    if let Some(&v) = memo.get(&(rows, cols)) {
-        stats.memo_hits += 1;
-        return v;
-    }
-    stats.rects_explored += 1;
-    if is_monochromatic(table, rows, cols) {
-        stats.mono_leaves += 1;
-        memo.insert((rows, cols), 0);
-        return 0;
-    }
-    let mut best = u32::MAX;
-    // Alice speaks: she partitions her live inputs into (sub, rows\sub).
-    best = best.min(best_split(table, rows, cols, true, memo, stats));
-    // Bob speaks.
-    best = best.min(best_split(table, rows, cols, false, memo, stats));
-    memo.insert((rows, cols), best);
-    best
+/// A memo cell not yet computed. Real depths are at most `2·(2^K − 1)`.
+const UNKNOWN: u8 = u8::MAX;
+
+/// One protocol-tree search over the rectangles of a `2^K × 2^K` table.
+struct Search {
+    /// Row `x`'s `1`-columns as a mask.
+    ones: Vec<u32>,
+    /// `2^K`: the width of a row or column mask.
+    n: u32,
+    /// The depth of rectangle `rows × cols` at index `rows << n | cols`.
+    memo: Vec<u8>,
+    stats: CcSearchStats,
 }
 
-fn best_split(
-    table: &[Vec<bool>],
-    rows: u32,
-    cols: u32,
-    alice: bool,
-    memo: &mut HashMap<(u32, u32), u32>,
-    stats: &mut CcSearchStats,
-) -> u32 {
-    let set = if alice { rows } else { cols };
-    // Enumerate proper non-empty subsets of `set`. Fix the lowest live
-    // element to one side to halve the symmetric search.
-    let lowest = set & set.wrapping_neg();
-    let rest = set & !lowest;
-    let mut best = u32::MAX;
-    // Iterate over subsets of `rest`; sub = lowest | subset-of-rest.
-    let mut sub_rest = rest;
-    loop {
-        let sub = lowest | sub_rest;
-        if sub != set {
-            // Proper split.
-            stats.splits_tried += 1;
-            let other = set & !sub;
-            let (r1, c1, r2, c2) = if alice {
-                (sub, cols, other, cols)
-            } else {
-                (rows, sub, rows, other)
-            };
-            let d =
-                1 + cc_rect(table, r1, c1, memo, stats).max(cc_rect(table, r2, c2, memo, stats));
-            best = best.min(d);
+impl Search {
+    /// Minimum protocol depth on the rectangle `rows × cols` (bitmask-encoded).
+    fn rect(&mut self, rows: u32, cols: u32) -> u8 {
+        if rows == 0 || cols == 0 {
+            return 0;
         }
-        if sub_rest == 0 {
-            break;
+        let cell = ((rows << self.n) | cols) as usize;
+        if self.memo[cell] != UNKNOWN {
+            self.stats.memo_hits += 1;
+            return self.memo[cell];
         }
-        sub_rest = (sub_rest - 1) & rest;
+        self.stats.rects_explored += 1;
+        let best = if self.is_monochromatic(rows, cols) {
+            self.stats.mono_leaves += 1;
+            0
+        } else {
+            // Alice speaks: she partitions her live inputs into
+            // (sub, rows \ sub); then Bob speaks.
+            let alice = self.best_split(rows, cols, true);
+            alice.min(self.best_split(rows, cols, false))
+        };
+        self.memo[cell] = best;
+        best
     }
-    best
-}
 
-fn is_monochromatic(table: &[Vec<bool>], rows: u32, cols: u32) -> bool {
-    let mut seen: Option<bool> = None;
-    for (x, row) in table.iter().enumerate() {
-        if rows & (1 << x) == 0 {
-            continue;
-        }
-        for (y, &v) in row.iter().enumerate() {
-            if cols & (1 << y) == 0 {
-                continue;
+    fn best_split(&mut self, rows: u32, cols: u32, alice: bool) -> u8 {
+        let set = if alice { rows } else { cols };
+        // Enumerate proper non-empty subsets of `set`. Fix the lowest live
+        // element to one side to halve the symmetric search.
+        let lowest = set & set.wrapping_neg();
+        let rest = set & !lowest;
+        let mut best = UNKNOWN;
+        // Iterate over subsets of `rest`; sub = lowest | subset-of-rest.
+        let mut sub_rest = rest;
+        loop {
+            let sub = lowest | sub_rest;
+            if sub != set {
+                // Proper split.
+                self.stats.splits_tried += 1;
+                let other = set & !sub;
+                let (r1, c1, r2, c2) = if alice {
+                    (sub, cols, other, cols)
+                } else {
+                    (rows, sub, rows, other)
+                };
+                let d = 1 + self.rect(r1, c1).max(self.rect(r2, c2));
+                best = best.min(d);
             }
-            match seen {
-                None => seen = Some(v),
-                Some(s) if s != v => return false,
-                _ => {}
+            if sub_rest == 0 {
+                break;
             }
+            sub_rest = (sub_rest - 1) & rest;
         }
+        best
     }
-    true
+
+    /// Whether `f` is constant on `rows × cols`: every live row's `1`-columns
+    /// within `cols` are all of `cols` or none of it, the same on each row.
+    fn is_monochromatic(&self, rows: u32, cols: u32) -> bool {
+        let first = self.ones[rows.trailing_zeros() as usize] & cols;
+        if first != 0 && first != cols {
+            return false;
+        }
+        let mut live = rows;
+        while live != 0 {
+            if self.ones[live.trailing_zeros() as usize] & cols != first {
+                return false;
+            }
+            live &= live - 1;
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +235,32 @@ mod tests {
         assert_eq!(deterministic_cc(&Disjointness::new(1)), 2);
         assert_eq!(deterministic_cc(&Disjointness::new(2)), 3);
         assert_eq!(deterministic_cc(&Disjointness::new(3)), 4);
+    }
+
+    fn counters<F: BooleanFunction>(f: &F) -> [u64; 4] {
+        let (_, s) = deterministic_cc_with_stats(f);
+        [s.rects_explored, s.memo_hits, s.mono_leaves, s.splits_tried]
+    }
+
+    /// `[rects_explored, memo_hits, mono_leaves, splits_tried]`, as read
+    /// from a hash-map-memo search with the same recursion order: the
+    /// table memo must keep every counter, not just the answer.
+    #[test]
+    fn search_counters_are_pinned() {
+        assert_eq!(counters(&Disjointness::new(1)), [8, 1, 5, 4]);
+        assert_eq!(counters(&Disjointness::new(2)), [224, 1121, 57, 672]);
+        assert_eq!(
+            counters(&Disjointness::new(3)),
+            [65024, 2991041, 2061, 1528032]
+        );
+        assert_eq!(counters(&Equality::new(1)), [9, 4, 4, 6]);
+        assert_eq!(counters(&Equality::new(2)), [225, 1156, 54, 690]);
+    }
+
+    #[test]
+    #[should_panic(expected = "K <= 3")]
+    fn search_refuses_k_4() {
+        deterministic_cc(&Disjointness::new(4));
     }
 
     #[test]

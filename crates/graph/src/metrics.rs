@@ -22,13 +22,51 @@ pub fn eccentricity(g: &Graph, u: NodeId) -> Option<usize> {
 }
 
 /// The (hop) diameter, or `None` if the graph is disconnected or empty.
+///
+/// Runs breadth-first search from 64 sources at once: bit `i` of a
+/// vertex's `seen` word says that source `i` of the batch has reached it.
+/// A level ORs each vertex's neighbours' frontier words into that vertex,
+/// and a batch ends at the first level where no word grows, so its level
+/// count is the largest eccentricity among its sources. The graph is
+/// disconnected iff some vertex's `seen` word misses a source of a batch.
 pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.num_nodes() == 0 {
+    let n = g.num_nodes();
+    if n == 0 {
         return None;
     }
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
     let mut diam = 0;
-    for u in 0..g.num_nodes() {
-        diam = diam.max(eccentricity(g, u)?);
+    for base in (0..n).step_by(64) {
+        let batch = (n - base).min(64);
+        let full = u64::MAX >> (64 - batch);
+        seen.fill(0);
+        frontier.fill(0);
+        for i in 0..batch {
+            seen[base + i] = 1 << i;
+            frontier[base + i] = 1 << i;
+        }
+        let mut levels = 0;
+        loop {
+            let mut grew = false;
+            for (v, (seen_v, next_v)) in seen.iter_mut().zip(&mut next).enumerate() {
+                let reach = g.neighbors(v).iter().fold(0, |r, &u| r | frontier[u]);
+                let new = reach & !*seen_v;
+                *seen_v |= new;
+                *next_v = new;
+                grew |= new != 0;
+            }
+            if !grew {
+                break;
+            }
+            levels += 1;
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        if seen.iter().any(|&s| s != full) {
+            return None;
+        }
+        diam = diam.max(levels);
     }
     Some(diam)
 }
@@ -155,6 +193,46 @@ mod tests {
         assert_eq!(diameter(&g), None); // disconnected
         g.add_edge(0, 1);
         assert_eq!(diameter(&g), Some(1));
+    }
+
+    /// The per-source reference: the largest eccentricity.
+    fn max_eccentricity(g: &Graph) -> Option<usize> {
+        let eccs: Option<Vec<usize>> = (0..g.num_nodes()).map(|u| eccentricity(g, u)).collect();
+        eccs?.into_iter().max()
+    }
+
+    #[test]
+    fn diameter_matches_max_eccentricity_across_batches() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(61);
+        for n in [0usize, 1, 2, 63, 64, 65, 127, 128, 129, 200] {
+            let mut graphs = vec![
+                generators::path(n),
+                generators::star(n),
+                generators::gnp(n, 0.02, &mut rng),
+            ];
+            if n >= 3 {
+                graphs.push(generators::cycle(n));
+                graphs.push(generators::connected_gnp(n, 3.0 / n as f64, &mut rng));
+            }
+            for g in &graphs {
+                assert_eq!(diameter(g), max_eccentricity(g), "n = {n}");
+            }
+        }
+        // 129 levels: more levels than a batch has sources.
+        let long = generators::path(130);
+        assert_eq!(diameter(&long), Some(129));
+        assert_eq!(max_eccentricity(&long), Some(129));
+        // Connected but for vertex 64, the only source of the last batch.
+        let mut g = generators::path(64);
+        g.add_node();
+        assert_eq!(g.num_nodes(), 65);
+        assert_eq!(diameter(&g), None);
+        assert_eq!(max_eccentricity(&g), None);
+        g.add_edge(10, 64);
+        assert_eq!(diameter(&g), max_eccentricity(&g));
+        assert_eq!(diameter(&g), Some(63));
     }
 
     #[test]

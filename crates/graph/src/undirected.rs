@@ -282,14 +282,19 @@ impl Graph {
     }
 
     /// Whether the node set `set` induces a connected subgraph
-    /// (the empty set is considered connected).
+    /// (the empty set is considered connected). A repeated vertex counts
+    /// once.
     pub fn is_connected_subset(&self, set: &[NodeId]) -> bool {
         if set.is_empty() {
             return true;
         }
         let mut in_set = vec![false; self.num_nodes()];
+        let mut members = 0;
         for &u in set {
-            in_set[u] = true;
+            if !in_set[u] {
+                in_set[u] = true;
+                members += 1;
+            }
         }
         let mut seen = vec![false; self.num_nodes()];
         let mut q = VecDeque::new();
@@ -305,7 +310,7 @@ impl Graph {
                 }
             }
         }
-        count == set.len()
+        count == members
     }
 
     /// The subgraph induced by `nodes`. Returns the subgraph and the map
@@ -658,5 +663,18 @@ mod tests {
         assert!(!g.is_connected_subset(&[0, 2]));
         assert!(g.is_connected_subset(&[]));
         assert!(g.is_connected_subset(&[3]));
+    }
+
+    #[test]
+    fn connected_subset_counts_a_repeated_vertex_once() {
+        let mut g = Graph::new(5);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(3, 4);
+        assert!(g.is_connected_subset(&[0, 0]));
+        assert!(g.is_connected_subset(&[0, 1, 1]));
+        assert!(g.is_connected_subset(&[2, 0, 1, 0]));
+        assert!(!g.is_connected_subset(&[0, 2, 2]));
+        assert!(!g.is_connected_subset(&[3, 3, 0]));
     }
 }

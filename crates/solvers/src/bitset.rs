@@ -1,9 +1,10 @@
 //! Vertex-set bitmasks shared by the exact solvers.
 //!
 //! Every bitmask solver runs on [`Words<W>`], `W` 64-bit words fixed at
-//! compile time: the MIS/clique, dominating-set and Hamiltonian search
-//! engines are monomorphized over `W ≤ 4` and reach 256 vertices, and
-//! the Held–Karp DP and the brute-force references use one word.
+//! compile time: the MIS/clique, dominating-set, Hamiltonian and
+//! cardinality Steiner searches are monomorphized over `W ≤ 4` and reach
+//! 256 vertices, and the Held–Karp DP and the brute-force references use
+//! one word.
 
 use congest_graph::{DiGraph, Graph};
 

@@ -8,9 +8,10 @@
 //!
 //! All exact solvers are exponential-time branch-and-bound or dynamic
 //! programs with pruning, sized for the constructions (the MIS/clique,
-//! dominating-set and Hamiltonian searches take up to 256 vertices, the
-//! max-cut search up to 64; small optima). Each is validated against
-//! brute force on random small instances in its own test module.
+//! dominating-set, Hamiltonian and cardinality Steiner searches take up
+//! to 256 vertices, the max-cut search up to 64; small optima). Each is
+//! validated against brute force on random small instances in its own
+//! test module.
 //!
 //! | Module | Problems |
 //! |--------|----------|

@@ -4,7 +4,8 @@
 //! * The *cardinality* solver decides the Theorem 2.7 predicate ("a Steiner
 //!   tree with `4k + 16·log k + 1` edges exists"). It exploits the identity
 //!   `min #edges = min{|W| - 1 : Term ⊆ W, G[W] connected}` and searches
-//!   over sets of extra (non-terminal) vertices by increasing size.
+//!   over sets of extra (non-terminal) vertices by increasing size. Each
+//!   candidate `W` is a vertex bitmask, tested by a word-wide flood.
 //!   The optimization and the decision share one search; the decision
 //!   stops at its size bound.
 //! * The *node-weighted* and *directed* solvers decide the Section 4.4 gap
@@ -13,16 +14,19 @@
 //!   problem; the node-weighted problem is that program on the bidirected
 //!   graph in which entering a vertex costs its weight.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use congest_graph::{DiGraph, Graph, NodeId, Weight};
+
+use crate::bitset::{adjacency_masks, Words};
 
 /// Minimum number of edges of a Steiner tree spanning `terminals`, or
 /// `None` if the terminals are not in one connected component.
 ///
 /// # Panics
 ///
-/// Panics if `terminals` is empty.
+/// Panics if `terminals` is empty or the graph has more than 256 vertices.
 pub fn min_steiner_tree_edges(g: &Graph, terminals: &[NodeId]) -> Option<usize> {
     fewest_tree_edges(g, terminals, usize::MAX)
 }
@@ -33,64 +37,96 @@ pub fn min_steiner_tree_edges(g: &Graph, terminals: &[NodeId]) -> Option<usize> 
 ///
 /// # Panics
 ///
-/// Panics if `terminals` is empty.
+/// Panics if `terminals` is empty or the graph has more than 256 vertices.
 pub fn has_steiner_tree_of_size(g: &Graph, terminals: &[NodeId], max_edges: usize) -> bool {
     fewest_tree_edges(g, terminals, max_edges).is_some()
 }
 
-/// The fewest edges of a Steiner tree with at most `max_edges` edges, by
-/// searching sets of extra (non-terminal) vertices in increasing size.
+/// Dispatches [`fewest_edges`] on the word count `⌈n / 64⌉`.
 fn fewest_tree_edges(g: &Graph, terminals: &[NodeId], max_edges: usize) -> Option<usize> {
     assert!(!terminals.is_empty(), "need at least one terminal");
     let n = g.num_nodes();
-    let mut is_term = vec![false; n];
-    for &t in terminals {
-        is_term[t] = true;
+    assert!(
+        n <= 256,
+        "cardinality Steiner search supports at most 256 vertices"
+    );
+    match n.div_ceil(64).max(1) {
+        1 => fewest_edges::<1>(g, terminals, max_edges),
+        2 => fewest_edges::<2>(g, terminals, max_edges),
+        3 => fewest_edges::<3>(g, terminals, max_edges),
+        _ => fewest_edges::<4>(g, terminals, max_edges),
     }
-    let non_terminals: Vec<NodeId> = (0..n).filter(|&v| !is_term[v]).collect();
+}
+
+/// The fewest edges of a Steiner tree with at most `max_edges` edges, by
+/// searching sets of extra (non-terminal) vertices in increasing size.
+fn fewest_edges<const W: usize>(
+    g: &Graph,
+    terminals: &[NodeId],
+    max_edges: usize,
+) -> Option<usize> {
+    let n = g.num_nodes();
+    let adj = adjacency_masks::<W>(g);
+    let mut term = Words::<W>::EMPTY;
+    for &t in terminals {
+        term.set(t);
+    }
     // Quick reachability screen.
-    let reach = g.bfs_distances(terminals[0]);
-    if terminals.iter().any(|&t| reach[t].is_none()) {
+    if !term.subset_of(&flood(&adj, Words::full(n), terminals[0])) {
         return None;
     }
-    let mut chosen: Vec<NodeId> = Vec::new();
-    for extra in 0..=non_terminals.len() {
-        let edges = terminals.len() + extra - 1;
+    let pool: Vec<NodeId> = Words::<W>::full(n).and_not(&term).iter().collect();
+    // A tree on the distinct terminals plus `extra` other vertices has
+    // one edge fewer than it has vertices.
+    let tree_on_terms = term.count() as usize - 1;
+    for extra in 0..=pool.len() {
+        let edges = tree_on_terms + extra;
         if edges > max_edges {
             break;
         }
-        if search_extras(g, terminals, &non_terminals, extra, 0, &mut chosen) {
+        if search_extras(&adj, terminals[0], term, &pool, extra) {
             return Some(edges);
         }
     }
     None
 }
 
-fn search_extras(
-    g: &Graph,
-    terminals: &[NodeId],
+/// Whether adding `left` vertices of `pool` to `set`, which holds
+/// `start`, can make it induce a connected subgraph.
+fn search_extras<const W: usize>(
+    adj: &[Words<W>],
+    start: NodeId,
+    set: Words<W>,
     pool: &[NodeId],
     left: usize,
-    start: usize,
-    chosen: &mut Vec<NodeId>,
 ) -> bool {
     if left == 0 {
-        let mut w: Vec<NodeId> = terminals.to_vec();
-        w.extend_from_slice(chosen);
-        return g.is_connected_subset(&w);
+        return flood(adj, set, start) == set;
     }
-    if start + left > pool.len() {
+    if left > pool.len() {
         return false;
     }
-    for i in start..=(pool.len() - left) {
-        chosen.push(pool[i]);
-        if search_extras(g, terminals, pool, left - 1, i + 1, chosen) {
-            chosen.pop();
-            return true;
+    (0..=pool.len() - left).any(|i| {
+        let mut with = set;
+        with.set(pool[i]);
+        search_extras(adj, start, with, &pool[i + 1..], left - 1)
+    })
+}
+
+/// The vertices of `within` that `start` reaches inside `within`, one
+/// frontier at a time.
+fn flood<const W: usize>(adj: &[Words<W>], within: Words<W>, start: NodeId) -> Words<W> {
+    let mut seen = Words::bit(start);
+    let mut frontier = seen;
+    while !frontier.is_empty() {
+        let mut reach = Words::EMPTY;
+        for v in frontier.iter() {
+            reach = reach.or(&adj[v]);
         }
-        chosen.pop();
+        frontier = reach.and(&within).and_not(&seen);
+        seen = seen.or(&frontier);
     }
-    false
+    seen
 }
 
 /// Minimum total *node weight* of a connected subgraph containing all
@@ -128,62 +164,80 @@ pub fn min_node_weight_steiner(g: &Graph, terminals: &[NodeId]) -> Option<Weight
 /// `root` that reaches every terminal (Section 4.4, Figure 6). Returns
 /// `None` if some terminal is unreachable.
 ///
+/// The Dreyfus–Wagner table `f[s][v]`, the cheapest arborescence rooted at
+/// `v` that reaches the terminal set `s`, is one flat array. A terminal
+/// equal to `root` stays out of the subsets: the root reaches itself at no
+/// cost.
+///
 /// # Panics
 ///
-/// Panics if `terminals` is empty, has more than 16 elements, or any edge
-/// weight is negative.
+/// Panics if `terminals` is empty or has more than 16 elements, if `root`
+/// or a terminal is not a vertex of `g`, or if any edge weight is
+/// negative.
 pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> Option<Weight> {
     let n = g.num_nodes();
-    let t = terminals.len();
-    assert!(t >= 1, "need at least one terminal");
-    assert!(t <= 16, "terminal-subset DP limited to 16 terminals");
+    assert!(!terminals.is_empty(), "need at least one terminal");
+    assert!(
+        terminals.len() <= 16,
+        "terminal-subset DP limited to 16 terminals"
+    );
+    assert!(
+        root < n && terminals.iter().all(|&t| t < n),
+        "root and terminals must be vertices of the graph"
+    );
     // Weighted in-rows, gathered once for the 2^t grow steps.
     let mut in_rows: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
     for (u, v, w) in g.edges() {
         assert!(w >= 0, "edge weights must be nonnegative");
         in_rows[v].push((u, w));
     }
+    let others: Vec<NodeId> = terminals.iter().copied().filter(|&t| t != root).collect();
+    // Every entry stays at most INF, so the sum of two never overflows.
     const INF: Weight = Weight::MAX / 4;
-    let full = (1usize << t) - 1;
-    // f[s][v] = min cost arborescence rooted at v spanning terminal set s.
-    let mut f = vec![vec![INF; n]; full + 1];
-    for (i, &term) in terminals.iter().enumerate() {
-        f[1 << i][term] = 0;
+    let full = (1usize << others.len()) - 1;
+    // f[s * n + v]; the empty set costs nothing anywhere.
+    let mut f = vec![INF; (full + 1) * n];
+    f[..n].fill(0);
+    for (i, &term) in others.iter().enumerate() {
+        f[(1 << i) * n + term] = 0;
     }
+    let mut heap = BinaryHeap::with_capacity(n);
     for s in 1..=full {
-        let mut sub = (s - 1) & s;
-        while sub > 0 {
-            let other = s & !sub;
-            if other != 0 && sub < other {
-                for v in 0..n {
-                    let a = f[sub][v];
-                    let b = f[other][v];
-                    if a < INF && b < INF && a + b < f[s][v] {
-                        f[s][v] = a + b;
-                    }
-                }
+        let (done, row) = f.split_at_mut(s * n);
+        let row = &mut row[..n];
+        // Merge the splits (part, s ∖ part) whose first part holds the
+        // lowest terminal of s: each unordered split once.
+        let lowest = s & s.wrapping_neg();
+        let rest = s ^ lowest;
+        let mut sub = rest;
+        while sub != 0 {
+            sub = (sub - 1) & rest;
+            let part = &done[(lowest | sub) * n..][..n];
+            let other = &done[(rest ^ sub) * n..][..n];
+            for ((cur, &a), &b) in row.iter_mut().zip(part).zip(other) {
+                *cur = (*cur).min(a + b);
             }
-            sub = (sub - 1) & s;
         }
         // Grow step: f[s][v] = min(f[s][v], w(v→u) + f[s][u]); relax in
         // increasing f order (Dijkstra on reversed edges).
-        let mut heap: BinaryHeap<std::cmp::Reverse<(Weight, usize)>> = (0..n)
-            .filter(|&v| f[s][v] < INF)
-            .map(|v| std::cmp::Reverse((f[s][v], v)))
-            .collect();
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d != f[s][u] {
+        heap.extend(
+            (0..n)
+                .filter(|&v| row[v] < INF)
+                .map(|v| Reverse((row[v], v))),
+        );
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d != row[u] {
                 continue;
             }
             for &(v, w) in &in_rows[u] {
-                if d + w < f[s][v] {
-                    f[s][v] = d + w;
-                    heap.push(std::cmp::Reverse((d + w, v)));
+                if d + w < row[v] {
+                    row[v] = d + w;
+                    heap.push(Reverse((d + w, v)));
                 }
             }
         }
     }
-    let best = f[full][root];
+    let best = f[full * n + root];
     if best >= INF {
         None
     } else {
@@ -203,10 +257,11 @@ pub fn min_node_weight_steiner_brute(g: &Graph, terminals: &[NodeId]) -> Option<
     for &v in terminals {
         is_term[v] = true;
     }
+    let distinct: Vec<NodeId> = (0..n).filter(|&v| is_term[v]).collect();
     let others: Vec<NodeId> = (0..n).filter(|&v| !is_term[v]).collect();
     let mut best: Option<Weight> = None;
     for mask in 0u64..(1u64 << others.len()) {
-        let mut w: Vec<NodeId> = terminals.to_vec();
+        let mut w = distinct.clone();
         for (i, &v) in others.iter().enumerate() {
             if (mask >> i) & 1 == 1 {
                 w.push(v);
@@ -310,6 +365,59 @@ mod tests {
         g.add_weighted_edge(0, 3, 8);
         // Sharing the stem costs 12; separate direct edges cost 16.
         assert_eq!(min_directed_steiner(&g, 0, &[2, 3]), Some(12));
+    }
+
+    #[test]
+    fn repeated_terminals_count_once() {
+        let g = generators::path(3);
+        assert_eq!(min_steiner_tree_edges(&g, &[0, 2, 2]), Some(2));
+        assert!(has_steiner_tree_of_size(&g, &[0, 2, 2], 2));
+        assert!(!has_steiner_tree_of_size(&g, &[0, 2, 2], 1));
+        assert_eq!(min_steiner_tree_edges(&g, &[1, 1]), Some(0));
+        assert_eq!(min_node_weight_steiner_brute(&g, &[0, 2, 2]), Some(3));
+        assert_eq!(min_node_weight_steiner(&g, &[0, 2, 2]), Some(3));
+        assert_eq!(min_node_weight_steiner(&g, &[0, 0, 2]), Some(3));
+    }
+
+    #[test]
+    fn cardinality_search_runs_at_every_word_count() {
+        for n in [64, 65, 100, 129, 150, 193, 256] {
+            let g = generators::path(n);
+            // Two extras join three terminals.
+            assert_eq!(
+                min_steiner_tree_edges(&g, &[n - 5, n - 3, n - 1]),
+                Some(4),
+                "n = {n}"
+            );
+            assert_eq!(min_steiner_tree_edges(&g, &[0, 1]), Some(1));
+            let mut split = g.clone();
+            split.remove_edge(n - 2, n - 1);
+            assert_eq!(min_steiner_tree_edges(&split, &[0, n - 1]), None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 vertices")]
+    fn cardinality_search_refuses_257_vertices() {
+        min_steiner_tree_edges(&generators::path(257), &[0]);
+    }
+
+    #[test]
+    fn directed_root_terminal_is_free() {
+        let mut g = DiGraph::new(4);
+        g.add_weighted_edge(0, 1, 5);
+        g.add_weighted_edge(0, 2, 1);
+        g.add_weighted_edge(1, 3, 1);
+        g.add_weighted_edge(2, 3, 2);
+        for r in 0..4 {
+            assert_eq!(min_directed_steiner(&g, r, &[r]), Some(0));
+            assert_eq!(min_directed_steiner(&g, r, &[r, r]), Some(0));
+        }
+        // The root among several terminals changes nothing.
+        assert_eq!(min_directed_steiner(&g, 0, &[1, 0, 3]), Some(6));
+        assert_eq!(min_directed_steiner(&g, 0, &[0, 3]), Some(3));
+        assert_eq!(min_directed_steiner(&g, 2, &[2, 3]), Some(2));
+        assert_eq!(min_directed_steiner(&g, 3, &[3, 0]), None);
     }
 
     #[test]

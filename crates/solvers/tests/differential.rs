@@ -1,8 +1,9 @@
 //! Differential tests for the rewritten exact-solver kernels.
 //!
 //! Each branch-and-bound / DP kernel is pitted against an independent
-//! reference on random instances with n ≤ 12: the crate's brute-force
-//! oracles where they exist, naive enumeration written here otherwise.
+//! reference on random instances with n ≤ 12 (n ≤ 14 for cardinality
+//! Steiner): the crate's brute-force oracles where they exist, naive
+//! enumeration written here otherwise.
 //! The Hamiltonian backtracker, the Held–Karp DP, and a permutation
 //! sweep must agree three ways — two independent engines cross-check
 //! each other against ground truth. The max-cut search must also return
@@ -32,7 +33,10 @@ use congest_solvers::mis::{
     max_weight_clique, max_weight_independent_set, max_weight_independent_set_brute,
     max_weight_independent_set_with_stats,
 };
-use congest_solvers::steiner::{min_node_weight_steiner, min_node_weight_steiner_brute};
+use congest_solvers::steiner::{
+    has_steiner_tree_of_size, min_node_weight_steiner, min_node_weight_steiner_brute,
+    min_steiner_tree_edges,
+};
 use proptest::prelude::*;
 use proptest::rand::rngs::StdRng;
 use proptest::rand::seq::SliceRandom;
@@ -350,6 +354,39 @@ proptest! {
             min_node_weight_steiner_brute(&g, &terminals),
             "terminals {:?}", terminals
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The cardinality Steiner search agrees with node-weighted subset
+    /// enumeration under unit weights (a tree on `W` has `|W| - 1` edges
+    /// and weighs `|W|`), on disconnected graphs and repeated terminals
+    /// included; its decision flips exactly at the optimum.
+    #[test]
+    fn cardinality_steiner_matches_unit_weight_brute_force(
+        n in 1usize..=14,
+        seed in any::<u64>(),
+        sparse in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = if sparse { 0.12 } else { 0.3 };
+        let g = generators::gnp(n, p, &mut rng);
+        let picks = rng.gen_range(1..=n.min(6));
+        let terminals: Vec<usize> = (0..picks).map(|_| rng.gen_range(0..n)).collect();
+        let edges = min_steiner_tree_edges(&g, &terminals);
+        let brute = min_node_weight_steiner_brute(&g, &terminals);
+        prop_assert_eq!(edges.map(|e| e as Weight + 1), brute, "terminals {:?}", terminals);
+        match edges {
+            Some(opt) => {
+                prop_assert!(has_steiner_tree_of_size(&g, &terminals, opt));
+                if opt > 0 {
+                    prop_assert!(!has_steiner_tree_of_size(&g, &terminals, opt - 1));
+                }
+            }
+            None => prop_assert!(!has_steiner_tree_of_size(&g, &terminals, n)),
+        }
     }
 }
 
