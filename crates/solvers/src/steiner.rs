@@ -13,6 +13,19 @@
 //!   terminal subsets with Dijkstra-style grow steps solves the directed
 //!   problem; the node-weighted problem is that program on the bidirected
 //!   graph in which entering a vertex costs its weight.
+//!
+//! Before the Dreyfus–Wagner program runs, it drops every terminal that
+//! the root or a kept terminal reaches over zero-weight arcs. Terminals
+//! are taken in order, and one is dropped when the root or a terminal not
+//! yet dropped reaches it. This is exact on every digraph: a zero-weight
+//! path added to any arborescence costs nothing, so one that reaches the
+//! kept terminals reaches the dropped ones at the same cost. Each dropped
+//! terminal is reached from the root or from a terminal dropped later or
+//! kept, so the chain ends at the root or at a kept terminal. In Figure 6
+//! each element's `a_j` and `b_j` are joined at cost 0, so of the `2ℓ`
+//! terminals the directed program keeps `ℓ` and the node-weighted one
+//! `ℓ − 1` (6 and 5 of 12 in the report), and the `2^t`-subset table
+//! shrinks with them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -142,7 +155,9 @@ fn flood<const W: usize>(adj: &[Words<W>], within: Words<W>, start: NodeId) -> W
 /// # Panics
 ///
 /// Panics if `terminals` is empty, has more than 16 elements, or any node
-/// weight is negative.
+/// weight is negative, or if the arc weights of the bidirected graph
+/// (`Σ_v deg(v)·w(v)`) plus the root's weight reach `Weight::MAX / 4`,
+/// the program's infinity.
 pub fn min_node_weight_steiner(g: &Graph, terminals: &[NodeId]) -> Option<Weight> {
     let &root = terminals.first().expect("need at least one terminal");
     let n = g.num_nodes();
@@ -157,24 +172,41 @@ pub fn min_node_weight_steiner(g: &Graph, terminals: &[NodeId]) -> Option<Weight
         d.add_weighted_edge(u, v, g.node_weight(v));
         d.add_weighted_edge(v, u, g.node_weight(u));
     }
-    min_directed_steiner(&d, root, terminals).map(|w| w + g.node_weight(root))
+    dreyfus_wagner(&d, root, terminals, g.node_weight(root))
 }
 
 /// Minimum total edge weight of a directed Steiner arborescence rooted at
 /// `root` that reaches every terminal (Section 4.4, Figure 6). Returns
 /// `None` if some terminal is unreachable.
 ///
-/// The Dreyfus–Wagner table `f[s][v]`, the cheapest arborescence rooted at
-/// `v` that reaches the terminal set `s`, is one flat array. A terminal
-/// equal to `root` stays out of the subsets: the root reaches itself at no
-/// cost.
+/// Terminals that the root or another kept terminal reaches over
+/// zero-weight arcs are dropped first (see the module doc). The
+/// Dreyfus–Wagner table `f[s][v]`, the cheapest arborescence rooted at `v`
+/// that reaches the kept-terminal set `s`, is one flat array.
 ///
 /// # Panics
 ///
 /// Panics if `terminals` is empty or has more than 16 elements, if `root`
-/// or a terminal is not a vertex of `g`, or if any edge weight is
-/// negative.
+/// or a terminal is not a vertex of `g`, if any edge weight is negative,
+/// or if the edge weights sum to `Weight::MAX / 4` or more, the program's
+/// infinity.
 pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> Option<Weight> {
+    dreyfus_wagner(g, root, terminals, 0)
+}
+
+/// The Dreyfus–Wagner program behind both weighted solvers: the cheapest
+/// arborescence, plus `root_weight`, the node-weighted solver's charge for
+/// its root.
+fn dreyfus_wagner(
+    g: &DiGraph,
+    root: NodeId,
+    terminals: &[NodeId],
+    root_weight: Weight,
+) -> Option<Weight> {
+    // Entries stay at most INF, and an optimum at most the total weight,
+    // which is checked below INF: no sum of two entries, or of an entry and
+    // an arc, overflows, and no optimum reads as INF.
+    const INF: Weight = Weight::MAX / 4;
     let n = g.num_nodes();
     assert!(!terminals.is_empty(), "need at least one terminal");
     assert!(
@@ -187,18 +219,22 @@ pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> 
     );
     // Weighted in-rows, gathered once for the 2^t grow steps.
     let mut in_rows: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
+    let mut total = root_weight;
     for (u, v, w) in g.edges() {
         assert!(w >= 0, "edge weights must be nonnegative");
+        total = total.saturating_add(w);
         in_rows[v].push((u, w));
     }
-    let others: Vec<NodeId> = terminals.iter().copied().filter(|&t| t != root).collect();
-    // Every entry stays at most INF, so the sum of two never overflows.
-    const INF: Weight = Weight::MAX / 4;
-    let full = (1usize << others.len()) - 1;
+    assert!(
+        total < INF,
+        "Steiner weights must sum to less than Weight::MAX / 4"
+    );
+    let kept = kept_terminals(g, root, terminals);
+    let full = (1usize << kept.len()) - 1;
     // f[s * n + v]; the empty set costs nothing anywhere.
     let mut f = vec![INF; (full + 1) * n];
     f[..n].fill(0);
-    for (i, &term) in others.iter().enumerate() {
+    for (i, &term) in kept.iter().enumerate() {
         f[(1 << i) * n + term] = 0;
     }
     let mut heap = BinaryHeap::with_capacity(n);
@@ -238,11 +274,32 @@ pub fn min_directed_steiner(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> 
         }
     }
     let best = f[full * n + root];
-    if best >= INF {
-        None
-    } else {
-        Some(best)
+    (best < INF).then_some(best + root_weight)
+}
+
+/// The terminals the program must still reach. In order, a terminal is
+/// dropped when the root or a terminal not yet dropped reaches it over
+/// zero-weight arcs; a terminal equal to the root, and all but the last
+/// copy of a repeated terminal, are dropped this way too.
+fn kept_terminals(g: &DiGraph, root: NodeId, terminals: &[NodeId]) -> Vec<NodeId> {
+    let mut zero = DiGraph::new(g.num_nodes());
+    for (u, v, _) in g.edges().filter(|&(_, _, w)| w == 0) {
+        zero.add_edge(u, v);
     }
+    let from_root = zero.reachable_from(root);
+    let reach: Vec<Vec<bool>> = terminals.iter().map(|&t| zero.reachable_from(t)).collect();
+    let mut live = vec![true; terminals.len()];
+    for (i, &t) in terminals.iter().enumerate() {
+        let covered =
+            from_root[t] || (0..terminals.len()).any(|j| j != i && live[j] && reach[j][t]);
+        live[i] = !covered;
+    }
+    terminals
+        .iter()
+        .zip(&live)
+        .filter(|&(_, &l)| l)
+        .map(|(&t, _)| t)
+        .collect()
 }
 
 /// Brute-force node-weighted Steiner (subset enumeration), for tests.
@@ -418,6 +475,46 @@ mod tests {
         assert_eq!(min_directed_steiner(&g, 0, &[0, 3]), Some(3));
         assert_eq!(min_directed_steiner(&g, 2, &[2, 3]), Some(2));
         assert_eq!(min_directed_steiner(&g, 3, &[3, 0]), None);
+    }
+
+    #[test]
+    fn zero_weight_reach_drops_terminals() {
+        // 0 → 1 and 2 ⇄ 3 cost nothing; 1 → 2 costs 5 and 1 → 4 costs 2.
+        let mut g = DiGraph::new(5);
+        g.add_weighted_edge(0, 1, 0);
+        g.add_weighted_edge(1, 2, 5);
+        g.add_weighted_edge(1, 4, 2);
+        g.add_weighted_edge(2, 3, 0);
+        g.add_weighted_edge(3, 2, 0);
+        let terminals = [0, 1, 2, 3, 4, 4];
+        // The root reaches 0 and 1; 3, not yet dropped, reaches 2; the
+        // second 4 reaches the first.
+        assert_eq!(kept_terminals(&g, 0, &terminals), vec![3, 4]);
+        assert_eq!(min_directed_steiner(&g, 0, &terminals), Some(7));
+        // From 2, terminal 3 is free and 0 unreachable.
+        assert_eq!(kept_terminals(&g, 2, &[3, 0]), vec![0]);
+        assert_eq!(min_directed_steiner(&g, 2, &[3, 0]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "Weight::MAX / 4")]
+    fn directed_weights_past_the_cap_panic() {
+        // Without the cap, the grow step's i64::MAX + 1 wraps to a
+        // negative optimum in release builds.
+        let mut g = DiGraph::new(3);
+        g.add_weighted_edge(0, 1, Weight::MAX);
+        g.add_weighted_edge(1, 2, 1);
+        min_directed_steiner(&g, 0, &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Weight::MAX / 4")]
+    fn node_weights_past_the_cap_panic() {
+        // Without the cap, the optimum wraps to -i64::MAX in release
+        // builds.
+        let mut g = generators::path(3);
+        g.set_node_weight(1, Weight::MAX);
+        min_node_weight_steiner(&g, &[0, 2]);
     }
 
     #[test]

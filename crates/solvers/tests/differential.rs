@@ -34,8 +34,8 @@ use congest_solvers::mis::{
     max_weight_independent_set_with_stats,
 };
 use congest_solvers::steiner::{
-    has_steiner_tree_of_size, min_node_weight_steiner, min_node_weight_steiner_brute,
-    min_steiner_tree_edges,
+    has_steiner_tree_of_size, min_directed_steiner, min_node_weight_steiner,
+    min_node_weight_steiner_brute, min_steiner_tree_edges,
 };
 use proptest::prelude::*;
 use proptest::rand::rngs::StdRng;
@@ -353,6 +353,77 @@ proptest! {
             min_node_weight_steiner(&g, &terminals),
             min_node_weight_steiner_brute(&g, &terminals),
             "terminals {:?}", terminals
+        );
+    }
+}
+
+/// Directed Steiner ground truth: the cheapest arc subset in which the
+/// root reaches every terminal. With nonnegative weights the cheapest such
+/// subset is an arborescence.
+fn brute_directed_steiner(g: &DiGraph, root: usize, terminals: &[usize]) -> Option<Weight> {
+    let arcs: Vec<_> = g.edges().collect();
+    let mut best: Option<Weight> = None;
+    for mask in 0u32..1 << arcs.len() {
+        let chosen = || (0..arcs.len()).filter(move |&i| mask >> i & 1 == 1);
+        let mut seen = vec![false; g.num_nodes()];
+        seen[root] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for i in chosen() {
+                let (u, v, _) = arcs[i];
+                if seen[u] && !seen[v] {
+                    seen[v] = true;
+                    grew = true;
+                }
+            }
+        }
+        if terminals.iter().all(|&t| seen[t]) {
+            let cost = chosen().map(|i| arcs[i].2).sum();
+            if best.is_none_or(|b| cost < b) {
+                best = Some(cost);
+            }
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The directed Dreyfus–Wagner program agrees with arc-subset
+    /// enumeration. Weights 0..=3 make zero arcs, zero cycles and zero
+    /// paths from the root common, so the zero-weight terminal reduction
+    /// is exercised; terminals repeat, include the root, or are
+    /// unreachable.
+    #[test]
+    fn directed_steiner_matches_arc_subset_enumeration(
+        n in 1usize..=8,
+        seed in any::<u64>(),
+        with_root in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        pairs.shuffle(&mut rng);
+        pairs.truncate(rng.gen_range(0..=14));
+        let mut g = DiGraph::new(n);
+        for (u, v) in pairs {
+            g.add_weighted_edge(u, v, rng.gen_range(0..=3));
+        }
+        let root = rng.gen_range(0..n);
+        let mut terminals: Vec<usize> = (0..rng.gen_range(1..=6))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        if with_root {
+            let at = rng.gen_range(0..=terminals.len());
+            terminals.insert(at, root);
+        }
+        prop_assert_eq!(
+            min_directed_steiner(&g, root, &terminals),
+            brute_directed_steiner(&g, root, &terminals),
+            "root {}, terminals {:?}, arcs {:?}", root, terminals, g.edges().collect::<Vec<_>>()
         );
     }
 }
